@@ -192,9 +192,10 @@ class _ConflictEdgesConsumer(PassConsumer):
 
     Returns the identical conflict-edge sequence as a ``(k, 2)`` array:
     unique and in first-occurrence stream order, matching the token
-    path's list exactly.  Order matters — the selector accumulates
-    float potentials per edge, and near-ties under a different
-    summation order could flip the argmin.
+    path's list exactly.  The selector's sums are exact, but its
+    tie-break is the first minimizer of float64 sums accumulated in edge
+    order, so order still matters for the member sums' rounding and the
+    part sums' near-tie re-score (:mod:`repro.core.selector`).
     """
 
     def __init__(self, algo, uncolored, cubes):

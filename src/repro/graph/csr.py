@@ -23,9 +23,10 @@ def dedupe_edges(n: int, edges: np.ndarray, keep_order: bool = False) -> np.ndar
     The canonical dedup: orientation-normalize, key as ``lo * n + hi``
     (requires ``n**2 < 2**63``, comfortably true for every workload here),
     and unique.  ``keep_order=True`` returns edges in first-occurrence
-    order instead of sorted — consumers that accumulate floats per edge
-    (the selector's part/member sums) rely on this to reproduce the token
-    path's stream order bit-for-bit.
+    order instead of sorted — the selector's tie-break follows float64
+    sums accumulated in edge order (its member sums and its part-sum
+    near-tie re-score), so the block path keeps the token path's stream
+    order to select bit-for-bit the same member.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) == 0:

@@ -5,6 +5,8 @@ coloring, and pass/space behavior; the instrumented tests check the
 internal lemmas (potential bound, |F| <= |U|, epoch shrinkage).
 """
 
+import hashlib
+import json
 import math
 
 import pytest
@@ -190,3 +192,34 @@ class TestStreamOrders:
         algo = DeterministicColoring(g.n, 6)
         coloring = algo.run(stream)
         validate_coloring(g, coloring, palette_size=7)
+
+
+class TestTieBreakGolden:
+    """The family search's tie-break, pinned end to end at paper defaults.
+
+    On these seeds one stage's member sums tie exactly at 199 (seed 2) and
+    96 (seed 9) values of ``b``, and the selected ``b`` is the first
+    minimizer of the float64 sums accumulated in edge order, which is not
+    the first exact tie.  A selector that breaks ties any other way changes
+    these colorings.  The digests were recorded with the per-edge float
+    selector.
+    """
+
+    GOLDEN = {
+        2: "1d761159f5c9fd1e7088dd42a3b55513c010a6e00de0d7c0a45cb53d27efc0f3",
+        9: "1b47180abae49211ff84ff49ee7a89e8ad367c485714f88cb179bdf2ec47df9b",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_paper_default_fingerprint(self, seed):
+        g = random_max_degree_graph(256, 24, seed=seed)
+        _, stream, coloring = run_and_validate(g, 24)
+        record = {
+            "coloring": [coloring[v] for v in range(g.n)],
+            "passes": stream.passes_used,
+            "colors_used": num_colors_used(coloring),
+        }
+        digest = hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN[seed]

@@ -14,6 +14,7 @@ from repro.common.integer_math import (
     is_prime,
     next_prime,
     prime_in_range,
+    primitive_root,
 )
 
 
@@ -125,6 +126,20 @@ class TestPrimes:
     def test_prime_in_range_empty(self):
         with pytest.raises(ValueError):
             prime_in_range(24, 28)
+
+    def test_primitive_root_generates(self):
+        for p in (2, 3, 5, 7, 47, 53, 61, 101, 16411):
+            g = primitive_root(p)
+            powers = {pow(g, i, p) for i in range(p - 1)}
+            assert powers == set(range(1, p))
+            assert all(
+                len({pow(h, i, p) for i in range(p - 1)}) < p - 1
+                for h in range(2, g)
+            )
+
+    def test_primitive_root_rejects_composites(self):
+        with pytest.raises(ValueError):
+            primitive_root(91)
 
     @given(st.integers(2, 10**6))
     def test_is_prime_matches_trial_division(self, n):

@@ -1,9 +1,13 @@
 """Unit tests for the slack-weighted hash-family selector.
 
-The key correctness property is that the closed-form part sums (pass 2)
-and vectorized member sums (pass 3) agree with brute-force evaluation of
-the potential over the whole Carter-Wegman family.
+The key correctness properties are that the part sums (pass 2) and member
+sums (pass 3) agree with brute-force evaluation of the potential over the
+whole Carter-Wegman family, and that both reproduce the per-edge float
+reference below: the same ``argmin`` for both, and bit-equal member sums.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.exceptions import ReproError
-from repro.core.selector import SlackWeightedSelector
+from repro.core.selector import SlackWeightedSelector, int64_exact
 
 
 def brute_force_phi(selector, conflict_edges, a, b):
@@ -28,6 +32,113 @@ def brute_force_phi(selector, conflict_edges, a, b):
             sv = dict(zip(bv.cids.tolist(), bv.slacks.tolist()))[cv]
             total += 1.0 / su + 1.0 / sv
     return total
+
+
+# ----------------------------------------------------------------------
+# The per-edge float reference: the selector's sums as first written,
+# Θ(|E_U| 2^k p) and Θ(|E_U| p) numpy work.  Its float64 accumulation in
+# edge order defines the tie-break the selector must reproduce.
+# ----------------------------------------------------------------------
+def reference_edge_weights(selector, u, v):
+    """Dense cid-indexed weights ``1/slack_u[c] + 1/slack_v[c]`` (0 unless
+    both endpoints have candidate ``c``)."""
+    bu = selector.blocks(u)
+    bv = selector.blocks(v)
+    wu = np.zeros(selector.cid_space)
+    wu[bu.cids] = 1.0 / bu.slacks
+    wv = np.zeros(selector.cid_space)
+    wv[bv.cids] = 1.0 / bv.slacks
+    both = (wu > 0) & (wv > 0)
+    out = np.zeros(selector.cid_space)
+    out[both] = wu[both] + wv[both]
+    return out
+
+
+def reference_shift_profile(selector, u, v):
+    """``S[d] = sum over shared cids of wt(cid) * |A_cid ∩ (B_cid - d)|``."""
+    bu = selector.blocks(u)
+    bv = selector.blocks(v)
+    p = selector.p
+    wt = reference_edge_weights(selector, u, v)
+    s = np.zeros(p)
+    cid_to_v_index = {int(c): i for i, c in enumerate(bv.cids)}
+    d = np.arange(p)
+    for i, cid in enumerate(bu.cids):
+        weight = wt[cid]
+        if weight == 0.0:
+            continue
+        j = cid_to_v_index.get(int(cid))
+        if j is None:
+            continue
+        a0, a1 = int(bu.cum[i]), int(bu.cum[i + 1])
+        b0, b1 = int(bv.cum[j]), int(bv.cum[j + 1])
+        t0 = (b0 - d) % p
+        end = t0 + (b1 - b0)
+        hi1 = np.minimum(end, p)
+        ov = np.maximum(0, np.minimum(a1, hi1) - np.maximum(a0, t0))
+        hi2 = np.maximum(0, end - p)
+        ov += np.maximum(0, np.minimum(a1, hi2) - a0)
+        s += weight * ov
+    return s
+
+
+def reference_part_sums(selector, conflict_edges):
+    p = selector.p
+    parts = np.zeros(p)
+    a = np.arange(p)
+    for u, v in conflict_edges:
+        s = reference_shift_profile(selector, u, v)
+        parts += s[(a * ((v - u) % p)) % p]
+    return parts
+
+
+def reference_member_sums(selector, a, conflict_edges):
+    p = selector.p
+    phi = np.zeros(p)
+    b = np.arange(p)
+    for u, v in conflict_edges:
+        bu, bv = selector.blocks(u), selector.blocks(v)
+        cu = np.repeat(bu.cids, bu.sizes)[(a * u + b) % p]
+        cv = np.repeat(bv.cids, bv.sizes)[(a * v + b) % p]
+        wt = reference_edge_weights(selector, u, v)
+        phi += np.where(cu == cv, wt[cu], 0.0)
+    return phi
+
+
+def rational_part_sums(selector, conflict_edges):
+    """The part sums in exact rational arithmetic, slot by slot."""
+    p = selector.p
+    parts = [Fraction(0)] * p
+    for u, v in conflict_edges:
+        bu, bv = selector.blocks(u), selector.blocks(v)
+        v_index = {int(c): j for j, c in enumerate(bv.cids)}
+        for i, cid in enumerate(bu.cids.tolist()):
+            j = v_index.get(cid)
+            if j is None:
+                continue
+            weight = (Fraction(1, int(bu.slacks[i]))
+                      + Fraction(1, int(bv.slacks[j])))
+            slots = np.arange(bu.cum[i], bu.cum[i + 1])
+            for a in range(p):
+                shifted = (slots + a * (v - u)) % p
+                hits = np.count_nonzero((shifted >= bv.cum[j])
+                                        & (shifted < bv.cum[j + 1]))
+                parts[a] += weight * hits
+    return parts
+
+
+def assert_matches_reference(selector, edges):
+    """Same argmin for both sums, bit-equal member sums, close parts."""
+    parts = selector.part_sums(edges)
+    ref_parts = reference_part_sums(selector, edges)
+    a_star = int(np.argmin(ref_parts))
+    assert int(np.argmin(parts)) == a_star
+    assert parts[a_star] == ref_parts[a_star]
+    np.testing.assert_allclose(parts, ref_parts, rtol=1e-9, atol=0)
+    members = selector.member_sums(a_star, edges)
+    ref_members = reference_member_sums(selector, a_star, edges)
+    assert members.tobytes() == ref_members.tobytes()
+    assert int(np.argmin(members)) == int(np.argmin(ref_members))
 
 
 def make_selector(p, n, cid_space, vertex_slacks):
@@ -73,7 +184,7 @@ class TestGwMap:
     def test_cid_of_slot_matches_materialized(self):
         sel = make_selector(101, 20, 5, {0: [1, 4, 0, 2, 3]})
         blk = sel.blocks(0)
-        arr = blk.materialize()
+        arr = np.repeat(blk.cids, blk.sizes)
         for t in range(101):
             assert blk.cid_of_slot(t) == arr[t]
 
@@ -163,3 +274,108 @@ class TestFamilySearch:
     def test_accumulator_bits_positive(self):
         sel = self._two_vertex_setup()
         assert sel.accumulator_bits() >= sel.p
+
+
+@st.composite
+def selector_instances(draw):
+    """Small selectors with the shapes the callers produce, plus edge cases.
+
+    ``subcube``: every vertex has cids ``0..k-1`` (Algorithm 1 stages);
+    ``identical``: one shared slack vector, which forces exact ties;
+    ``lists``: each vertex a random subset of a larger cid space, often a
+    single candidate (list-coloring classes and final-stage colors).
+    """
+    p = draw(st.sampled_from([47, 53, 61, 101]))
+    mode = draw(st.sampled_from(["subcube", "identical", "lists"]))
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 5))
+    cid_space = k if mode != "lists" else draw(st.integers(k, 12))
+    slack = st.integers(1, 6)
+    shared = draw(st.lists(slack, min_size=k, max_size=k))
+    sel = SlackWeightedSelector(p, n, cid_space)
+    for x in range(n):
+        if mode == "lists":
+            cids = draw(st.lists(st.integers(0, cid_space - 1), min_size=1,
+                                 max_size=k, unique=True))
+            slacks = draw(st.lists(slack, min_size=len(cids),
+                                   max_size=len(cids)))
+        else:
+            cids = list(range(k))
+            slacks = shared if mode == "identical" else draw(
+                st.lists(st.integers(0, 6), min_size=k, max_size=k)
+                .filter(any)
+            )
+        sel.register_vertex(x, cids, slacks)
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    return sel, edges
+
+
+class TestReferenceDifferential:
+    """The selector against the per-edge float reference defined above."""
+
+    @given(selector_instances(), st.integers(0, 100))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(self, instance, extra_a):
+        sel, edges = instance
+        assert_matches_reference(sel, edges)
+        a = extra_a % sel.p
+        assert (sel.member_sums(a, edges).tobytes()
+                == reference_member_sums(sel, a, edges).tobytes())
+
+    def test_exact_ties_break_like_the_float_sums(self):
+        """Identical slack vectors make many parts tie exactly; the
+        re-scored band must still pick the reference's first minimizer."""
+        slacks = [3, 1, 2, 5]
+        sel = make_selector(101, 40, 4, {x: slacks for x in range(40)})
+        edges = [(x, (7 * x + 3) % 40) for x in range(40) if x != (7 * x + 3) % 40]
+        ref = reference_part_sums(sel, edges)
+        assert (ref == ref.min()).sum() > 1
+        assert_matches_reference(sel, edges)
+
+    def test_float_tie_of_unequal_exact_sums(self):
+        """A heavy constant edge first, then two light edges whose profiles
+        each stay below half an ulp of the heavy sum: every light addition
+        rounds away, so parts whose exact sums differ (and differ after
+        one rounding) tie in float, and the reference's first float
+        minimizer is not an exact minimizer.  Only the band re-score, in
+        edge order, recovers it."""
+        sel = SlackWeightedSelector(101, 8, 3)
+        sel.register_vertex(0, [0], [1])
+        sel.register_vertex(1, [0], [1])
+        for x in (2, 3, 4, 5):
+            sel.register_vertex(x, [1, 2], [10**15, 10**15])
+        edges = [(0, 1), (2, 3), (4, 5)]
+        exact = rational_part_sums(sel, edges)
+        ref = reference_part_sums(sel, edges)
+        a_float = int(np.argmin(ref))
+        assert exact[a_float] > min(exact)
+        rounded_once = [float(x) for x in exact]
+        assert a_float != int(np.argmin(rounded_once))
+        assert int64_exact(10**15, sel.p, len(edges))
+        assert_matches_reference(sel, edges)
+
+    def test_empty_and_disjoint_edges(self):
+        sel = SlackWeightedSelector(47, 4, 10)
+        sel.register_vertex(0, [1, 2], [1, 3])
+        sel.register_vertex(1, [5, 7], [2, 2])
+        sel.register_vertex(2, [7], [4])
+        for edges in ([], [(0, 1)], [(1, 0), (2, 1)]):
+            assert_matches_reference(sel, edges)
+        assert not sel.part_sums([(0, 1)]).any()
+
+    def test_unregistered_vertex_rejected(self):
+        sel = make_selector(47, 4, 2, {0: [1, 1]})
+        with pytest.raises(ReproError, match="vertex 3"):
+            sel.part_sums([(0, 3)])
+
+    def test_int64_overflow_falls_back_to_exact_integers(self):
+        """Slacks with a huge lcm push the scaled sums past int64; the
+        Python-integer tier must still reproduce the reference argmins."""
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                  1000117, 1000121, 1000133]
+        vertices = {x: primes[3 * x:3 * x + 3] for x in range(3)}
+        sel = make_selector(61, 3, 3, vertices)
+        edges = [(0, 1), (2, 1), (0, 2)]
+        assert not int64_exact(math.lcm(*primes), sel.p, len(edges))
+        assert_matches_reference(sel, edges)
