@@ -29,15 +29,25 @@ prefix: an edge from epoch ``curr-1`` is in ``A_curr`` but *not* in
 ``A_{curr-1}`` nor in ``B``.  Robustness is preserved because ``A_curr``
 is frozen before ``h_curr`` is first revealed.  We implement
 ``A_curr | B``.
+
+State layout: the ``n`` degree counters and buffer degrees are int64
+arrays updated in place; buffer B is an int64 ``(|B|, 2)`` edge array,
+the live rows of a store that grows by doubling up to the buffer
+capacity; the sketches ``A_i``/``C_i`` are short lists of edge tuples.
+:meth:`RobustColoring.process_block` therefore costs ``Theta(k (E + L))``
+for a block of ``k`` edges (``E`` epochs, ``L`` levels) plus one append
+per sketch event, with no ``Theta(n)`` term; only a buffer roll, once
+per ``n Delta^beta`` edges, clears the ``n`` buffer degrees.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2, ceil_sqrt
-from repro.graph.coloring import greedy_coloring
+from repro.graph.coloring import first_missing_positive
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.graph import Graph
 from repro.hashing.random_oracle import RandomOracle
@@ -103,13 +113,15 @@ class RobustColoring(OnePassAlgorithm):
     """Adversarially robust ``O(Delta^{5/2})``-coloring (Algorithm 2)."""
 
     supports_blocks = True
-    # The stacked oracle tables are derived from _h/_g on first use;
-    # snapshots carry the functions, not the stacks.
-    _snapshot_skip_ = ("_h_table", "_g_table")
+    # Derived caches: the vertex-major oracle tables are rebuilt from
+    # _h/_g on first use, and the buffer store's spare capacity is not
+    # state.  Snapshots carry ``_buffer``, exactly the live rows of B.
+    _snapshot_skip_ = ("_h_table", "_g_table", "_buffer_store")
 
     def _snapshot_init_(self) -> None:
         self._h_table = None
         self._g_table = None
+        self._buffer_store = self._buffer
 
     def __init__(self, n: int, delta: int, seed: int, beta: float = 0.0):
         super().__init__()
@@ -128,14 +140,15 @@ class RobustColoring(OnePassAlgorithm):
             for i in range(1, p.num_levels + 1)
         ]
         self.meter.charge_random_bits(self._oracle.bits_served)
-        self._degree = [0] * n
-        self._buffer: list[tuple[int, int]] = []
-        self._buffer_degree = [0] * n
+        self._degree = np.zeros(n, dtype=np.int64)
+        self._buffer_store = np.empty((0, 2), dtype=np.int64)
+        self._buffer = self._buffer_store
+        self._buffer_degree = np.zeros(n, dtype=np.int64)
         self._a_sets: list[list[tuple[int, int]]] = [[] for _ in range(p.num_epochs + 2)]
         self._c_sets: list[list[tuple[int, int]]] = [[] for _ in range(p.num_levels + 2)]
         self._curr = 1
         self._edges_seen = 0
-        # Stacked oracle tables for the block path, built on first use.
+        # Vertex-major oracle tables for the block path, built on first use.
         self._h_table = None
         self._g_table = None
         log_n = ceil_log2(max(2, n))
@@ -148,10 +161,10 @@ class RobustColoring(OnePassAlgorithm):
         p = self.params
         self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
         self.meter.set_gauge(
-            "A sketches", sum(len(a) for a in self._a_sets) * self._edge_bits
+            "A sketches", sum(map(len, self._a_sets)) * self._edge_bits
         )
         self.meter.set_gauge(
-            "C sketches", sum(len(c) for c in self._c_sets) * self._edge_bits
+            "C sketches", sum(map(len, self._c_sets)) * self._edge_bits
         )
         self.meter.set_gauge(
             "degree counters", self.n * ceil_log2(max(2, self.delta + 1))
@@ -161,24 +174,62 @@ class RobustColoring(OnePassAlgorithm):
         """Level ``l`` such that degree is in ``((l-1) T, l T]`` (T = fast threshold)."""
         return max(1, ceil_div(d, self.params.fast_threshold))
 
+    def _oracle_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n, E)`` table of the ``h_i`` and ``(n, L)`` table of the ``g_i``.
+
+        Vertex-major, so a block gathers one short row per endpoint, and
+        in the narrowest unsigned dtype that holds the function's range.
+        """
+        if self._h_table is None:
+            self._h_table = _vertex_major(self._h, self.n, self.params.h_range)
+            self._g_table = _vertex_major(self._g, self.n, self.params.g_range)
+        return self._h_table, self._g_table
+
+    def _append_buffer(self, rows) -> None:
+        """Append edge rows to B, doubling the store up to the capacity."""
+        start = len(self._buffer)
+        end = start + len(rows)
+        store = self._buffer_store
+        if end > len(store):
+            size = min(self.params.buffer_capacity, max(end, 2 * len(store), 16))
+            store = np.empty((size, 2), dtype=np.int64)
+            store[:start] = self._buffer
+            self._buffer_store = store
+        store[start:end] = rows
+        self._buffer = store[:end]
+
+    def _roll_buffer(self, rolls: int) -> None:
+        """Lines 10-11: empty B and advance the epoch by ``rolls``."""
+        self._buffer = self._buffer_store[:0]
+        self._buffer_degree[:] = 0
+        self._curr += rolls
+
     # ------------------------------------------------------------------
     def process(self, u: int, v: int) -> None:
+        """Lines 10-17 for one insertion.
+
+        A self-loop or an edge past the degree promise raises
+        :class:`ReproError` before any state changes.
+        """
         p = self.params
-        if self._degree[u] >= self.delta or self._degree[v] >= self.delta:
+        if u == v:
+            raise ReproError(
+                f"self-loop ({u},{v}) at stream index {self._edges_seen}"
+            )
+        du, dv = self._degree.item(u), self._degree.item(v)
+        if du >= self.delta or dv >= self.delta:
             raise ReproError(
                 f"edge ({u},{v}) exceeds the promised max degree {self.delta}"
             )
         # Lines 10-11: roll the buffer/epoch when full.
         if len(self._buffer) == p.buffer_capacity:
-            self._buffer = []
-            self._buffer_degree = [0] * self.n
-            self._curr += 1
-        self._buffer.append((u, v))
+            self._roll_buffer(1)
+        self._append_buffer(((u, v),))
         self._buffer_degree[u] += 1
         self._buffer_degree[v] += 1
         # Line 13: degree counters.
-        self._degree[u] += 1
-        self._degree[v] += 1
+        self._degree[u] = du + 1
+        self._degree[v] = dv + 1
         self._edges_seen += 1
         # Lines 14-15: h_i-sketches for future epochs.
         for i in range(self._curr + 1, p.num_epochs + 1):
@@ -186,7 +237,7 @@ class RobustColoring(OnePassAlgorithm):
             if h(u) == h(v):
                 self._a_sets[i].append((u, v))
         # Lines 16-17: g_i-sketches for levels above both endpoints.
-        top = self._level_of_degree(max(self._degree[u], self._degree[v]))
+        top = self._level_of_degree(max(du, dv) + 1)
         for i in range(top + 1, p.num_levels + 1):
             g = self._g[i - 1]
             if g(u) == g(v):
@@ -200,73 +251,58 @@ class RobustColoring(OnePassAlgorithm):
         The sequential bookkeeping is reconstructed in closed form: running
         degrees via a stable group-rank, buffer epochs via
         :func:`~repro.streaming.blocks.buffer_timeline`, and the rare
-        monochromatic sketch events via one oracle-table gather per family.
-        A block containing a degree-cap violation falls back to the scalar
-        loop so the exception fires at the exact same edge with the exact
-        same partial state.
+        monochromatic sketch events via one row gather per endpoint from
+        the vertex-major oracle tables.  The degree counters, buffer
+        degrees and buffer B are updated in place, so a block costs
+        ``Theta(k (E + L))`` plus one append per sketch event, with no
+        ``Theta(n)`` term.  A block containing a self-loop or a degree-cap
+        violation falls back to the scalar loop so the exception fires at
+        the exact same edge with the exact same partial state.
         """
         p = self.params
+        edges = np.asarray(edges, dtype=np.int64)
         k = len(edges)
         if k == 0:
             return
-        deg0 = np.asarray(self._degree, dtype=np.int64)
-        deg_before = running_degrees(deg0, edges)
-        if (deg_before >= self.delta).any():
+        us, vs = edges[:, 0], edges[:, 1]
+        deg_before = running_degrees(self._degree, edges)
+        if (deg_before >= self.delta).any() or (us == vs).any():
             for u, v in edges.tolist():
                 self.process(u, v)
             return
         rolls, lengths = buffer_timeline(len(self._buffer), p.buffer_capacity, k)
-        curr_at = self._curr + rolls
-        us, vs = edges[:, 0], edges[:, 1]
-        stored_delta = np.zeros(k, dtype=np.int64)
-        edges_list = edges.tolist()
-        # Lines 14-15: h_i-monochromatic events for epochs > curr.
-        if self._h_table is None:
-            self._h_table = np.stack([h.table() for h in self._h])
-            self._g_table = np.stack([g.table() for g in self._g])
-        mono_h = (self._h_table[:, us] == self._h_table[:, vs]).T  # (k, E)
-        ev_e, ev_i = np.nonzero(mono_h)
-        for e, i in zip(ev_e.tolist(), ev_i.tolist()):
-            epoch = i + 1
-            if curr_at[e] + 1 <= epoch <= p.num_epochs:
-                u, v = edges_list[e]
-                self._a_sets[epoch].append((u, v))
-                stored_delta[e] += 1
+        stored0 = self.sketch_edge_count
+        h_table, g_table = self._oracle_tables()
+        # Lines 14-15: h_i-monochromatic events for epochs i > curr, i.e.
+        # table columns i - 1 >= curr.
+        ev_e, ev_col = _mono_events(h_table, us, vs)
+        keep = ev_col >= self._curr + rolls[ev_e]
+        a_edges, a_epochs = ev_e[keep], ev_col[keep] + 1
+        for (u, v), epoch in zip(edges[a_edges].tolist(), a_epochs.tolist()):
+            self._a_sets[epoch].append((u, v))
         # Lines 16-17: g_i-monochromatic events for levels above the edge.
         top = np.maximum(
             1,
             -(-(deg_before.max(axis=1) + 1) // p.fast_threshold),
         )
-        mono_g = (self._g_table[:, us] == self._g_table[:, vs]).T  # (k, L)
-        ev_e, ev_i = np.nonzero(mono_g)
-        for e, i in zip(ev_e.tolist(), ev_i.tolist()):
-            level = i + 1
-            if top[e] + 1 <= level <= p.num_levels:
-                u, v = edges_list[e]
-                self._c_sets[level].append((u, v))
-                stored_delta[e] += 1
+        ev_e, ev_col = _mono_events(g_table, us, vs)
+        keep = ev_col >= top[ev_e]
+        c_edges, c_levels = ev_e[keep], ev_col[keep] + 1
+        for (u, v), level in zip(edges[c_edges].tolist(), c_levels.tolist()):
+            self._c_sets[level].append((u, v))
         # Degree counters (line 13) and the buffer (lines 10-12).
-        self._degree = (
-            deg0 + np.bincount(edges.ravel(), minlength=self.n)
-        ).tolist()
+        np.add.at(self._degree, edges.ravel(), 1)
+        kept = edges
         if rolls[-1] > 0:
-            tail = edges[k - int(lengths[-1]):]
-            self._buffer = [tuple(e) for e in tail.tolist()]
-            self._buffer_degree = np.bincount(
-                tail.ravel(), minlength=self.n
-            ).tolist()
-        else:
-            self._buffer.extend(tuple(e) for e in edges_list)
-            self._buffer_degree = (
-                np.asarray(self._buffer_degree, dtype=np.int64)
-                + np.bincount(edges.ravel(), minlength=self.n)
-            ).tolist()
-        self._curr += int(rolls[-1])
+            self._roll_buffer(int(rolls[-1]))
+            kept = edges[k - int(lengths[-1]):]
+        self._append_buffer(kept)
+        np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
         # Space peak: the scalar path updates gauges after every edge.
-        stored0 = sum(len(a) for a in self._a_sets) + sum(
-            len(c) for c in self._c_sets
-        ) - int(stored_delta.sum())
+        stored_delta = np.bincount(
+            np.concatenate((a_edges, c_edges)), minlength=k
+        )
         per_edge_total = (
             stored0 + np.cumsum(stored_delta) + lengths
         ) * self._edge_bits
@@ -288,69 +324,87 @@ class RobustColoring(OnePassAlgorithm):
 
     # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
-        """Lines 18-27: recolor slow blocks and fast blocks with fresh palettes."""
+        """Lines 18-27: recolor slow blocks and fast blocks with fresh palettes.
+
+        Blocks take fresh palettes in ascending :meth:`_block_keys` order
+        (slow blocks by ``h_curr`` color, then fast blocks by level and
+        ``g_l`` color), and the returned dict lists the vertices in that
+        order, ascending within a block.  Slow blocks are
+        ``(degree+1)``-colored by one first-fit sweep; each fast block with
+        an edge is :func:`degeneracy_coloring`-ed on its pool edges in
+        pool order; a vertex without an intra-block edge takes its
+        block's first color.
+        """
         p = self.params
-        coloring: dict[int, int] = {}
-        next_free_color = 1
-        fast = {
-            v
-            for v in range(self.n)
-            if self._buffer_degree[v] > p.fast_threshold
-        }
-        slow = [v for v in range(self.n) if v not in fast]
-        # --- slow zone: h_curr blocks on A_curr | B (see module docstring) ---
-        h_curr = self._h[min(self._curr, p.num_epochs) - 1]
-        a_curr = (
-            self._a_sets[self._curr] if self._curr <= p.num_epochs else []
-        )
-        slow_blocks: dict[int, list[int]] = {}
-        block_of: dict[int, int] = {}
-        for v in slow:
-            c = h_curr(v)
-            slow_blocks.setdefault(c, []).append(v)
-            block_of[v] = c
-        # One sweep buckets the pool's intra-block edges by block.
-        block_edges: dict[int, list[tuple[int, int]]] = {c: [] for c in slow_blocks}
-        for u, v in a_curr + self._buffer:
-            bu = block_of.get(u)
-            if bu is not None and bu == block_of.get(v):
-                block_edges[bu].append((u, v))
-        for c, block in sorted(slow_blocks.items()):
-            sub, index = self._induced(block, block_edges[c])
-            local = greedy_coloring(sub)
+        key = self._block_keys()
+        pool = self._intra_block_pool(key)
+        pool_key = key[pool[:, 0]]
+        local = np.ones(self.n, dtype=np.int64)
+        _first_fit(pool[pool_key < p.h_range], local)
+        # Vertices grouped by block, ascending within each block.
+        order = np.argsort(key, kind="stable")
+        block_keys, starts = np.unique(key[order], return_index=True)
+        ends = np.append(starts[1:], self.n)
+        # The degeneracy order depends on the order edges enter the block
+        # graph, so each fast block gets its edges in pool order.
+        fast = pool[pool_key >= p.h_range]
+        fast = fast[np.argsort(key[fast[:, 0]], kind="stable")]
+        edge_keys, first_edge = np.unique(key[fast[:, 0]], return_index=True)
+        for block, edges in zip(
+            np.searchsorted(block_keys, edge_keys).tolist(),
+            np.split(fast, first_edge[1:]),
+        ):
+            members = order[starts[block]:ends[block]].tolist()
+            sub, index = self._induced(members, edges.tolist())
+            colors = degeneracy_coloring(sub)
             for original, local_id in index.items():
-                coloring[original] = next_free_color + local[local_id] - 1
-            next_free_color += max(local.values(), default=0)
-        # --- fast zone: g_l blocks per level on C_l | B ---
-        for level in range(1, p.num_levels + 1):
-            g_l = self._g[level - 1]
-            members = [
-                v
-                for v in fast
-                if self._level_of_degree(self._degree[v]) == level
-            ]
-            if not members:
-                continue
-            fast_blocks: dict[int, list[int]] = {}
-            fast_block_of: dict[int, int] = {}
-            for v in members:
-                c = g_l(v)
-                fast_blocks.setdefault(c, []).append(v)
-                fast_block_of[v] = c
-            level_edges: dict[int, list[tuple[int, int]]] = {
-                c: [] for c in fast_blocks
-            }
-            for u, v in self._c_sets[level] + self._buffer:
-                bu = fast_block_of.get(u)
-                if bu is not None and bu == fast_block_of.get(v):
-                    level_edges[bu].append((u, v))
-            for c, block in sorted(fast_blocks.items()):
-                sub, index = self._induced(block, level_edges[c])
-                local = degeneracy_coloring(sub)
-                for original, local_id in index.items():
-                    coloring[original] = next_free_color + local[local_id] - 1
-                next_free_color += max(local.values(), default=0)
-        return coloring
+                local[original] = colors[local_id]
+        width = np.maximum.reduceat(local[order], starts)
+        offset = np.cumsum(width) - width + 1
+        colors = offset[np.repeat(np.arange(len(starts)), ends - starts)]
+        colors += local[order] - 1
+        return dict(zip(order.tolist(), colors.tolist()))
+
+    def _block_keys(self) -> np.ndarray:
+        """Each vertex's block as one int64 key, slow blocks first.
+
+        A slow vertex's key is its ``h_curr`` color; a vertex fast at
+        level ``l`` has key ``h_range + (l - 1) g_range + g_l(v)``.
+        """
+        p = self.params
+        _, g_table = self._oracle_tables()
+        key = self._h[min(self._curr, p.num_epochs) - 1].table().astype(np.int64)
+        fast = np.flatnonzero(self._buffer_degree > p.fast_threshold)
+        level = np.maximum(1, -(-self._degree[fast] // p.fast_threshold))
+        key[fast] = p.h_range + (level - 1) * p.g_range + g_table[fast, level - 1]
+        return key
+
+    def _intra_block_pool(self, key: np.ndarray) -> np.ndarray:
+        """The pool edges with both endpoints in one block, in pool order.
+
+        A sketch edge counts only in its own zone's sketch (``A_curr`` for
+        slow blocks, ``C_l`` for level-``l`` blocks); a buffer edge counts
+        in every block.  Sketch edges precede buffer edges, as in the
+        pools ``A_curr | B`` and ``C_l | B``.
+        """
+        p = self.params
+        a_curr = self._a_sets[self._curr] if self._curr <= p.num_epochs else []
+        sketches = [a_curr] + self._c_sets[1:p.num_levels + 1]
+        sizes = [len(s) for s in sketches]
+        family = np.repeat(np.arange(len(sketches)), sizes)
+        sketch = np.fromiter(
+            chain.from_iterable(chain.from_iterable(sketches)),
+            dtype=np.int64, count=2 * sum(sizes),
+        ).reshape(-1, 2)
+        sketch_key = key[sketch[:, 0]]
+        key_family = np.where(
+            sketch_key < p.h_range, 0, (sketch_key - p.h_range) // p.g_range + 1
+        )
+        buffer = self._buffer
+        return np.concatenate((
+            sketch[(sketch_key == key[sketch[:, 1]]) & (key_family == family)],
+            buffer[key[buffer[:, 0]] == key[buffer[:, 1]]],
+        ))
 
     # ------------------------------------------------------------------
     def _induced(self, block, edge_pool):
@@ -365,7 +419,56 @@ class RobustColoring(OnePassAlgorithm):
         return sub, index
 
     # ------------------------------------------------------------------
+    def buffer_edges(self) -> np.ndarray:
+        """Buffer B, oldest edge first, as a read-only ``(|B|, 2)`` view.
+
+        The view is valid until the next insertion.
+        """
+        view = self._buffer.view()
+        view.flags.writeable = False
+        return view
+
     @property
     def sketch_edge_count(self) -> int:
         """Total edges currently stored across all sketches (A2 ablation)."""
-        return sum(len(a) for a in self._a_sets) + sum(len(c) for c in self._c_sets)
+        return sum(map(len, self._a_sets)) + sum(map(len, self._c_sets))
+
+
+def _vertex_major(functions, n: int, range_size: int) -> np.ndarray:
+    """Stack oracle functions column by column into an ``(n, len)`` table."""
+    table = np.empty(
+        (n, len(functions)), dtype=np.min_scalar_type(range_size - 1)
+    )
+    for column, function in enumerate(functions):
+        table[:, column] = function.table()
+    return table
+
+
+def _mono_events(table: np.ndarray, us: np.ndarray, vs: np.ndarray):
+    """``(edge, column)`` pairs where both endpoints share a table value.
+
+    Ordered by edge, then column: the scalar path's append order.
+    """
+    mono = np.take(table, us, axis=0) == np.take(table, vs, axis=0)
+    return np.divmod(np.flatnonzero(mono), table.shape[1])
+
+
+def _first_fit(edges: np.ndarray, local: np.ndarray) -> None:
+    """First-fit colors, in ascending vertex order, of the graph on ``edges``.
+
+    Writes each endpoint's color into ``local``.  A vertex sees only its
+    lower neighbours, which are colored before it; on a disjoint union of
+    blocks this is :func:`~repro.graph.coloring.greedy_coloring` run on
+    each block in ascending order.
+    """
+    low = np.minimum(edges[:, 0], edges[:, 1])
+    high = np.maximum(edges[:, 0], edges[:, 1])
+    by_high = np.argsort(high, kind="stable")
+    high, low = high[by_high], low[by_high].tolist()
+    vertices = np.unique(edges)
+    first = np.searchsorted(high, vertices, side="left").tolist()
+    last = np.searchsorted(high, vertices, side="right").tolist()
+    color: dict[int, int] = {}
+    for v, lo, hi in zip(vertices.tolist(), first, last):
+        color[v] = first_missing_positive({color[w] for w in low[lo:hi]})
+    local[vertices] = list(color.values())

@@ -11,6 +11,9 @@ families; extensions register their own entries (or build a private
 
 from dataclasses import asdict, dataclass, field
 from collections.abc import Callable
+from itertools import chain
+
+import numpy as np
 
 from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_log2
@@ -320,17 +323,17 @@ def _stats_extras(algo) -> dict:
 
 
 def _robust_extras(algo) -> dict:
-    per_vertex = [0] * algo.n
-    for sets in (algo._a_sets, algo._c_sets):
-        for edge_set in sets:
-            for u, v in edge_set:
-                per_vertex[u] += 1
-                per_vertex[v] += 1
+    edge_sets = chain(algo._a_sets, algo._c_sets)
+    endpoints = np.fromiter(
+        chain.from_iterable(chain.from_iterable(edge_sets)),
+        dtype=np.int64, count=2 * algo.sketch_edge_count,
+    )
+    per_vertex = np.bincount(endpoints, minlength=algo.n)
     return {
         "beta": algo.params.beta,
         "color_claim": algo.params.color_bound,
         "sketch_edge_count": algo.sketch_edge_count,
-        "sketch_max_vertex_degree": max(per_vertex, default=0),
+        "sketch_max_vertex_degree": int(per_vertex.max(initial=0)),
     }
 
 

@@ -155,7 +155,9 @@ class TestLemma45Degeneracy:
             blocks: dict[int, list[int]] = {}
             for v in members:
                 blocks.setdefault(g_l(v), []).append(v)
-            pool = algo._c_sets[level] + algo._buffer
+            pool = algo._c_sets[level] + [
+                tuple(e) for e in algo.buffer_edges().tolist()
+            ]
             for block in blocks.values():
                 sub, _ = algo._induced(block, pool)
                 assert degeneracy(sub) <= bound
@@ -179,7 +181,7 @@ class TestSlowBlockCoverage:
             algo._a_sets[algo._curr] if algo._curr <= p.num_epochs else []
         )
         covered = {frozenset(e) for e in a_curr}
-        covered |= {frozenset(e) for e in algo._buffer}
+        covered |= {frozenset(e) for e in algo.buffer_edges().tolist()}
         slow = {
             v for v in range(n)
             if algo._buffer_degree[v] <= p.fast_threshold
