@@ -31,17 +31,16 @@ is frozen before ``h_curr`` is first revealed.  We implement
 ``A_curr | B``.
 
 State layout: the ``n`` degree counters and buffer degrees are int64
-arrays updated in place; buffer B is an int64 ``(|B|, 2)`` edge array,
-the live rows of a store that grows by doubling up to the buffer
-capacity; the sketches ``A_i``/``C_i`` are short lists of edge tuples.
-:meth:`RobustColoring.process_block` therefore costs ``Theta(k (E + L))``
-for a block of ``k`` edges (``E`` epochs, ``L`` levels) plus one append
-per sketch event, with no ``Theta(n)`` term; only a buffer roll, once
-per ``n Delta^beta`` edges, clears the ``n`` buffer degrees.
+arrays updated in place; buffer B and each sketch ``A_i``/``C_i`` is an
+int64 ``(m, 2)`` edge array, the live rows of a store that grows by
+doubling.  :meth:`RobustColoring.process_block` therefore costs
+``Theta(k (E + L))`` for a block of ``k`` edges (``E`` epochs, ``L``
+levels) plus one append per sketch that receives events, with no
+``Theta(n)`` term; only a buffer roll, once per ``n Delta^beta`` edges,
+clears the ``n`` buffer degrees.
 """
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -114,14 +113,19 @@ class RobustColoring(OnePassAlgorithm):
 
     supports_blocks = True
     # Derived caches: the vertex-major oracle tables are rebuilt from
-    # _h/_g on first use, and the buffer store's spare capacity is not
-    # state.  Snapshots carry ``_buffer``, exactly the live rows of B.
-    _snapshot_skip_ = ("_h_table", "_g_table", "_buffer_store")
+    # _h/_g on first use, and the stores' spare capacity is not state.
+    # Snapshots carry ``_buffer``, ``_a_sets`` and ``_c_sets``: exactly
+    # the live rows of B and of each sketch.
+    _snapshot_skip_ = (
+        "_h_table", "_g_table", "_buffer_store", "_a_stores", "_c_stores",
+    )
 
     def _snapshot_init_(self) -> None:
         self._h_table = None
         self._g_table = None
         self._buffer_store = self._buffer
+        self._a_stores = list(self._a_sets)
+        self._c_stores = list(self._c_sets)
 
     def __init__(self, n: int, delta: int, seed: int, beta: float = 0.0):
         super().__init__()
@@ -141,11 +145,12 @@ class RobustColoring(OnePassAlgorithm):
         ]
         self.meter.charge_random_bits(self._oracle.bits_served)
         self._degree = np.zeros(n, dtype=np.int64)
-        self._buffer_store = np.empty((0, 2), dtype=np.int64)
-        self._buffer = self._buffer_store
+        self._buffer = self._buffer_store = _NO_EDGES
         self._buffer_degree = np.zeros(n, dtype=np.int64)
-        self._a_sets: list[list[tuple[int, int]]] = [[] for _ in range(p.num_epochs + 2)]
-        self._c_sets: list[list[tuple[int, int]]] = [[] for _ in range(p.num_levels + 2)]
+        self._a_sets = [_NO_EDGES] * (p.num_epochs + 2)
+        self._a_stores = list(self._a_sets)
+        self._c_sets = [_NO_EDGES] * (p.num_levels + 2)
+        self._c_stores = list(self._c_sets)
         self._curr = 1
         self._edges_seen = 0
         # Vertex-major oracle tables for the block path, built on first use.
@@ -186,17 +191,14 @@ class RobustColoring(OnePassAlgorithm):
         return self._h_table, self._g_table
 
     def _append_buffer(self, rows) -> None:
-        """Append edge rows to B, doubling the store up to the capacity."""
-        start = len(self._buffer)
-        end = start + len(rows)
-        store = self._buffer_store
-        if end > len(store):
-            size = min(self.params.buffer_capacity, max(end, 2 * len(store), 16))
-            store = np.empty((size, 2), dtype=np.int64)
-            store[:start] = self._buffer
-            self._buffer_store = store
-        store[start:end] = rows
-        self._buffer = store[:end]
+        """Append edge rows to B."""
+        self._buffer, self._buffer_store = _append_rows(
+            self._buffer, self._buffer_store, rows, self.params.buffer_capacity
+        )
+
+    def _append_sketch(self, sets, stores, index: int, rows) -> None:
+        """Append edge rows to sketch ``sets[index]`` (an A or C family)."""
+        sets[index], stores[index] = _append_rows(sets[index], stores[index], rows)
 
     def _roll_buffer(self, rolls: int) -> None:
         """Lines 10-11: empty B and advance the epoch by ``rolls``."""
@@ -235,13 +237,13 @@ class RobustColoring(OnePassAlgorithm):
         for i in range(self._curr + 1, p.num_epochs + 1):
             h = self._h[i - 1]
             if h(u) == h(v):
-                self._a_sets[i].append((u, v))
+                self._append_sketch(self._a_sets, self._a_stores, i, ((u, v),))
         # Lines 16-17: g_i-sketches for levels above both endpoints.
         top = self._level_of_degree(max(du, dv) + 1)
         for i in range(top + 1, p.num_levels + 1):
             g = self._g[i - 1]
             if g(u) == g(v):
-                self._c_sets[i].append((u, v))
+                self._append_sketch(self._c_sets, self._c_stores, i, ((u, v),))
         self._update_space()
 
     # ------------------------------------------------------------------
@@ -278,8 +280,8 @@ class RobustColoring(OnePassAlgorithm):
         ev_e, ev_col = _mono_events(h_table, us, vs)
         keep = ev_col >= self._curr + rolls[ev_e]
         a_edges, a_epochs = ev_e[keep], ev_col[keep] + 1
-        for (u, v), epoch in zip(edges[a_edges].tolist(), a_epochs.tolist()):
-            self._a_sets[epoch].append((u, v))
+        for epoch, rows in _rows_by_sketch(edges, a_edges, a_epochs):
+            self._append_sketch(self._a_sets, self._a_stores, epoch, rows)
         # Lines 16-17: g_i-monochromatic events for levels above the edge.
         top = np.maximum(
             1,
@@ -288,8 +290,8 @@ class RobustColoring(OnePassAlgorithm):
         ev_e, ev_col = _mono_events(g_table, us, vs)
         keep = ev_col >= top[ev_e]
         c_edges, c_levels = ev_e[keep], ev_col[keep] + 1
-        for (u, v), level in zip(edges[c_edges].tolist(), c_levels.tolist()):
-            self._c_sets[level].append((u, v))
+        for level, rows in _rows_by_sketch(edges, c_edges, c_levels):
+            self._append_sketch(self._c_sets, self._c_stores, level, rows)
         # Degree counters (line 13) and the buffer (lines 10-12).
         np.add.at(self._degree, edges.ravel(), 1)
         kept = edges
@@ -388,14 +390,10 @@ class RobustColoring(OnePassAlgorithm):
         pools ``A_curr | B`` and ``C_l | B``.
         """
         p = self.params
-        a_curr = self._a_sets[self._curr] if self._curr <= p.num_epochs else []
+        a_curr = self._a_sets[self._curr] if self._curr <= p.num_epochs else _NO_EDGES
         sketches = [a_curr] + self._c_sets[1:p.num_levels + 1]
-        sizes = [len(s) for s in sketches]
-        family = np.repeat(np.arange(len(sketches)), sizes)
-        sketch = np.fromiter(
-            chain.from_iterable(chain.from_iterable(sketches)),
-            dtype=np.int64, count=2 * sum(sizes),
-        ).reshape(-1, 2)
+        family = np.repeat(np.arange(len(sketches)), [len(s) for s in sketches])
+        sketch = np.concatenate(sketches)
         sketch_key = key[sketch[:, 0]]
         key_family = np.where(
             sketch_key < p.h_range, 0, (sketch_key - p.h_range) // p.g_range + 1
@@ -432,6 +430,35 @@ class RobustColoring(OnePassAlgorithm):
     def sketch_edge_count(self) -> int:
         """Total edges currently stored across all sketches (A2 ablation)."""
         return sum(map(len, self._a_sets)) + sum(map(len, self._c_sets))
+
+
+#: The empty edge array every buffer and sketch starts from (read-only).
+_NO_EDGES = np.empty((0, 2), dtype=np.int64)
+_NO_EDGES.flags.writeable = False
+
+
+def _append_rows(live, store, rows, limit=None):
+    """Append ``rows`` after ``live``, the leading rows of ``store``.
+
+    Returns the new ``(live, store)``.  A full store is replaced by one of
+    twice the size (at most ``limit`` rows), so appends cost amortised
+    ``O(len(rows))``.
+    """
+    start = len(live)
+    end = start + len(rows)
+    if end > len(store):
+        size = max(end, 2 * len(store), 16)
+        store = np.empty((size if limit is None else min(size, limit), 2), dtype=np.int64)
+        store[:start] = live
+    store[start:end] = rows
+    return store[:end], store
+
+
+def _rows_by_sketch(edges, ev_edges, ev_sketch):
+    """``(sketch, rows)`` pairs of the events, in stream order per sketch."""
+    order = np.argsort(ev_sketch, kind="stable")
+    sketches, first = np.unique(ev_sketch[order], return_index=True)
+    return zip(sketches.tolist(), np.split(edges[ev_edges[order]], first[1:]))
 
 
 def _vertex_major(functions, n: int, range_size: int) -> np.ndarray:

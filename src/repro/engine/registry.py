@@ -11,7 +11,6 @@ families; extensions register their own entries (or build a private
 
 from dataclasses import asdict, dataclass, field
 from collections.abc import Callable
-from itertools import chain
 
 import numpy as np
 
@@ -323,11 +322,7 @@ def _stats_extras(algo) -> dict:
 
 
 def _robust_extras(algo) -> dict:
-    edge_sets = chain(algo._a_sets, algo._c_sets)
-    endpoints = np.fromiter(
-        chain.from_iterable(chain.from_iterable(edge_sets)),
-        dtype=np.int64, count=2 * algo.sketch_edge_count,
-    )
+    endpoints = np.concatenate(algo._a_sets + algo._c_sets).ravel()
     per_vertex = np.bincount(endpoints, minlength=algo.n)
     return {
         "beta": algo.params.beta,

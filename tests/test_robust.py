@@ -165,7 +165,7 @@ def reference_query(algo):
     with fresh palettes; kept as the oracle for the vectorized query.
     """
     p = algo.params
-    buffer = [tuple(e) for e in algo.buffer_edges().tolist()]
+    buffer = algo.buffer_edges().tolist()
     degree = algo._degree.tolist()
     coloring: dict[int, int] = {}
     next_free_color = 1
@@ -194,7 +194,7 @@ def reference_query(algo):
             blocks.setdefault(function(v), []).append(v)
             block_of[v] = function(v)
         block_edges: dict[int, list] = {c: [] for c in blocks}
-        for u, v in sketch + buffer:
+        for u, v in np.reshape(sketch, (-1, 2)).tolist() + buffer:
             bu = block_of.get(u)
             if bu is not None and bu == block_of.get(v):
                 block_edges[bu].append((u, v))
@@ -329,13 +329,16 @@ class TestQueryPools:
                         return u, v
             raise AssertionError("no same-colored pair in one block")
 
+        def add(sets, index, edge):
+            sets[index] = np.concatenate((sets[index], [edge]))
+
         u, v = same_colored_pair(fast=False)
         for level in range(1, p.num_levels + 1):
-            algo._c_sets[level].append((u, v))
+            add(algo._c_sets, level, (u, v))
         u, v = same_colored_pair(fast=True)
         other = 1 + fast_level[u] % p.num_levels
-        algo._a_sets[algo._curr].append((u, v))
-        algo._c_sets[other].append((u, v))
+        add(algo._a_sets, algo._curr, (u, v))
+        add(algo._c_sets, other, (u, v))
         assert other != fast_level[u]
         after = algo.query()
         assert list(after.items()) == list(before.items())
@@ -358,7 +361,7 @@ class TestSnapshotContract:
             same_state(algos[0], other)
         algo = algos[0]
         state = algo.state_dict()
-        assert "_buffer_store" not in state["state"]
+        assert not {"_buffer_store", "_a_stores", "_c_stores"} & set(state["state"])
         buffer = state["arrays"][state["state"]["_buffer"]["ref"]]
         assert buffer.shape == (301 - 2 * n, 2)
         assert len(buffer) * algo._edge_bits == algo.meter.gauge("buffer B")
@@ -422,7 +425,7 @@ class TestRobustExtras:
         feed_blocks(algo, near_regular_edge_array(n, delta, 4), 256)
         per_vertex = [0] * n
         for edge_set in algo._a_sets + algo._c_sets:
-            for u, v in edge_set:
+            for u, v in edge_set.tolist():
                 per_vertex[u] += 1
                 per_vertex[v] += 1
         extras = REGISTRY.get("robust").collect_extras(algo)

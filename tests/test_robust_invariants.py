@@ -155,9 +155,7 @@ class TestLemma45Degeneracy:
             blocks: dict[int, list[int]] = {}
             for v in members:
                 blocks.setdefault(g_l(v), []).append(v)
-            pool = algo._c_sets[level] + [
-                tuple(e) for e in algo.buffer_edges().tolist()
-            ]
+            pool = algo._c_sets[level].tolist() + algo.buffer_edges().tolist()
             for block in blocks.values():
                 sub, _ = algo._induced(block, pool)
                 assert degeneracy(sub) <= bound
