@@ -456,6 +456,8 @@ def _append_rows(live, store, rows, limit=None):
 
 def _rows_by_sketch(edges, ev_edges, ev_sketch):
     """``(sketch, rows)`` pairs of the events, in stream order per sketch."""
+    if not len(ev_sketch):  # the common case for short blocks
+        return ()
     order = np.argsort(ev_sketch, kind="stable")
     sketches, first = np.unique(ev_sketch[order], return_index=True)
     return zip(sketches.tolist(), np.split(edges[ev_edges[order]], first[1:]))
