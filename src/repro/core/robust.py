@@ -485,8 +485,9 @@ def _mono_events(table: np.ndarray, us: np.ndarray, vs: np.ndarray):
 def _first_fit(edges: np.ndarray, local: np.ndarray) -> None:
     """First-fit colors, in ascending vertex order, of the graph on ``edges``.
 
-    Writes each endpoint's color into ``local``.  A vertex sees only its
-    lower neighbours, which are colored before it; on a disjoint union of
+    Writes the colors into ``local``, which must hold 1 for every vertex.
+    A vertex sees only its lower neighbours, which are colored before it,
+    so one without lower neighbours keeps color 1; on a disjoint union of
     blocks this is :func:`~repro.graph.coloring.greedy_coloring` run on
     each block in ascending order.
     """
@@ -494,10 +495,9 @@ def _first_fit(edges: np.ndarray, local: np.ndarray) -> None:
     high = np.maximum(edges[:, 0], edges[:, 1])
     by_high = np.argsort(high, kind="stable")
     high, low = high[by_high], low[by_high].tolist()
-    vertices = np.unique(edges)
-    first = np.searchsorted(high, vertices, side="left").tolist()
-    last = np.searchsorted(high, vertices, side="right").tolist()
+    first = np.flatnonzero(np.diff(high, prepend=-1))
+    last = np.append(first[1:], len(high))
     color: dict[int, int] = {}
-    for v, lo, hi in zip(vertices.tolist(), first, last):
-        color[v] = first_missing_positive({color[w] for w in low[lo:hi]})
-    local[vertices] = list(color.values())
+    for v, lo, hi in zip(high[first].tolist(), first.tolist(), last.tolist()):
+        color[v] = first_missing_positive({color.get(w, 1) for w in low[lo:hi]})
+    local[list(color)] = list(color.values())
