@@ -254,12 +254,13 @@ class RobustColoring(OnePassAlgorithm):
         degrees via a stable group-rank, buffer epochs via
         :func:`~repro.streaming.blocks.buffer_timeline`, and the rare
         monochromatic sketch events via one row gather per endpoint from
-        the vertex-major oracle tables.  The degree counters, buffer
-        degrees and buffer B are updated in place, so a block costs
-        ``Theta(k (E + L))`` plus one append per sketch event, with no
-        ``Theta(n)`` term.  A block containing a self-loop or a degree-cap
-        violation falls back to the scalar loop so the exception fires at
-        the exact same edge with the exact same partial state.
+        the vertex-major oracle tables.  The degree counters and buffer
+        degrees are updated in place and B and the sketches appended to,
+        so a block costs ``Theta(k (E + L))`` plus one append per sketch
+        that receives events, with no ``Theta(n)`` term.  A block
+        containing a self-loop or a degree-cap violation falls back to the
+        scalar loop so the exception fires at the exact same edge with the
+        exact same partial state.
         """
         p = self.params
         edges = np.asarray(edges, dtype=np.int64)
