@@ -33,11 +33,12 @@ is frozen before ``h_curr`` is first revealed.  We implement
 State layout: the ``n`` degree counters and buffer degrees are int64
 arrays updated in place; buffer B and each sketch ``A_i``/``C_i`` is an
 int64 ``(m, 2)`` edge array, the live rows of a store that grows by
-doubling.  :meth:`RobustColoring.process_block` therefore costs
-``Theta(k (E + L))`` for a block of ``k`` edges (``E`` epochs, ``L``
-levels) plus one append per sketch that receives events, with no
-``Theta(n)`` term; only a buffer roll, once per ``n Delta^beta`` edges,
-clears the ``n`` buffer degrees.
+doubling.  With the numpy kernels, :meth:`RobustColoring.process_block`
+therefore costs ``Theta(k (E + L))`` for a block of ``k`` edges (``E``
+epochs, ``L`` levels) plus one append per sketch that receives events,
+with no ``Theta(n)`` term; only a buffer roll, once per
+``n Delta^beta`` edges, clears the ``n`` buffer degrees.  The compiled
+``running_degrees`` kernel zeroes ``n`` counters per block.
 """
 
 from dataclasses import dataclass
@@ -112,20 +113,27 @@ class RobustColoring(OnePassAlgorithm):
     """Adversarially robust ``O(Delta^{5/2})``-coloring (Algorithm 2)."""
 
     supports_blocks = True
-    # Derived caches: the vertex-major oracle tables are rebuilt from
-    # _h/_g on first use, and the stores' spare capacity is not state.
-    # Snapshots carry ``_buffer``, ``_a_sets`` and ``_c_sets``: exactly
-    # the live rows of B and of each sketch.
-    _snapshot_skip_ = (
-        "_h_table", "_g_table", "_buffer_store", "_a_stores", "_c_stores",
-    )
+    # The vertex-major oracle tables are derived from _h/_g on first use;
+    # snapshots carry the functions, not the tables.  Snapshots hold
+    # ``_buffer``, ``_a_sets`` and ``_c_sets`` as they are: exactly the
+    # live rows of B and of each sketch, without the stores' spare rows.
+    _snapshot_skip_ = ("_h_table", "_g_table")
 
     def _snapshot_init_(self) -> None:
         self._h_table = None
         self._g_table = None
-        self._buffer_store = self._buffer
-        self._a_stores = list(self._a_sets)
-        self._c_stores = list(self._c_sets)
+        if isinstance(self._degree, list):
+            self._load_list_state()
+
+    def _load_list_state(self) -> None:
+        """Turn the state of a checkpoint written by the list-based code
+        into arrays: it holds the counters as lists of ints, and B and the
+        sketches as lists of edge tuples."""
+        self._degree = np.array(self._degree, dtype=np.int64)
+        self._buffer_degree = np.array(self._buffer_degree, dtype=np.int64)
+        self._buffer = _edge_array(self._buffer)
+        self._a_sets = [_edge_array(edges) for edges in self._a_sets]
+        self._c_sets = [_edge_array(edges) for edges in self._c_sets]
 
     def __init__(self, n: int, delta: int, seed: int, beta: float = 0.0):
         super().__init__()
@@ -145,12 +153,10 @@ class RobustColoring(OnePassAlgorithm):
         ]
         self.meter.charge_random_bits(self._oracle.bits_served)
         self._degree = np.zeros(n, dtype=np.int64)
-        self._buffer = self._buffer_store = _NO_EDGES
+        self._buffer = _NO_EDGES
         self._buffer_degree = np.zeros(n, dtype=np.int64)
         self._a_sets = [_NO_EDGES] * (p.num_epochs + 2)
-        self._a_stores = list(self._a_sets)
         self._c_sets = [_NO_EDGES] * (p.num_levels + 2)
-        self._c_stores = list(self._c_sets)
         self._curr = 1
         self._edges_seen = 0
         # Vertex-major oracle tables for the block path, built on first use.
@@ -190,19 +196,9 @@ class RobustColoring(OnePassAlgorithm):
             self._g_table = _vertex_major(self._g, self.n, self.params.g_range)
         return self._h_table, self._g_table
 
-    def _append_buffer(self, rows) -> None:
-        """Append edge rows to B."""
-        self._buffer, self._buffer_store = _append_rows(
-            self._buffer, self._buffer_store, rows, self.params.buffer_capacity
-        )
-
-    def _append_sketch(self, sets, stores, index: int, rows) -> None:
-        """Append edge rows to sketch ``sets[index]`` (an A or C family)."""
-        sets[index], stores[index] = _append_rows(sets[index], stores[index], rows)
-
     def _roll_buffer(self, rolls: int) -> None:
         """Lines 10-11: empty B and advance the epoch by ``rolls``."""
-        self._buffer = self._buffer_store[:0]
+        self._buffer = self._buffer[:0]
         self._buffer_degree[:] = 0
         self._curr += rolls
 
@@ -226,7 +222,7 @@ class RobustColoring(OnePassAlgorithm):
         # Lines 10-11: roll the buffer/epoch when full.
         if len(self._buffer) == p.buffer_capacity:
             self._roll_buffer(1)
-        self._append_buffer(((u, v),))
+        self._buffer = _append_rows(self._buffer, ((u, v),), p.buffer_capacity)
         self._buffer_degree[u] += 1
         self._buffer_degree[v] += 1
         # Line 13: degree counters.
@@ -237,13 +233,13 @@ class RobustColoring(OnePassAlgorithm):
         for i in range(self._curr + 1, p.num_epochs + 1):
             h = self._h[i - 1]
             if h(u) == h(v):
-                self._append_sketch(self._a_sets, self._a_stores, i, ((u, v),))
+                self._a_sets[i] = _append_rows(self._a_sets[i], ((u, v),))
         # Lines 16-17: g_i-sketches for levels above both endpoints.
         top = self._level_of_degree(max(du, dv) + 1)
         for i in range(top + 1, p.num_levels + 1):
             g = self._g[i - 1]
             if g(u) == g(v):
-                self._append_sketch(self._c_sets, self._c_stores, i, ((u, v),))
+                self._c_sets[i] = _append_rows(self._c_sets[i], ((u, v),))
         self._update_space()
 
     # ------------------------------------------------------------------
@@ -256,11 +252,11 @@ class RobustColoring(OnePassAlgorithm):
         monochromatic sketch events via one row gather per endpoint from
         the vertex-major oracle tables.  The degree counters and buffer
         degrees are updated in place and B and the sketches appended to,
-        so a block costs ``Theta(k (E + L))`` plus one append per sketch
-        that receives events, with no ``Theta(n)`` term.  A block
-        containing a self-loop or a degree-cap violation falls back to the
-        scalar loop so the exception fires at the exact same edge with the
-        exact same partial state.
+        so with the numpy kernels a block costs ``Theta(k (E + L))`` plus
+        one append per sketch that receives events, with no ``Theta(n)``
+        term.  A block containing a self-loop or a degree-cap violation
+        falls back to the scalar loop so the exception fires at the exact
+        same edge with the exact same partial state.
         """
         p = self.params
         edges = np.asarray(edges, dtype=np.int64)
@@ -282,7 +278,7 @@ class RobustColoring(OnePassAlgorithm):
         keep = ev_col >= self._curr + rolls[ev_e]
         a_edges, a_epochs = ev_e[keep], ev_col[keep] + 1
         for epoch, rows in _rows_by_sketch(edges, a_edges, a_epochs):
-            self._append_sketch(self._a_sets, self._a_stores, epoch, rows)
+            self._a_sets[epoch] = _append_rows(self._a_sets[epoch], rows)
         # Lines 16-17: g_i-monochromatic events for levels above the edge.
         top = np.maximum(
             1,
@@ -292,14 +288,14 @@ class RobustColoring(OnePassAlgorithm):
         keep = ev_col >= top[ev_e]
         c_edges, c_levels = ev_e[keep], ev_col[keep] + 1
         for level, rows in _rows_by_sketch(edges, c_edges, c_levels):
-            self._append_sketch(self._c_sets, self._c_stores, level, rows)
+            self._c_sets[level] = _append_rows(self._c_sets[level], rows)
         # Degree counters (line 13) and the buffer (lines 10-12).
         np.add.at(self._degree, edges.ravel(), 1)
         kept = edges
         if rolls[-1] > 0:
             self._roll_buffer(int(rolls[-1]))
             kept = edges[k - int(lengths[-1]):]
-        self._append_buffer(kept)
+        self._buffer = _append_rows(self._buffer, kept, p.buffer_capacity)
         np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
         # Space peak: the scalar path updates gauges after every edge.
@@ -438,13 +434,16 @@ _NO_EDGES = np.empty((0, 2), dtype=np.int64)
 _NO_EDGES.flags.writeable = False
 
 
-def _append_rows(live, store, rows, limit=None):
-    """Append ``rows`` after ``live``, the leading rows of ``store``.
+def _append_rows(live, rows, limit=None):
+    """The edge array ``live`` with ``rows`` appended after it.
 
-    Returns the new ``(live, store)``.  A full store is replaced by one of
-    twice the size (at most ``limit`` rows), so appends cost amortised
-    ``O(len(rows))``.
+    ``live`` is an array of its own or the leading rows of its ``base``,
+    the store, whose rows past ``live`` are spare.  The result is the
+    leading rows of the same store, or of a new one twice the size (at
+    most ``limit`` rows) when the store is full, so appends cost
+    amortised ``O(len(rows))``.
     """
+    store = live if live.base is None else live.base
     start = len(live)
     end = start + len(rows)
     if end > len(store):
@@ -452,13 +451,16 @@ def _append_rows(live, store, rows, limit=None):
         store = np.empty((size if limit is None else min(size, limit), 2), dtype=np.int64)
         store[:start] = live
     store[start:end] = rows
-    return store[:end], store
+    return store[:end]
+
+
+def _edge_array(edges) -> np.ndarray:
+    """A list of edge tuples as an int64 ``(m, 2)`` array."""
+    return np.array(edges, dtype=np.int64).reshape(-1, 2) if edges else _NO_EDGES
 
 
 def _rows_by_sketch(edges, ev_edges, ev_sketch):
     """``(sketch, rows)`` pairs of the events, in stream order per sketch."""
-    if not len(ev_sketch):  # the common case for short blocks
-        return ()
     order = np.argsort(ev_sketch, kind="stable")
     sketches, first = np.unique(ev_sketch[order], return_index=True)
     return zip(sketches.tolist(), np.split(edges[ev_edges[order]], first[1:]))

@@ -21,6 +21,7 @@ from repro.engine import REGISTRY, RunSpec, run
 from repro.graph.coloring import coloring_array, greedy_coloring, num_colors_used
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.generators import near_regular_edge_array, random_max_degree_graph
+from repro.persist.codec import encode_value
 from repro.streaming.source import FileSource, write_edge_file
 from repro.streaming.stream import TokenStream, stream_from_graph
 from repro.streaming.tokens import edge_tokens
@@ -361,7 +362,6 @@ class TestSnapshotContract:
             same_state(algos[0], other)
         algo = algos[0]
         state = algo.state_dict()
-        assert not {"_buffer_store", "_a_stores", "_c_stores"} & set(state["state"])
         buffer = state["arrays"][state["state"]["_buffer"]["ref"]]
         assert buffer.shape == (301 - 2 * n, 2)
         assert len(buffer) * algo._edge_bits == algo.meter.gauge("buffer B")
@@ -382,6 +382,44 @@ class TestSnapshotContract:
         feed_blocks(fresh, edges[150:], 64)
         same_state(reference, fresh)
         assert reference.query() == fresh.query()
+
+    def test_list_state_of_older_checkpoints_restores(self):
+        """A state tree written while the state was Python lists restores
+        to the same arrays and then feeds like the uninterrupted run."""
+        n, delta = 120, 8
+        edges = near_regular_edge_array(n, delta, 3)
+        reference = RobustColoring(n, delta, seed=9)
+        feed_blocks(reference, edges[:150], 64)
+        assert reference._curr > 1 and reference.sketch_edge_count > 0
+        restored = RobustColoring(n, delta, seed=9)
+        restored.load_state(list_state(reference.state_dict()))
+        same_state(reference, restored)
+        for algo in (reference, restored):
+            for u, v in edges[150:200].tolist():
+                algo.process(u, v)
+            feed_blocks(algo, edges[200:], 64)
+        same_state(reference, restored)
+        assert list(reference.query().items()) == list(restored.query().items())
+
+
+def list_state(snapshot):
+    """``snapshot`` as the list-based code wrote it: the counters as lists
+    of ints, B and the sketches as lists of edge tuples."""
+    state, arrays = dict(snapshot["state"]), snapshot["arrays"]
+
+    def values(node):
+        return arrays[node["ref"]].tolist()
+
+    def edge_tuples(node):
+        # Tuples of ints hold no arrays, so the codec needs no array sink.
+        return encode_value([tuple(edge) for edge in values(node)], sink=None)
+
+    state["_degree"] = values(state["_degree"])
+    state["_buffer_degree"] = values(state["_buffer_degree"])
+    state["_buffer"] = edge_tuples(state["_buffer"])
+    state["_a_sets"] = [edge_tuples(node) for node in state["_a_sets"]]
+    state["_c_sets"] = [edge_tuples(node) for node in state["_c_sets"]]
+    return {**snapshot, "state": state}
 
 
 class TestSelfLoops:
@@ -411,11 +449,11 @@ class TestSelfLoops:
     def test_scalar_process_rejects_before_any_state_change(self):
         algo = RobustColoring(5, 2, seed=1)
         algo.process(0, 1)
-        before = algo.state_dict()
         with pytest.raises(ReproError, match=r"self-loop \(2,2\) at stream index 1"):
             algo.process(2, 2)
-        after = algo.state_dict()
-        assert before["state"] == after["state"]
+        fed_once = RobustColoring(5, 2, seed=1)
+        fed_once.process(0, 1)
+        same_state(algo, fed_once)
 
 
 class TestRobustExtras:
