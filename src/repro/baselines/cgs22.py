@@ -33,7 +33,7 @@ from repro.common.rng import SeededRng
 from repro.graph.coloring import greedy_coloring
 from repro.graph.graph import Graph
 from repro.hashing.kindependent import PolynomialHashFamily
-from repro.streaming.blocks import trim_hash_cache
+from repro.streaming.blocks import cached_hash_rows
 from repro.streaming.model import OnePassAlgorithm
 
 
@@ -41,11 +41,13 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
     """[CGS22]-style robust ``O(Delta^2)``-coloring at the ``n sqrt(Delta)`` space point."""
 
     supports_blocks = True
-    # The per-vertex hash memo is re-derived from the stored coefficients.
-    _snapshot_skip_ = ("_hash_cache",)
+    # The vertex-major hash table is re-derived from the stored
+    # coefficients.
+    _snapshot_skip_ = ("_hash_table", "_hash_filled")
 
     def _snapshot_init_(self) -> None:
-        self._hash_cache = {}
+        self._hash_table = None
+        self._hash_filled = None
 
     def __init__(self, n: int, delta: int, seed: int, repetitions=None):
         super().__init__()
@@ -79,21 +81,15 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
         ]
         self._buffer: list[tuple[int, int]] = []
         self._curr = 1
-        self._hash_cache: dict[int, np.ndarray] = {}
+        # (n, epochs, P) hash values, filled by cached_hash_rows on first use.
+        self._hash_table = None
+        self._hash_filled = None
         self._edge_bits = 2 * ceil_log2(max(2, n))
 
     # ------------------------------------------------------------------
     def _hash_all(self, x: int) -> np.ndarray:
-        cached = self._hash_cache.get(x)
-        if cached is None:
-            c = self._coeffs
-            acc = np.zeros(c.shape[:2], dtype=np.int64)
-            for d in range(3, -1, -1):
-                acc = (acc * x + c[:, :, d]) % self._prime
-            cached = acc % self.ell
-            self._hash_cache[x] = cached
-            trim_hash_cache(self._hash_cache)
-        return cached
+        """Values ``h_{i,j}(x)`` for all (i, j): row ``x`` of the hash table."""
+        return cached_hash_rows(self, np.array([x], dtype=np.int64))[x]
 
     def _update_space(self) -> None:
         stored = sum(
@@ -104,6 +100,10 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
 
     # ------------------------------------------------------------------
     def process(self, u: int, v: int) -> None:
+        """One insertion; a self-loop raises before any state changes."""
+        if u == v:
+            index = (self._curr - 1) * self.buffer_capacity + len(self._buffer)
+            raise ReproError(f"self-loop ({u},{v}) at stream index {index}")
         if len(self._buffer) == self.buffer_capacity:
             self._buffer = []
             self._curr += 1
@@ -128,10 +128,7 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
         """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical)."""
         from repro.streaming.blocks import sketch_process_block
 
-        sketch_process_block(
-            self, edges, num_epochs=self.num_epochs,
-            capacity=self.buffer_capacity,
-        )
+        sketch_process_block(self, edges, capacity=self.buffer_capacity)
 
     # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
@@ -150,13 +147,12 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
                 graph.add_edge(u, v)
         chi = greedy_coloring(graph)
         if self._curr <= self.num_epochs:
-            def h_row(y: int) -> int:
-                return int(self._hash_all(y)[self._curr - 1][k])
+            h = self.family.function(self._coeffs[self._curr - 1, k])
+            h_curr = h.eval_array(np.arange(self.n)).tolist()
         else:
-            def h_row(y: int) -> int:
-                return 0
+            h_curr = [0] * self.n
         return {
-            y: (chi[y] - 1) * self.ell + h_row(y) + 1 for y in range(self.n)
+            y: (chi[y] - 1) * self.ell + h_curr[y] + 1 for y in range(self.n)
         }
 
     # ------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.common.rng import SeededRng
 from repro.graph.coloring import greedy_coloring
 from repro.graph.graph import Graph
 from repro.hashing.kindependent import PolynomialHashFamily
-from repro.streaming.blocks import trim_hash_cache
+from repro.streaming.blocks import cached_hash_rows
 from repro.streaming.model import OnePassAlgorithm
 
 
@@ -34,12 +34,13 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
     """Robust ``O(Delta^3)``-coloring within semi-streaming space incl. randomness."""
 
     supports_blocks = True
-    # The per-vertex hash memo is a simulation speedup re-derived from the
-    # stored coefficients; snapshots drop it.
-    _snapshot_skip_ = ("_hash_cache",)
+    # The vertex-major hash table is a simulation speedup re-derived from
+    # the stored coefficients; snapshots drop it.
+    _snapshot_skip_ = ("_hash_table", "_hash_filled")
 
     def _snapshot_init_(self) -> None:
-        self._hash_cache = {}
+        self._hash_table = None
+        self._hash_filled = None
 
     def __init__(self, n: int, delta: int, seed: int, repetitions=None):
         super().__init__()
@@ -75,28 +76,16 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
         ]
         self._buffer: list[tuple[int, int]] = []
         self._curr = 1
-        self._hash_cache: dict[int, np.ndarray] = {}
+        # (n, Delta, P) hash values, filled by cached_hash_rows on first use.
+        self._hash_table = None
+        self._hash_filled = None
         self._edge_bits = 2 * ceil_log2(max(2, n))
         self._update_space()
 
     # ------------------------------------------------------------------
     def _hash_all(self, x: int) -> np.ndarray:
-        """Values ``h_{i,j}(x)`` for all (i, j) at once, cached per vertex.
-
-        Horner evaluation of all ``Delta * P`` degree-3 polynomials,
-        vectorized; the cache is a simulation speedup only (the real
-        algorithm re-evaluates from the stored O(log n)-bit seeds).
-        """
-        cached = self._hash_cache.get(x)
-        if cached is None:
-            c = self._coeffs  # shape (delta, P, 4), low-to-high degree
-            acc = np.zeros(c.shape[:2], dtype=np.int64)
-            for d in range(3, -1, -1):
-                acc = (acc * x + c[:, :, d]) % self._prime
-            cached = acc % self.range_size
-            self._hash_cache[x] = cached
-            trim_hash_cache(self._hash_cache)
-        return cached
+        """Values ``h_{i,j}(x)`` for all (i, j): row ``x`` of the hash table."""
+        return cached_hash_rows(self, np.array([x], dtype=np.int64))[x]
 
     def _update_space(self) -> None:
         stored = sum(
@@ -110,6 +99,13 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
 
     # ------------------------------------------------------------------
     def process(self, u: int, v: int) -> None:
+        """Lines 6-14 for one insertion.
+
+        A self-loop raises :class:`ReproError` before any state changes.
+        """
+        if u == v:
+            index = (self._curr - 1) * self.n + len(self._buffer)
+            raise ReproError(f"self-loop ({u},{v}) at stream index {index}")
         # Lines 6-8: buffer roll.
         if len(self._buffer) == self.n:
             self._buffer = []
@@ -138,9 +134,7 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
         """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical)."""
         from repro.streaming.blocks import sketch_process_block
 
-        sketch_process_block(
-            self, edges, num_epochs=self.delta, capacity=self.n
-        )
+        sketch_process_block(self, edges, capacity=self.n)
 
     # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
@@ -163,13 +157,14 @@ class LowRandomnessRobustColoring(OnePassAlgorithm):
         chi = greedy_coloring(graph)
         # Line 17: output (chi(y), h_{curr,k}(y)) flattened to one integer.
         if self._curr <= self.delta:
-            h_row = lambda y: int(self._hash_all(y)[self._curr - 1][k])  # noqa: E731
+            h = self.family.function(self._coeffs[self._curr - 1, k])
+            h_curr = h.eval_array(np.arange(self.n)).tolist()
         else:
-            h_row = lambda y: 0  # noqa: E731
-        coloring = {}
-        for y in range(self.n):
-            coloring[y] = (chi[y] - 1) * self.range_size + h_row(y) + 1
-        return coloring
+            h_curr = [0] * self.n
+        return {
+            y: (chi[y] - 1) * self.range_size + h_curr[y] + 1
+            for y in range(self.n)
+        }
 
     # ------------------------------------------------------------------
     @property

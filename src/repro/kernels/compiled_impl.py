@@ -12,8 +12,8 @@ admissible inputs.  The two places where that is not automatic:
   a stable sort's permutation is unique, so it matches numpy's
   ``kind="stable"`` argsort exactly;
 - event order: ``sketch_event_filter`` emits events in row-major
-  (edge, epoch, repetition) order, matching ``np.nonzero`` on the
-  monochromatic mask;
+  (edge, epoch, repetition) order, matching the numpy kernel's flat
+  positions of the equal table entries;
 - float sums: ``partition_scores`` accumulates small exact integers in
   float64, so summation order cannot change the result.
 
@@ -82,6 +82,8 @@ if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installe
 
     @njit(cache=True)
     def sketch_event_filter(cmp_rows, inv_u, inv_v):
+        """Events of a block: ``cmp_rows`` is the ``(n, epochs, reps)``
+        hash table, ``inv_u`` / ``inv_v`` the raw endpoint ids."""
         k = inv_u.shape[0]
         if k == 0 or cmp_rows.shape[0] == 0:
             empty = np.empty(0, dtype=np.int64)

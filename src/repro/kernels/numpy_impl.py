@@ -74,35 +74,36 @@ def partition_class_array(a: int, b: int, p: int, s: int,
     return arr
 
 
-def sketch_event_filter(cmp_rows: np.ndarray, inv_u: np.ndarray,
-                        inv_v: np.ndarray):
+def sketch_event_filter(table: np.ndarray, us: np.ndarray, vs: np.ndarray):
     """Monochromatic ``(edge, epoch, repetition)`` events of a D-sketch block.
 
-    ``cmp_rows`` is the ``(U, epochs, reps)`` hash-row table over the
-    block's unique vertices (int32 or int64); ``inv_u`` / ``inv_v`` map
-    edge ``t`` to its endpoints' rows.  Returns three int64 arrays
-    ``(ev_e, ev_i, ev_j)`` in row-major order — by edge, then epoch, then
-    repetition — exactly the order the scalar path discovers events in.
+    ``table`` is the vertex-major ``(n, epochs, reps)`` hash table, in any
+    integer dtype (uint8 or uint16 in practice); ``us`` / ``vs`` are the
+    block's raw int64 endpoint ids, so edge ``t`` compares rows ``us[t]``
+    and ``vs[t]``.  Returns three int64 arrays ``(ev_e, ev_i, ev_j)`` in
+    row-major order — by edge, then epoch, then repetition — exactly the
+    order the scalar path discovers events in.
 
-    Detection runs in edge sub-batches to bound the ``(k, epochs, reps)``
-    boolean temporary, matching the original ``sketch_process_block``
-    loop move-for-move.
+    Both endpoints' rows are gathered for edge sub-batches of about 2^18
+    table entries, which bounds the temporaries; the flat positions of
+    the equal entries then split into the three indices by ``divmod``.
     """
-    k = len(inv_u)
-    if k == 0 or not len(cmp_rows):
+    k = len(us)
+    if k == 0 or not table.size:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    row_size = int(cmp_rows[0].size)
-    sub = max(1, (1 << 22) // max(1, row_size))
-    ev_chunks = []
-    for start in range(0, k, sub):
-        stop = min(k, start + sub)
-        mono = cmp_rows[inv_u[start:stop]] == cmp_rows[inv_v[start:stop]]
-        e, i, j = np.nonzero(mono)  # row-major: edge, then epoch, then rep
-        ev_chunks.append((e + start, i, j))
-    ev_e = np.concatenate([c[0] for c in ev_chunks]).astype(np.int64, copy=False)
-    ev_i = np.concatenate([c[1] for c in ev_chunks]).astype(np.int64, copy=False)
-    ev_j = np.concatenate([c[2] for c in ev_chunks]).astype(np.int64, copy=False)
+    reps = table.shape[2]
+    row_size = table.shape[1] * reps
+    sub = max(1, (1 << 18) // row_size)
+    flat = np.concatenate([
+        np.flatnonzero(
+            np.take(table, us[start:start + sub], axis=0)
+            == np.take(table, vs[start:start + sub], axis=0)
+        ) + start * row_size
+        for start in range(0, k, sub)
+    ])
+    ev_e, rest = np.divmod(flat, row_size)
+    ev_i, ev_j = np.divmod(rest, reps)
     return ev_e, ev_i, ev_j
 
 

@@ -6,9 +6,18 @@ rolls when it reaches capacity, rare "monochromatic" sketch events found
 by comparing hash values of the two endpoints, and per-edge space-gauge
 updates.  Their block paths replay a whole ``(k, 2)`` edge array at once;
 these helpers compute the sequential bookkeeping (buffer epochs, running
-degrees, cached hash rows) in closed form so each algorithm's
+degrees, sketch caps) in closed form so each algorithm's
 ``process_block`` stays a thin, vectorized transcription of its scalar
 ``process``.
+
+The D-sketch algorithms (Algorithm 3 and the [CGS22] baseline) keep the
+values of all their hash functions in one vertex-major ``(n, E, P)``
+table of the narrowest unsigned dtype that holds the range (uint8 at
+``Delta = 24``), filled row by row for the vertices a block touches
+(:func:`cached_hash_rows`).  A block hands the table and its two raw
+endpoint columns to the ``sketch_event_filter`` kernel, then applies the
+cap/wipe rule to every receiving sketch at once
+(:func:`sketch_process_block`).
 """
 
 
@@ -17,22 +26,16 @@ from repro.kernels import dispatch
 import numpy as np
 
 __all__ = [
-    "HASH_ROW_CACHE_MAX",
     "buffer_timeline",
     "cached_hash_rows",
     "group_pairs",
     "running_degrees",
     "sketch_process_block",
-    "trim_hash_cache",
 ]
 
-#: Upper bound on entries in the shared per-algorithm hash-row caches
-#: (``_hash_cache`` dicts).  Static streams see at most ``n`` distinct
-#: vertices, but a long adversarial-game session touches an unbounded key
-#: stream; eviction (oldest-inserted first — see :func:`trim_hash_cache`)
-#: keeps the cache O(1) in session length.  Evicted rows are recomputed
-#: bit-identically on the next miss, so results never depend on the bound.
-HASH_ROW_CACHE_MAX = 65536
+#: Hash values computed per ``eval_coeffs`` call while filling a hash
+#: table, which keeps its int64 Horner temporaries near 512 KB each.
+HASH_FILL_VALUES = 1 << 16
 
 
 def group_pairs(pairs: np.ndarray):
@@ -88,53 +91,36 @@ def running_degrees(deg0: np.ndarray, edges: np.ndarray):
     return dispatch("running_degrees", deg0, edges)
 
 
-def trim_hash_cache(cache: dict, max_entries: int = HASH_ROW_CACHE_MAX) -> None:
-    """Evict oldest-inserted entries until ``cache`` fits the bound.
+def cached_hash_rows(algo, keys: np.ndarray) -> np.ndarray:
+    """The D-sketch hash table of ``algo``, with the rows of ``keys`` filled.
 
-    Dict insertion order is the eviction order (FIFO with
-    :func:`cached_hash_rows` refreshing whole-block hits to the back, so
-    block-path behaviour is LRU at block granularity).  Values are pure
-    functions of their key, so eviction is invisible to results.
+    The table is ``(n, E, P)``: row ``x`` holds ``h_{i,j}(x)`` for every
+    epoch ``i`` and repetition ``j``, in ``np.min_scalar_type(m - 1)``
+    (uint8 for ``m <= 256``).  It is allocated on first use and filled
+    lazily: ``keys`` is a 1-d int64 array of distinct vertices, and only
+    the rows not yet filled are computed, each once, through
+    ``family.eval_coeffs`` in chunks of about :data:`HASH_FILL_VALUES`
+    values.  The table holds at most ``n`` rows by construction, and it
+    is a simulation speedup only: the real algorithm re-evaluates from
+    the stored ``O(log n)``-bit seeds, so snapshots skip it.
     """
-    if len(cache) <= max_entries:
-        return
-    for key in list(cache.keys())[: len(cache) - max_entries]:
-        del cache[key]
+    table = algo._hash_table
+    if table is None:
+        members = algo._coeffs.shape[:-1]
+        table = algo._hash_table = np.empty(
+            (algo.n,) + members, dtype=np.min_scalar_type(algo.family.m - 1)
+        )
+        algo._hash_filled = np.zeros(algo.n, dtype=bool)
+    missing = keys[~algo._hash_filled[keys]]
+    step = max(1, HASH_FILL_VALUES // max(1, algo._coeffs[..., 0].size))
+    for start in range(0, len(missing), step):
+        xs = missing[start:start + step]
+        table[xs] = algo.family.eval_coeffs(algo._coeffs, xs)
+    algo._hash_filled[missing] = True
+    return table
 
 
-def cached_hash_rows(cache: dict, keys: np.ndarray, compute,
-                     max_entries: int = HASH_ROW_CACHE_MAX):
-    """Per-key hash rows from a dict cache, computing misses in one batch.
-
-    ``keys`` is a 1-d int64 array (typically the unique vertices of a
-    block); ``compute(missing)`` evaluates the hash family for an array of
-    missing keys at once, returning ``(len(missing), ...)`` values.  The
-    cache maps ``int key -> row array`` — the same structure the scalar
-    ``_hash_all`` paths maintain, so both paths share one cache.  The
-    cache is bounded: after the block's rows are gathered, this block's
-    keys are refreshed to the back of the insertion order and anything
-    beyond ``max_entries`` is evicted oldest-first
-    (:func:`trim_hash_cache`), so adversarial-game sessions of any length
-    hold at most ``max_entries`` rows.
-    """
-    missing = [x for x in keys.tolist() if x not in cache]
-    if missing:
-        rows = compute(np.asarray(missing, dtype=np.int64))
-        for i, x in enumerate(missing):
-            cache[x] = rows[i]
-    if not len(keys):
-        return np.empty((0,), dtype=np.int64)
-    first = cache[int(keys[0])]
-    out = np.empty((len(keys),) + first.shape, dtype=np.int64)
-    for i, x in enumerate(keys.tolist()):
-        out[i] = cache.pop(x)  # re-insert: this block's keys become newest
-        cache[x] = out[i]
-    trim_hash_cache(cache, max_entries)
-    return out
-
-
-def sketch_process_block(algo, edges: np.ndarray, *, num_epochs: int,
-                         capacity: int) -> None:
+def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
     """Vectorized ``process_block`` for the D-sketch algorithms.
 
     Shared by Algorithm 3 (:class:`~repro.core.robust_lowrandom.
@@ -144,76 +130,81 @@ def sketch_process_block(algo, edges: np.ndarray, *, num_epochs: int,
     polynomial, and append the rare monochromatic edges to the live future
     sketches ``D_{i, j}`` (wiping any that exceed ``algo.overflow_cap``).
 
+    The events come from one gather per endpoint in the vertex-major hash
+    table.  They are grouped by sketch with one stable sort, so an
+    event's rank among its sketch's events decides it against the room
+    ``overflow_cap - len(D_{i, j})``: a lower rank appends, an equal rank
+    wipes, a higher rank finds the sketch already wiped.  Each receiving
+    sketch gets one ``list.extend``.  A block holding a self-loop falls
+    back to the scalar loop, so the error names the same edge with the
+    same partial state.
+
     The state evolution — sketch contents, buffer, epoch counter, and the
     :class:`~repro.common.space.SpaceMeter` peak that the scalar path
     reaches via per-edge ``_update_space`` calls — is bit-identical to the
     equivalent ``process`` sequence.
     """
+    edges = np.asarray(edges, dtype=np.int64)
     k = len(edges)
     if k == 0:
+        return
+    us = np.ascontiguousarray(edges[:, 0])
+    vs = np.ascontiguousarray(edges[:, 1])
+    if (us == vs).any():
+        for u, v in edges.tolist():
+            algo.process(u, v)
         return
     start_len = len(algo._buffer)
     rolls, lengths = buffer_timeline(start_len, capacity, k)
     curr0 = algo._curr
-    curr_at = curr0 + rolls
-    stored0 = sum(
-        len(dj) for di in algo._d_sets for dj in di if dj is not None
-    )
-    # Hash rows for this block's vertices (shared dict cache with the
-    # scalar path), then monochromatic (edge, epoch, repetition) events,
-    # computed in edge sub-batches to bound the (k, epochs, reps)
-    # temporary.  Hash values are tiny (< family.m), so detection compares
-    # narrow copies to halve memory traffic.
-    uniq, inv = np.unique(edges, return_inverse=True)
-    rows = cached_hash_rows(
-        algo._hash_cache, uniq,
-        lambda xs: algo.family.eval_coeffs(algo._coeffs, xs),
-    )
-    cmp_rows = rows.astype(np.int32) if algo.family.m <= 2**31 else rows
-    inv = inv.reshape(-1, 2)
-    ev_e, ev_i, ev_j = dispatch(
-        "sketch_event_filter",
-        cmp_rows,
-        np.ascontiguousarray(inv[:, 0]),
-        np.ascontiguousarray(inv[:, 1]),
-    )
-    # Pre-filter the two state-independent conditions vectorized: the
-    # epoch window (line "for i in curr+1..") and already-dead sketches.
-    # The cap/wipe logic on what survives stays sequential (and rare).
     reps = algo._coeffs.shape[1]
-    alive = np.ones((num_epochs + 1, reps), dtype=bool)
-    for epoch in range(1, num_epochs + 1):
-        d_epoch = algo._d_sets[epoch]
-        for j in range(reps):
-            alive[epoch, j] = d_epoch[j] is not None
-    epochs = ev_i + 1
-    keep = (
-        (epochs <= num_epochs)
-        & (epochs >= curr_at[ev_e] + 1)
-        & alive[np.minimum(epochs, num_epochs), ev_j]
+    # Size of every sketch D_{i, j} by flat id i * reps + j; -1 once wiped.
+    sizes = np.array(
+        [[-1 if d is None else len(d) for d in d_i] for d_i in algo._d_sets],
+        dtype=np.int64,
+    ).ravel()
+    stored0 = int(sizes[sizes > 0].sum())
+    table = cached_hash_rows(algo, np.unique(edges))
+    ev_e, ev_i, ev_j = dispatch("sketch_event_filter", table, us, vs)
+    # Only the live sketches of future epochs (i > curr) take events.
+    sketch = (ev_i + 1) * reps + ev_j
+    keep = (ev_i >= curr0 + rolls[ev_e]) & (sizes[sketch] >= 0)
+    # Group by sketch with one stable sort (a radix sort once the ids are
+    # narrowed); within a sketch, events stay in stream order.
+    ev_e, sketch = ev_e[keep], sketch[keep]
+    order = np.argsort(sketch.astype(np.min_scalar_type(len(sizes))),
+                       kind="stable")
+    ev_e, sketch = ev_e[order], sketch[order]
+    starts = np.flatnonzero(np.diff(sketch, prepend=-1))
+    rank = np.arange(len(sketch)) - np.repeat(
+        starts, np.diff(starts, append=len(sketch))
     )
-    ev_e, ev_i, ev_j = ev_e[keep], ev_i[keep], ev_j[keep]
-    # Apply the surviving events sequentially (identical order to the
-    # scalar path: by edge, then epoch, then repetition).
-    stored_delta = np.zeros(k, dtype=np.int64)
-    edges_list = edges.tolist()
-    for e, i, j in zip(ev_e.tolist(), ev_i.tolist(), ev_j.tolist()):
-        d_i = algo._d_sets[i + 1]
-        d_ij = d_i[j]
-        if d_ij is None:  # wiped earlier in this very block
-            continue
-        if len(d_ij) < algo.overflow_cap:
-            u, v = edges_list[e]
-            d_ij.append((u, v))
-            stored_delta[e] += 1
-        else:
-            d_i[j] = None  # wipe (the sketch held exactly overflow_cap)
-            stored_delta[e] -= len(d_ij)
+    held = sizes[sketch]
+    room = np.maximum(algo.overflow_cap - held, 0)
+    append = rank < room
+    wipe = rank == room
+    # A wipe drops the sketch with everything it held, this block's
+    # appends included.
+    stored_delta = np.bincount(ev_e[append], minlength=k) - np.bincount(
+        ev_e[wipe], weights=(held + room)[wipe], minlength=k
+    ).astype(np.int64)
+    pairs = list(zip(us.tolist(), vs.tolist()))
+    rows = [pairs[e] for e in ev_e[append].tolist()]
+    receivers = sketch[append]
+    first = np.flatnonzero(np.diff(receivers, prepend=-1))
+    last = np.append(first[1:], len(receivers))
+    for s, lo, hi in zip(receivers[first].tolist(), first.tolist(),
+                         last.tolist()):
+        i, j = divmod(s, reps)
+        algo._d_sets[i][j].extend(rows[lo:hi])
+    for s in sketch[wipe].tolist():
+        i, j = divmod(s, reps)
+        algo._d_sets[i][j] = None  # line 14: the sketch grew too large
     # Buffer and epoch counter.
     if rolls[-1] > 0:
-        algo._buffer = [tuple(p) for p in edges_list[k - int(lengths[-1]):]]
+        algo._buffer = pairs[k - int(lengths[-1]):]
     else:
-        algo._buffer.extend(tuple(p) for p in edges_list)
+        algo._buffer.extend(pairs)
     algo._curr = curr0 + int(rolls[-1])
     # Space peak: the scalar path updates gauges after every edge; the
     # per-edge totals are reconstructed in closed form instead.  The

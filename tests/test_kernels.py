@@ -8,7 +8,7 @@ Four layers:
   registered kernel, numpy tier vs compiled twin bit-for-bit (skipped
   without numba — CI's ``kernels`` job is where this leg runs);
 - hit counting and the ``measure_kernels`` timing hook;
-- the bounded hash-row cache and the ``repro profile`` harness.
+- the D-sketch hash table and the ``repro profile`` harness.
 """
 
 import json
@@ -16,8 +16,11 @@ import json
 import numpy as np
 import pytest
 
+from repro.adversaries import RandomAdversary, run_adversarial_game
+from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
 from repro.cli import main
 from repro.common.exceptions import ReproError
+from repro.core.robust_lowrandom import LowRandomnessRobustColoring
 from repro.kernels import (
     KERNEL_TIERS,
     KERNELS,
@@ -32,11 +35,8 @@ from repro.kernels import (
     set_default_kernel_tier,
     use_kernel_tier,
 )
-from repro.streaming.blocks import (
-    HASH_ROW_CACHE_MAX,
-    cached_hash_rows,
-    trim_hash_cache,
-)
+from repro.streaming import blocks
+from repro.streaming.blocks import cached_hash_rows
 
 EXPECTED_KERNELS = {
     "mod_horner",
@@ -79,12 +79,14 @@ def kernel_inputs(name, seed):
     if name == "partition_class_array":
         return [(int(rng.integers(1, p)), int(rng.integers(0, p)), p, s, n)]
     if name == "sketch_event_filter":
-        rows32 = rng.integers(0, 3, size=(n, 6, 4)).astype(np.int32)
-        rows64 = rng.integers(0, 3, size=(n, 6, 4)).astype(np.int64)
-        inv_u = rng.integers(0, n, size=k, dtype=np.int64)
-        inv_v = rng.integers(0, n, size=k, dtype=np.int64)
-        return [(rows32, inv_u, inv_v), (rows64, inv_u, inv_v),
-                (rows32, inv_u[:0], inv_v[:0])]
+        # Full-vertex hash tables indexed by raw endpoint ids.
+        edges = _edges(rng, n, k)
+        us, vs = edges[:, 0].copy(), edges[:, 1].copy()
+        tables = [rng.integers(0, 3, size=(n, 6, 4)).astype(dtype)
+                  for dtype in (np.uint8, np.uint16, np.int64)]
+        return [(table, us, vs) for table in tables] + [
+            (tables[0], us[:0], vs[:0]),
+        ]
     if name == "running_degrees":
         deg0 = rng.integers(0, 9, size=n, dtype=np.int64)
         return [(deg0, _edges(rng, n, k))]
@@ -262,57 +264,96 @@ def test_measure_kernels_records_calls_and_time():
 
 
 # ----------------------------------------------------------------------
-# bounded hash-row cache
+# the D-sketch hash table and its event kernel
 # ----------------------------------------------------------------------
-def test_hash_row_cache_bound_is_pinned():
-    # The bound is part of the space story (O(1) caches under adversarial
-    # game sessions); changing it is a deliberate, reviewed decision.
-    assert HASH_ROW_CACHE_MAX == 65536
+SKETCH_CLASSES = [LowRandomnessRobustColoring, SketchSwitchingQuadraticColoring]
 
 
-def test_trim_hash_cache_evicts_oldest_first():
-    cache = {i: i * 10 for i in range(8)}
-    trim_hash_cache(cache, max_entries=5)
-    assert list(cache) == [3, 4, 5, 6, 7]
-    trim_hash_cache(cache, max_entries=5)  # at the bound: no-op
-    assert list(cache) == [3, 4, 5, 6, 7]
+def reference_event_filter(table, us, vs):
+    """The 3-d ``np.nonzero`` body the numpy kernel replaced."""
+    e, i, j = np.nonzero(table[us] == table[vs])
+    return e.astype(np.int64), i.astype(np.int64), j.astype(np.int64)
 
 
-def test_cached_hash_rows_is_bounded_and_recomputes_identically():
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_sketch_event_filter_matches_the_nonzero_reference(dtype):
+    kernel = KERNELS.get("sketch_event_filter").numpy_impl
+    rng = np.random.default_rng(5)
+    # The second table's rows hold 2^16 entries, so the kernel gathers
+    # four edges per sub-batch and the flat offsets cross sub-batches.
+    for n, shape, high in ((40, (6, 4), 3), (30, (64, 1024), 200)):
+        table = rng.integers(0, high, size=(n,) + shape).astype(dtype)
+        edges = _edges(rng, n, 50)
+        us, vs = edges[:, 0].copy(), edges[:, 1].copy()
+        expected = reference_event_filter(table, us, vs)
+        got = kernel(table, us, vs)
+        assert len(expected[0]) > 0
+        for ref, out in zip(expected, got):
+            assert out.dtype == np.int64
+            np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("cls", SKETCH_CLASSES)
+@pytest.mark.parametrize("delta", [24, 100])
+def test_hash_table_takes_the_narrowest_dtype(cls, delta):
+    algo = cls(50, delta, seed=1)
+    table = cached_hash_rows(algo, np.array([0, 7], dtype=np.int64))
+    assert table.shape == (50,) + algo._coeffs.shape[:-1]
+    assert table.dtype == np.min_scalar_type(algo.family.m - 1)
+    if cls is LowRandomnessRobustColoring:
+        # m = l^2: 256 at Delta = 24, 4096 at Delta = 100.
+        assert table.dtype == (np.uint8 if delta == 24 else np.uint16)
+
+
+def test_cached_hash_rows_computes_each_missing_row_once(monkeypatch):
+    algo = LowRandomnessRobustColoring(40, 8, seed=3)
     computed = []
+    evaluate = algo.family.eval_coeffs
 
-    def compute(missing):
-        computed.append(missing.tolist())
-        return np.stack([np.array([x, x * x]) for x in missing])
+    def spy(coeffs, xs):
+        computed.append(xs.tolist())
+        return evaluate(coeffs, xs)
 
-    cache: dict = {}
-    keys_a = np.arange(6, dtype=np.int64)
-    out_a = cached_hash_rows(cache, keys_a, compute, max_entries=4)
-    assert len(cache) == 4  # bounded despite 6 distinct keys
-    assert computed == [[0, 1, 2, 3, 4, 5]]
-    # Evicted keys (0, 1) recompute on the next block, bit-identically.
-    keys_b = np.array([0, 1, 5], dtype=np.int64)
-    out_b = cached_hash_rows(cache, keys_b, compute, max_entries=4)
-    assert computed[-1] == [0, 1]
-    np.testing.assert_array_equal(out_b[:2], out_a[:2])
-    np.testing.assert_array_equal(out_b[2], out_a[5])
-    assert len(cache) <= 4
-    # This block's keys are the freshest entries afterwards.
-    assert set(keys_b.tolist()) <= set(cache)
+    monkeypatch.setattr(algo.family, "eval_coeffs", spy)
+    # Two rows per eval_coeffs call.
+    monkeypatch.setattr(blocks, "HASH_FILL_VALUES",
+                        2 * algo._coeffs[..., 0].size)
+    cached_hash_rows(algo, np.array([3, 7, 9], dtype=np.int64))
+    assert computed == [[3, 7], [9]]
+    cached_hash_rows(algo, np.array([1, 7, 9, 12], dtype=np.int64))
+    assert computed == [[3, 7], [9], [1, 12]]
+    cached_hash_rows(algo, np.array([3, 12], dtype=np.int64))
+    assert len(computed) == 3
+    np.testing.assert_array_equal(np.flatnonzero(algo._hash_filled),
+                                  [1, 3, 7, 9, 12])
 
 
-def test_cached_hash_rows_hits_refresh_recency():
-    cache: dict = {}
-    compute = lambda missing: np.stack([np.array([x]) for x in missing])
-    cached_hash_rows(cache, np.array([0, 1, 2], dtype=np.int64), compute,
-                     max_entries=3)
-    # Re-touch key 0, then insert two more: 0 must survive (LRU at block
-    # granularity), 1 and 2 are the oldest and get evicted.
-    cached_hash_rows(cache, np.array([0], dtype=np.int64), compute,
-                     max_entries=3)
-    cached_hash_rows(cache, np.array([3, 4], dtype=np.int64), compute,
-                     max_entries=3)
-    assert set(cache) == {0, 3, 4}
+@pytest.mark.parametrize("cls", SKETCH_CLASSES)
+def test_hash_table_rows_equal_the_polynomial_members(cls):
+    algo = cls(30, 6, seed=4)
+    keys = np.array([0, 5, 29], dtype=np.int64)
+    table = cached_hash_rows(algo, keys)
+    epochs, reps = algo._coeffs.shape[:-1]
+    for x in keys.tolist():
+        expected = [
+            [algo.family.function(algo._coeffs[i, j])(x) for j in range(reps)]
+            for i in range(epochs)
+        ]
+        np.testing.assert_array_equal(table[x], expected)
+        np.testing.assert_array_equal(algo._hash_all(x), expected)
+
+
+@pytest.mark.parametrize("cls", SKETCH_CLASSES)
+def test_hash_table_holds_at_most_n_rows(cls):
+    n, delta = 24, 5
+    algo = cls(n, delta, seed=6)
+    run_adversarial_game(algo, RandomAdversary(seed=6), n=n, delta=delta,
+                         rounds=3 * n, query_every=4)
+    assert algo._hash_table.shape[0] == n
+    assert algo._hash_filled.sum() <= n
+    # A derived cache: snapshots carry the seeds, not the table.
+    state = algo.state_dict()["state"]
+    assert "_hash_table" not in state and "_hash_filled" not in state
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,227 @@
+"""The D-sketch block path shared by Algorithm 3 and the [CGS22] baseline.
+
+Both classes replay blocks through
+:func:`repro.streaming.blocks.sketch_process_block` and read their hash
+values from one vertex-major table.  These tests pin the block path's
+outputs, drive it through sketch wipes against the scalar ``process``
+loop, and check that a self-loop is rejected at its own stream index.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
+from repro.common.exceptions import ReproError
+from repro.core.robust_lowrandom import LowRandomnessRobustColoring
+from repro.engine import RunSpec, run
+from repro.graph.coloring import coloring_array, num_colors_used
+from repro.graph.generators import near_regular_edge_array
+from repro.streaming.source import FileSource, write_edge_file
+from repro.streaming.stream import TokenStream
+from repro.streaming.tokens import edge_tokens
+
+CLASSES = {
+    "cgs22": SketchSwitchingQuadraticColoring,
+    "robust_lowrandom": LowRandomnessRobustColoring,
+}
+
+
+def feed_blocks(algo, edges, chunk_size):
+    for start in range(0, len(edges), chunk_size):
+        algo.process_block(edges[start:start + chunk_size])
+
+
+def survivors(algo):
+    """How many sketches ``D_{i, j}`` of each epoch ``i`` are still valid."""
+    return [sum(d is not None for d in d_i) for d_i in algo._d_sets[1:-1]]
+
+
+def sketch_state(algo):
+    """The state both paths must evolve identically."""
+    return algo._d_sets, algo._buffer, algo._curr, algo.meter.report()
+
+
+def same_state(a, b):
+    """Equal ``state_dict()`` trees and equal arrays."""
+    sa, sb = a.state_dict(), b.state_dict()
+    assert sa["state"] == sb["state"]
+    assert sa["arrays"].keys() == sb["arrays"].keys()
+    for name, array in sa["arrays"].items():
+        np.testing.assert_array_equal(array, sb["arrays"][name])
+
+
+def raised(feed, chunk):
+    """The message of the ReproError ``feed(chunk)`` raises, or None."""
+    try:
+        feed(chunk)
+    except ReproError as error:
+        return str(error)
+    return None
+
+
+def random_edges(rng, n, k):
+    """(k, 2) int64 edges with distinct endpoints, repeats allowed."""
+    us = rng.integers(0, n, size=k, dtype=np.int64)
+    vs = (us + rng.integers(1, n, size=k, dtype=np.int64)) % n
+    return np.stack([us, vs], axis=1)
+
+
+class TestGoldenBlockPath:
+    """sha256 pins recorded before the block path moved to the narrow table.
+
+    The digest covers the coloring (its dict order and its values),
+    ``peak_space_bits``, ``random_bits``, ``colors_used`` and the
+    surviving sketches per epoch.  A lowered ``overflow_cap`` pins the
+    wipe path too.
+    """
+
+    GOLDEN = {
+        ("cgs22", None): "ac519396bbb1882d49de9edab10bdbf4cbca95b71b759354b9e2b0ab7d0c5ce0",
+        ("cgs22", 300): "9933b7f665e6fe37ee37192cf96e24ff3fa8b693248068f84e0a49ccecafc6de",
+        ("robust_lowrandom", None): "083d0f62a0f1fa58043f28114347f3827e5ad08895853950af1cb68ec819a9b0",
+        ("robust_lowrandom", 40): "788b2cafd66b2aa89a58b0c3f07eb73b078423a90bb198fa4271c25dd8cb609a",
+    }
+
+    @pytest.mark.parametrize("algorithm,cap", list(GOLDEN))
+    def test_fingerprint(self, algorithm, cap):
+        n, delta = 600, 12
+        edges = near_regular_edge_array(n, delta, 3)
+        algo = CLASSES[algorithm](n, delta, seed=3)
+        if cap is not None:
+            algo.overflow_cap = cap
+        feed_blocks(algo, edges, 256)
+        coloring = algo.query()
+        alive = survivors(algo)
+        assert algo._curr > 1
+        assert (min(alive) < algo.repetitions) == (cap is not None)
+        digest = hashlib.sha256()
+        digest.update(np.asarray(list(coloring), dtype="<i8").tobytes())
+        digest.update(coloring_array(n, coloring).astype("<i8").tobytes())
+        digest.update(json.dumps([
+            algo.peak_space_bits, algo.random_bits_used,
+            num_colors_used(coloring), alive,
+        ]).encode())
+        assert digest.hexdigest() == self.GOLDEN[(algorithm, cap)]
+
+
+class TestWipes:
+    @pytest.mark.parametrize("algorithm", sorted(CLASSES))
+    @given(
+        seed=st.integers(0, 10**6),
+        delta=st.sampled_from([2, 4, 6]),
+        cap=st.integers(0, 3),
+        cuts=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+        loop_at=st.one_of(st.none(), st.integers(0, 99)),
+    )
+    @settings(deadline=None)
+    def test_random_block_splits(self, algorithm, seed, delta, cap, cuts,
+                                 loop_at):
+        """process_block over any split == the scalar process loop, with
+        sketches wiping mid-block; a self-loop raises the same error and
+        leaves the same partial state."""
+        n = 12
+        edges = random_edges(np.random.default_rng(seed), n, 100)
+        if loop_at is not None:
+            edges[loop_at] = (5, 5)
+        cls = CLASSES[algorithm]
+        scalar = cls(n, delta, seed=seed, repetitions=3)
+        block = cls(n, delta, seed=seed, repetitions=3)
+        scalar.overflow_cap = block.overflow_cap = cap
+
+        def scalar_loop(chunk):
+            for u, v in chunk.tolist():
+                scalar.process(u, v)
+
+        start, error = 0, None
+        for size in cuts * (len(edges) // sum(cuts) + 1):
+            chunk = edges[start:start + size]
+            start += len(chunk)
+            error = raised(scalar_loop, chunk)
+            assert raised(block.process_block, chunk) == error
+            assert sketch_state(block) == sketch_state(scalar)
+            if error is not None:
+                break
+        assert (error is None) == (loop_at is None)
+
+    @pytest.mark.parametrize("algorithm", sorted(CLASSES))
+    def test_one_block_appends_and_wipes(self, algorithm):
+        """A single block fills some sketches past the cap and leaves
+        others alive, exactly as the scalar loop does."""
+        n, delta = 12, 4
+        edges = random_edges(np.random.default_rng(7), n, 60)
+        cls = CLASSES[algorithm]
+        scalar = cls(n, delta, seed=7, repetitions=4)
+        block = cls(n, delta, seed=7, repetitions=4)
+        scalar.overflow_cap = block.overflow_cap = 2
+        for u, v in edges.tolist():
+            scalar.process(u, v)
+        block.process_block(edges)
+        assert sketch_state(block) == sketch_state(scalar)
+        sketches = [d for d_i in block._d_sets for d in d_i]
+        assert any(d is None for d in sketches)
+        assert any(d for d in sketches)
+
+    @pytest.mark.parametrize("algorithm", sorted(CLASSES))
+    def test_cap_lowered_below_a_sketch_wipes_it_on_its_next_event(
+            self, algorithm):
+        n, delta = 40, 4
+        edges = random_edges(np.random.default_rng(8), n, 60)
+        cls = CLASSES[algorithm]
+        scalar = cls(n, delta, seed=8, repetitions=4)
+        block = cls(n, delta, seed=8, repetitions=4)
+        for u, v in edges[:30].tolist():
+            scalar.process(u, v)
+        block.process_block(edges[:30])
+        assert block._curr == 1
+        assert max(len(d) for d in block._d_sets[2]) > 1
+        scalar.overflow_cap = block.overflow_cap = 1
+        for u, v in edges[30:].tolist():
+            scalar.process(u, v)
+        block.process_block(edges[30:])
+        assert sketch_state(block) == sketch_state(scalar)
+        assert None in block._d_sets[2]
+
+
+class TestSelfLoops:
+    @pytest.mark.parametrize("algorithm", sorted(CLASSES))
+    @pytest.mark.parametrize("backend", ["tokens", "materialized", "file"])
+    @pytest.mark.parametrize("chunk_size", [1, 3, 4096])
+    def test_loop_named_at_its_stream_index(self, algorithm, backend,
+                                            chunk_size, tmp_path):
+        n, delta = 8, 4
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        stream_edges = edges[:4] + [(3, 3)] + edges[4:]
+        tokens = TokenStream(edge_tokens(stream_edges), n)
+        if backend == "tokens":
+            stream = tokens
+        elif backend == "materialized":
+            stream = tokens.as_source(chunk_size)
+        else:
+            path = tmp_path / "loop.bin"
+            write_edge_file(path, n, np.asarray(stream_edges, dtype=np.int64))
+            stream = FileSource(path, chunk_size=chunk_size)
+        spec = RunSpec(algorithm=algorithm, n=n, delta=delta, seed=1)
+        with pytest.raises(ReproError, match=r"self-loop \(3,3\) at stream index 4$"):
+            run(spec, stream)
+        if backend == "file":
+            stream.close()
+
+    @pytest.mark.parametrize("algorithm", sorted(CLASSES))
+    def test_index_counts_across_buffer_rolls(self, algorithm):
+        n, delta = 6, 4
+        edges = random_edges(np.random.default_rng(3), n, 41).tolist()
+        algo = CLASSES[algorithm](n, delta, seed=1)
+        fed = CLASSES[algorithm](n, delta, seed=1)
+        for u, v in edges:
+            algo.process(u, v)
+            fed.process(u, v)
+        assert algo._curr > 2  # the buffer rolled more than once
+        with pytest.raises(ReproError, match=r"self-loop \(2,2\) at stream index 41$"):
+            algo.process(2, 2)
+        # Rejected before any state change.
+        same_state(algo, fed)
