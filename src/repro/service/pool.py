@@ -18,6 +18,11 @@ the allocator needs no cross-process synchronization.  :func:`_send_msg`
 ndarray is ever pickled (staticcheck rule R9 enforces the same contract
 at lint time).
 
+**No thread per request.**  The dispatcher reads replies in a
+``loop.add_reader`` callback on each worker's pipe and writes requests
+straight from the event loop; a worker runs a plain blocking loop, one
+request at a time (sticky routing already serializes each session).
+
 **Backpressure.**  Per-worker queues are bounded (``queue_depth``
 in-flight requests) and the ring is finite; when either is full the
 dispatcher raises :class:`ServiceBusyError`, which the TCP protocol
@@ -30,7 +35,7 @@ validated spec, every acknowledged edge block since the last sync point,
 and the advance count.  Every ``checkpoint_every_ops`` acknowledged
 operations it asks the owning worker for a ``REPROCK1`` snapshot
 (written into the pool's shared checkpoint directory) and truncates the
-journal.  When a worker dies (reader thread sees EOF), its in-flight
+journal.  When a worker dies (its pipe reads EOF), its in-flight
 requests fail as retryable ``busy``, a replacement is spawned into the
 same slot, and each victim session is rebuilt on a survivor from its
 last snapshot plus a journal-tail replay.  Sessions are deterministic
@@ -49,7 +54,6 @@ is what rules that window out in practice.
 import asyncio
 import os
 import tempfile
-import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -138,11 +142,24 @@ def _assert_no_ndarray(value, depth: int = 0) -> None:
 
 
 def _send_msg(conn, message: dict) -> None:
+    """Pickle one control dict onto the pipe.
+
+    Blocks only when the pipe's buffer (about 208 KB for a socketpair on
+    Linux) is full.  Requests are under 1 KB and at most ``queue_depth``
+    are in flight per worker, so the dispatcher sends them from the event
+    loop; the one exception is a ``create`` carrying color lists (up to
+    the protocol's ``MAX_LINE``), which goes from a thread.
+    """
     _assert_no_ndarray(message)
     conn.send(message)
 
 
 def _recv_msg(conn) -> dict:
+    """Unpickle one control dict; blocks until all of it has arrived.
+
+    The dispatcher calls it only when the pipe is readable, and a worker
+    writes each reply in one go, so the wait is the copy of one reply.
+    """
     return conn.recv()
 
 
@@ -151,7 +168,12 @@ def _recv_msg(conn) -> dict:
 # ----------------------------------------------------------------------
 def _worker_main(conn, ring_handle: dict, manager_kwargs: dict,
                  obs_config: dict | None = None) -> None:
-    """Entry point of one pool worker process."""
+    """Entry point of one pool worker process: one request at a time.
+
+    A plain blocking loop.  The event loop runs only inside a request:
+    no op leaves work on it in between (a restore task is awaited by the
+    request that starts it, checkpoint I/O is awaited inline).
+    """
     import signal
 
     # Terminal Ctrl-C delivers SIGINT to the whole process group; the
@@ -162,17 +184,14 @@ def _worker_main(conn, ring_handle: dict, manager_kwargs: dict,
     # same trace log (one JSON line per write; O_APPEND keeps concurrent
     # writers line-atomic).
     obs.configure_from(obs_config)
-    asyncio.run(_worker_serve(conn, ring_handle, manager_kwargs))
-
-
-async def _worker_serve(conn, ring_handle: dict, manager_kwargs: dict) -> None:
     ring = EdgeRing.attach(ring_handle)
     manager = SessionManager(**manager_kwargs)
+    loop = asyncio.new_event_loop()
     try:
         _send_msg(conn, {"ok": True, "ready": True})
         while True:
             try:
-                request = await asyncio.to_thread(_recv_msg, conn)
+                request = _recv_msg(conn)
             except (EOFError, OSError):
                 return
             op = request.get("op")
@@ -181,20 +200,30 @@ async def _worker_serve(conn, ring_handle: dict, manager_kwargs: dict) -> None:
                 return
             if op == "crash":
                 os._exit(17)  # test hook: die without cleanup
-            context = request.pop("_obs", None)
-            span_fields = {}
-            if "session" in request:
-                span_fields["session"] = request["session"]
-            with obs.attach_trace_context(context), \
-                    obs.span(f"worker.{op}", **span_fields):
-                response = await _apply(manager, ring, request)
+            response = loop.run_until_complete(_serve(manager, ring, request))
             try:
                 _send_msg(conn, response)
-            except (BrokenPipeError, OSError):
+            except OSError:
                 return
     finally:
         ring.close()
         manager.close()
+        loop.close()
+
+
+async def _serve(manager: SessionManager, ring: EdgeRing, request: dict) -> dict:
+    """Apply one request inside its ``worker.<op>`` span.
+
+    The span opens inside the loop's task, so it times the op alone and
+    nests under the dispatcher span that rode in on ``_obs``.
+    """
+    context = request.pop("_obs", None)
+    span_fields = {}
+    if "session" in request:
+        span_fields["session"] = request["session"]
+    with obs.attach_trace_context(context), \
+            obs.span(f"worker.{request.get('op')}", **span_fields):
+        return await _apply(manager, ring, request)
 
 
 async def _apply(manager: SessionManager, ring: EdgeRing, request: dict) -> dict:
@@ -279,7 +308,6 @@ class _Worker:
         self.send_lock = asyncio.Lock()
         self.inflight: deque = deque()  # (future, ring slot | None), FIFO
         self.assigned: set[str] = set()  # pool sids routed here
-        self.reader: threading.Thread | None = None
 
 
 class WorkerPool:
@@ -356,11 +384,16 @@ class WorkerPool:
 
         pool._ctx = multiprocessing.get_context(pool.config.start_method)
         pool._workers = [None] * pool.config.workers
+        spawns = [asyncio.ensure_future(pool._spawn_worker(i))
+                  for i in range(pool.config.workers)]
         try:
-            await asyncio.gather(
-                *(pool._spawn_worker(i) for i in range(pool.config.workers))
-            )
+            await asyncio.gather(*spawns)
         except BaseException:
+            # gather leaves the siblings of a failed spawn running: stop
+            # them (each reaps its own child) before tearing down.
+            for spawn in spawns:
+                spawn.cancel()
+            await asyncio.gather(*spawns, return_exceptions=True)
             pool.close()
             raise
         return pool
@@ -369,8 +402,13 @@ class WorkerPool:
     # worker lifecycle
     # ------------------------------------------------------------------
     async def _spawn_worker(self, index: int) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        ring = EdgeRing.create(self.config.ring_bytes)
+        """Boot a worker into slot ``index``.
+
+        The greeting is the first reply on the new pipe, so the reader
+        callback resolves it like any other.  A spawn that fails or is
+        cancelled (close() cancels every respawn in flight) leaves no
+        process, pipe or ring behind.
+        """
         wdir = f"{self._dir}/w{index}-{self._spawn_seq}"
         self._spawn_seq += 1
         await asyncio.to_thread(os.makedirs, wdir, exist_ok=True)
@@ -381,54 +419,53 @@ class WorkerPool:
             "max_resident": self.config.worker_max_resident,
             "checkpoint_dir": wdir,
         }
+        parent_conn, child_conn = self._ctx.Pipe()
+        ring = EdgeRing.create(self.config.ring_bytes)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, ring.handle, kwargs, obs.current_config()),
             daemon=True,
         )
+        worker = _Worker(index, proc, parent_conn, ring)
         try:
-            await asyncio.to_thread(proc.start)
-            child_conn.close()
-            greeting = await asyncio.to_thread(_recv_msg, parent_conn)
-        except (EOFError, OSError) as error:
-            ring.close()
-            ring.unlink()
-            parent_conn.close()
+            proc.start()  # fork and exec only, about 1 ms; the child boots on
+        except OSError as error:
+            self._release(worker)
             raise ServiceError(
                 f"worker {index} failed to boot: {error!r}"
             ) from None
-        if not greeting.get("ready"):
-            raise ServiceError(f"worker {index} failed to boot: {greeting!r}")
-        worker = _Worker(index, proc, parent_conn, ring)
-        worker.alive = True
+        finally:
+            child_conn.close()
+        greeting = self._loop.create_future()
+        worker.inflight.append((greeting, None))
         self._workers[index] = worker
-        worker.reader = threading.Thread(
-            target=self._reader_main, args=(worker,),
-            name=f"repro-pool-reader-{index}", daemon=True,
-        )
-        worker.reader.start()
+        self._loop.add_reader(parent_conn.fileno(), self._on_readable, worker)
+        try:
+            ready = (await greeting).get("ready")
+        except ServiceBusyError:  # the pipe closed before the greeting
+            ready = False
+        except BaseException:  # cancelled: reap the child, then unwind
+            self._discard(worker)
+            raise
+        if not ready:
+            self._discard(worker)
+            raise ServiceError(f"worker {index} failed to boot")
+        worker.alive = True
         return worker
 
-    def _reader_main(self, worker: _Worker) -> None:
-        """Dedicated reader thread: one blocking recv loop per worker.
+    def _on_readable(self, worker: _Worker) -> None:
+        """``add_reader`` callback: deliver one reply, or handle EOF.
 
-        A thread (not ``asyncio.to_thread``) because the default executor
-        has only ``min(32, cpus + 4)`` threads — a handful of workers'
-        persistent blocking recvs would starve it on small machines.
+        One message per call: a connection buffers nothing in user space,
+        so a reply still in the pipe keeps the descriptor readable and the
+        loop calls back on its next pass.
         """
-        while True:
-            try:
-                message = _recv_msg(worker.conn)
-            except (EOFError, OSError):
-                break
-            try:
-                self._loop.call_soon_threadsafe(self._deliver, worker, message)
-            except RuntimeError:  # loop already closed
-                return
         try:
-            self._loop.call_soon_threadsafe(self._reader_exit, worker)
-        except RuntimeError:
-            pass
+            message = _recv_msg(worker.conn)
+        except (EOFError, OSError):
+            self._reader_exit(worker)
+            return
+        self._deliver(worker, message)
 
     def _deliver(self, worker: _Worker, message: dict) -> None:
         """Resolve the oldest in-flight request (event-loop thread)."""
@@ -446,16 +483,9 @@ class WorkerPool:
     def _reader_exit(self, worker: _Worker) -> None:
         """The worker's pipe closed: crash, stop, or pool teardown."""
         was_alive = worker.alive
-        worker.alive = False
-        self._fail_inflight(worker)
         # A respawn replaces the slot, so release this worker's resources
         # now — close() only sees whoever currently occupies the slots.
-        try:
-            worker.conn.close()
-        except OSError:  # pragma: no cover
-            pass
-        worker.ring.close()
-        worker.ring.unlink()
+        self._release(worker)
         if self._closing or worker.stopping or not was_alive:
             return
         self.crashes += 1
@@ -471,6 +501,27 @@ class WorkerPool:
                     f"worker {worker.index} died mid-request; retry",
                     retry_after=self.config.retry_after,
                 ))
+
+    def _release(self, worker: _Worker) -> None:
+        """Fail its requests, free its pipe and ring (idempotent)."""
+        worker.alive = False
+        self._fail_inflight(worker)
+        if worker.conn.closed:
+            return
+        self._loop.remove_reader(worker.conn.fileno())
+        worker.conn.close()
+        worker.ring.close()
+        worker.ring.unlink()
+
+    def _discard(self, worker: _Worker) -> None:
+        """Release a worker and stop its process (idempotent)."""
+        self._release(worker)
+        if worker.proc.is_alive():
+            worker.proc.terminate()
+        worker.proc.join(timeout=5)
+        if worker.proc.is_alive():  # pragma: no cover - stuck worker
+            worker.proc.kill()
+            worker.proc.join(timeout=1)
 
     async def _on_worker_death(self, worker: _Worker) -> None:
         """Respawn the slot, then rebuild every victim session."""
@@ -530,14 +581,17 @@ class WorkerPool:
             future = self._loop.create_future()
             worker.inflight.append((future, slot))
             try:
-                await asyncio.to_thread(_send_msg, worker.conn, message)
+                if message.get("lists") is None:
+                    _send_msg(worker.conn, message)
+                else:
+                    # Lists can outgrow the pipe's buffer; a worker busy
+                    # with a long op must not stall the loop behind them.
+                    await asyncio.to_thread(_send_msg, worker.conn, message)
             except OSError:
-                worker.alive = False
-                if not future.done():
-                    future.set_exception(ServiceBusyError(
-                        f"worker {worker.index} connection lost; retry",
-                        retry_after=self.config.retry_after,
-                    ))
+                # The worker is gone, and the send can notice before the
+                # reader callback sees EOF: handle the death here, so the
+                # slot is still respawned and this request fails as busy.
+                self._reader_exit(worker)
         response = await future
         if not response.get("ok"):
             raise _WorkerError(
@@ -988,7 +1042,7 @@ class WorkerPool:
             raise ServiceError(f"worker {index} is not running")
         async with worker.send_lock:
             try:
-                await asyncio.to_thread(_send_msg, worker.conn, {"op": "crash"})
+                _send_msg(worker.conn, {"op": "crash"})
             except OSError:
                 pass
 
@@ -998,22 +1052,19 @@ class WorkerPool:
             return
         self._closed = True
         self._closing = True
-        workers = [w for w in self._workers if w is not None]
-        for worker in workers:
-            try:
-                worker.conn.close()
-            except OSError:  # pragma: no cover
-                pass
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-        for worker in workers:
-            worker.proc.join(timeout=5)
-            if worker.proc.is_alive():  # pragma: no cover - stuck worker
-                worker.proc.kill()
-                worker.proc.join(timeout=1)
-            worker.alive = False
-            worker.ring.close()
-            worker.ring.unlink()
+        respawns = list(self._death_tasks)
+        for task in respawns:
+            task.cancel()
+        for worker in self._workers:
+            if worker is not None:
+                self._discard(worker)
+        if respawns and not self._loop.is_running() \
+                and not self._loop.is_closed():
+            # Closed from outside the loop: run the cancelled respawns to
+            # their end now, or they would be destroyed pending.
+            self._loop.run_until_complete(
+                asyncio.gather(*respawns, return_exceptions=True)
+            )
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -292,8 +292,9 @@ class AsyncBlockingRule(Rule):
     _BANNED_PREFIXES = ("subprocess.", "shutil.", "os.path.")
     _BANNED_METHODS = frozenset({
         "read_text", "write_text", "read_bytes", "write_bytes",
-        # blocking pipe I/O (the pool dispatcher's reader thread and
-        # asyncio.to_thread are the only places these may run)
+        # blocking pipe I/O: async code reaches a pipe only through the
+        # _send_msg/_recv_msg choke points (R9), called on the loop for
+        # small control messages and via asyncio.to_thread for large ones
         "recv", "recv_bytes", "send", "send_bytes",
     })
 

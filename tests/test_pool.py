@@ -19,10 +19,13 @@ boot — tests share pools where determinism allows.
 """
 
 import asyncio
+import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -590,6 +593,190 @@ class TestBackpressure:
                 manager_reference(spec_dict("robust", n, delta, seed=seed),
                                   blocks_of(arranged, 32)),
             )
+
+
+# ----------------------------------------------------------------------
+# transport: pipe I/O on the event loop, and teardown mid-spawn
+# ----------------------------------------------------------------------
+def shm_segments() -> set:
+    return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
+
+
+def child_pids() -> set:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def reader_threads() -> list:
+    return [thread.name for thread in threading.enumerate()
+            if thread.name.startswith("repro-pool-reader")]
+
+
+async def crash_and_await_respawn(pool) -> None:
+    """Crash worker 0 and return while its replacement is booting."""
+    await pool.inject_crash(0)
+    for _ in range(1000):
+        if pool._death_tasks:
+            break
+        await asyncio.sleep(0.005)
+    assert pool._death_tasks, "the crash was never noticed"
+    await asyncio.sleep(0.05)
+    assert not any(task.done() for task in pool._death_tasks)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                    reason="shared-memory segments are listed in /dev/shm")
+class TestTransport:
+    def test_close_during_respawn_leaves_nothing(self):
+        shm_before, children_before = shm_segments(), child_pids()
+
+        async def go():
+            pool = await WorkerPool.start(PoolConfig(workers=2))
+            try:
+                await crash_and_await_respawn(pool)
+            finally:
+                pool.close()
+            return pool
+
+        pool = asyncio.run(go())
+        assert not pool._death_tasks
+        assert child_pids() <= children_before
+        assert shm_segments() <= shm_before
+
+    def test_close_off_loop_during_respawn_leaves_nothing(self):
+        """The property sweep's pattern: close() after the loop stopped."""
+        shm_before, children_before = shm_segments(), child_pids()
+        loop = asyncio.new_event_loop()
+        try:
+            pool = loop.run_until_complete(
+                WorkerPool.start(PoolConfig(workers=2))
+            )
+            try:
+                loop.run_until_complete(crash_and_await_respawn(pool))
+            finally:
+                pool.close()
+            pending = asyncio.all_tasks(loop)
+        finally:
+            loop.close()
+        assert not pending
+        assert child_pids() <= children_before
+        assert shm_segments() <= shm_before
+
+    def test_failed_boot_stops_sibling_spawns(self, monkeypatch):
+        real_spawn = WorkerPool._spawn_worker
+
+        async def spawn(self, index):
+            if index == 1:
+                await asyncio.sleep(0.05)  # worker 0 is still booting
+                raise ServiceError("worker 1 failed to boot: injected")
+            return await real_spawn(self, index)
+
+        monkeypatch.setattr(WorkerPool, "_spawn_worker", spawn)
+        shm_before, children_before = shm_segments(), child_pids()
+
+        async def go():
+            with pytest.raises(ServiceError, match="injected"):
+                await WorkerPool.start(PoolConfig(workers=2))
+            return asyncio.all_tasks() - {asyncio.current_task()}
+
+        assert not asyncio.run(go())
+        assert child_pids() <= children_before
+        assert shm_segments() <= shm_before
+
+    def test_large_create_does_not_block_other_workers(self):
+        """A create too big for the pipe's buffer waits off the loop.
+
+        Worker A is busy finalizing; a create with over 1 MB of lists
+        queues behind it.  Feeds to a session on worker B keep completing
+        meanwhile, each far faster than A's busy time.
+        """
+        from repro.service.client import build_session_workload
+
+        spec_a, edges_a, lists_a = build_session_workload(
+            "list_coloring", "power_law", 300, seed=1, verify=False
+        )
+        arranged, n, delta = zoo_cell(n=1000)
+        big_lists = {x: list(range(1 << 20, (1 << 20) + 220))
+                     for x in range(1000)}
+        assert len(pickle.dumps(sorted(big_lists.items()))) > 1 << 20
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            pool = await WorkerPool.start(PoolConfig(workers=2))
+            try:
+                sid_a = await pool.create(spec_a, lists_a)
+                sid_b = await pool.create(spec_dict("robust", n, delta))
+                busy = pool._routes[sid_a]
+                assert pool._routes[sid_b] is not busy
+                await pool.feed(sid_a, edges_a)
+                started = loop.time()
+                finalize = asyncio.ensure_future(pool.finalize(sid_a))
+                await asyncio.sleep(0.05)  # A is finalizing
+                create = asyncio.ensure_future(pool.create(
+                    spec_dict("list_coloring", 1000, 4, verify=False),
+                    big_lists,
+                ))
+                feeds = []  # (completed at, latency)
+                for block in blocks_of(arranged, 4):
+                    if finalize.done():
+                        break
+                    t0 = loop.time()
+                    await pool.feed(sid_b, block)
+                    feeds.append((loop.time(), loop.time() - t0))
+                    await asyncio.sleep(0.01)
+                await finalize
+                busy_s = loop.time() - started
+                sid_big = await create
+                assert pool._routes[sid_big] is busy
+                await pool.drop(sid_big)
+                await pool.drop(sid_b)
+                return feeds, started + busy_s, busy_s
+            finally:
+                pool.close()
+
+        feeds, busy_until, busy_s = asyncio.run(go())
+        during = [latency for done, latency in feeds if done < busy_until]
+        assert len(during) >= 5, (feeds, busy_s)
+        assert max(latency for _, latency in feeds) < busy_s / 4, \
+            (feeds, busy_s)
+
+    def test_no_thread_per_worker_or_request(self, monkeypatch):
+        arranged, n, delta = zoo_cell()
+        blocks = [block.copy() for block in np.array_split(arranged, 20)]
+        spec = spec_dict("robust", n, delta)
+        real_to_thread = asyncio.to_thread
+        calls = []
+
+        async def counting_to_thread(func, *args, **kwargs):
+            calls.append(getattr(func, "__name__", repr(func)))
+            return await real_to_thread(func, *args, **kwargs)
+
+        async def go():
+            pool = await WorkerPool.start(PoolConfig(workers=2))
+            try:
+                assert reader_threads() == []
+                monkeypatch.setattr(asyncio, "to_thread", counting_to_thread)
+                sid = await pool.create(dict(spec))
+                for block in blocks:
+                    await pool.feed(sid, block)
+                result = await pool.finalize(sid)
+                await pool.drop(sid)
+                assert calls == []
+                victim = pool._workers[0]
+                await pool.inject_crash(0)
+                for _ in range(3000):
+                    replacement = pool._workers[0]
+                    if replacement is not victim and replacement.alive:
+                        break
+                    await asyncio.sleep(0.01)
+                else:
+                    raise AssertionError("worker 0 was never respawned")
+                assert reader_threads() == []
+                return result
+            finally:
+                pool.close()
+
+        result = asyncio.run(go())
+        assert_bit_identical(result, manager_reference(spec, blocks))
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,8 @@ the same feed partition, field for field.
 
 Worker processes spawn in ~a second, so the pool is shared across
 examples: one persistent event loop hosts the pool for the whole sweep
-(``run_until_complete`` per example keeps the dispatcher's reader
-threads and locks on their home loop).  Crash examples respawn a worker
+(``run_until_complete`` per example keeps the dispatcher's pipe
+readers and locks on their home loop).  Crash examples respawn a worker
 each time; the explicit ``max_examples`` keeps the sweep bounded no
 matter the profile.
 """
