@@ -11,19 +11,13 @@ deterministic leg's historical ≥5x), looser regression floors for the
 event-bound sketch baselines, and none for the single-pass trivial-work
 cases whose scan is materialization-bound either way.
 
-Each sweep case additionally records the resolved ``kernel_tier`` and the
-per-kernel dispatch totals (calls + seconds, via ``measure_kernels``), and
-when numba is importable a compiled-tier leg re-runs the flagship cases
-under ``kernel_tier="compiled"`` vs the numpy reference — bit-identical
-results required, with wall-clock floors (≥5x deterministic, ≥2x robust
-and list_coloring).  ``BENCH_S1_SMOKE=1`` shrinks the sweep for CI's
-``kernels`` job; the compiled leg keeps full sizes either way (the
-compiled tier is what makes them cheap, and the floors are meaningless at
-toy sizes).  The sharded scale leg streams an out-of-core circulant
-workload (default n=10^6 / m=10^7, ``BENCH_S1_FULL`` for 10^7 / 10^8)
-from a multi-shard container, gates peak RSS against a declared
-per-algorithm budget, and requires bit-identity against a single-file
-run of the same edges.  The numbers land both in the usual text table
+Each sweep case additionally records the per-kernel dispatch totals
+(calls + seconds, via ``measure_kernels``).  ``BENCH_S1_SMOKE=1`` shrinks
+the sweep for CI's ``scale-smoke`` job.  The sharded scale leg streams
+an out-of-core circulant workload (default n=10^6 / m=10^7,
+``BENCH_S1_FULL`` for 10^7 / 10^8) from a multi-shard container, gates
+peak RSS against a declared per-algorithm budget, and requires
+bit-identity against a single-file run of the same edges.  The numbers land both in the usual text table
 and in the machine-readable ``BENCH_s1_scale.json`` artifact that CI
 uploads (and checks for completeness against the registry).
 """
@@ -36,14 +30,14 @@ from conftest import run_once
 
 from repro.engine import REGISTRY, GameSpec, RunSpec, run, run_game
 from repro.graph.zoo import circulant_edge_blocks, write_zoo_shards
-from repro.kernels import compiled_available, measure_kernels
+from repro.kernels import measure_kernels
 # The sampler lives in repro.obs.sysinfo so serve metrics, the obs
 # overhead gate, and this bench all read VmRSS the same way.
 from repro.obs.sysinfo import RssSampler as _RssSampler
 from repro.obs.sysinfo import rss_bytes as _rss_bytes
 from repro.streaming import FileSource, ShardedFileSource, write_edge_file
 
-#: CI's ``kernels`` job sets this to keep the sweep quick; sizes shrink
+#: CI's ``scale-smoke`` job sets this to keep the sweep quick; sizes shrink
 #: and the block-vs-token speedup floors turn into record-only fields
 #: (timing ratios at toy sizes are noise, and the full-size bench-smoke
 #: job still enforces them on every push).
@@ -74,17 +68,6 @@ THROUGHPUT_CASES = [
      4.0),
     ("palette_sparsification", 512 if SMOKE else 4096, 16, {}, "file",
      "near_regular", None),
-]
-
-#: Compiled-tier legs (run only where numba is installed — CI's ``kernels``
-#: job): numpy reference vs compiled twins on the flagship cases, results
-#: required bit-identical, streaming throughput floors from the perf story.
-COMPILED_CASES = [
-    ("deterministic", 16384, 24, {"selection": "greedy_slack"},
-     "random_max_degree", 5.0),
-    ("robust", 2048, 16, {}, "random_max_degree", 2.0),
-    ("list_coloring", 160, 6, {"prime_policy": "scaled"},
-     "random_max_degree", 2.0),
 ]
 
 
@@ -177,9 +160,7 @@ def run_sharded_leg(rows):
             fs = FileSource(single, chunk_size=SCALE_CHUNK)
             single_run = run(spec, stream=fs)
             fs.close()
-            identical = (
-                _tier_fingerprint(sharded) == _tier_fingerprint(single_run)
-            )
+            identical = _fingerprint(sharded) == _fingerprint(single_run)
             ok = bool(rss_ok and identical)
             rows.append([
                 f"sharded {algo} (n={SCALE_N:.0e})", SCALE_N, delta, m,
@@ -203,7 +184,7 @@ def run_sharded_leg(rows):
     return record
 
 
-def _tier_fingerprint(result):
+def _fingerprint(result):
     """Everything observable about a run except wall times and kernel hits."""
     return (
         result.coloring,
@@ -216,58 +197,12 @@ def _tier_fingerprint(result):
     )
 
 
-def run_compiled_leg(rows):
-    """Numpy vs compiled tier on the flagship cases (numba hosts only)."""
-    cases = {}
-    if not compiled_available():
-        return cases
-    for algo, n, delta, config, family, floor in COMPILED_CASES:
-        # Warm the JIT cache on a toy instance so the timed leg measures
-        # steady-state kernels, not one-time compilation.
-        run(RunSpec(
-            algorithm=algo, n=64, delta=6, graph_seed=7, config=config,
-            stream_backend="materialized", kernel_tier="compiled",
-            validate=False,
-        ))
-        per_tier = {}
-        for tier in ("numpy", "compiled"):
-            per_tier[tier] = run(RunSpec(
-                algorithm=algo, n=n, delta=delta, graph_seed=401,
-                config=config, graph_family=family,
-                stream_backend="materialized", kernel_tier=tier,
-                keep_coloring=True,
-            ))
-        numpy_run, compiled_run = per_tier["numpy"], per_tier["compiled"]
-        identical = _tier_fingerprint(numpy_run) == _tier_fingerprint(
-            compiled_run
-        )
-        speedup = (
-            compiled_run.extras["edges_per_sec"]
-            / numpy_run.extras["edges_per_sec"]
-        )
-        rows.append([f"{algo} compiled tier", n, delta,
-                     numpy_run.extras["stream_edges"], numpy_run.passes,
-                     f"{speedup:.1f}x", identical])
-        cases[algo] = {
-            "n": n,
-            "delta": delta,
-            "numpy_edges_per_sec": numpy_run.extras["edges_per_sec"],
-            "compiled_edges_per_sec": compiled_run.extras["edges_per_sec"],
-            "speedup": speedup,
-            "floor": floor,
-            "identical": identical,
-            "kernel_hits": compiled_run.extras.get("kernel_hits", {}),
-        }
-    return cases
-
-
 def run_scale():
     rows = []
     json_payload = {
         "legs": [],
         "smoke": SMOKE,
         "host_cpus": os.cpu_count() or 1,
-        "compiled_available": compiled_available(),
     }
     # Deterministic, heuristic selection (1 pass/stage), n=1024.
     n, delta = (256, 12) if SMOKE else (1024, 24)
@@ -288,8 +223,8 @@ def run_scale():
     rows.append(["robust Alg 2 (adaptive)", n, delta, game.extras["rounds"],
                  game.passes, "-", game.proper])
     # Throughput sweep: token path vs block path for every registered
-    # algorithm, identical stream per pair.  Each case also records which
-    # kernel tier served it and where the dispatched kernel time went.
+    # algorithm, identical stream per pair.  Each case also records where
+    # the dispatched kernel time went.
     algorithms = {}
     flagship_token_proper = flagship_block_proper = False
     for algo, n, delta, config, backend, family, floor in THROUGHPUT_CASES:
@@ -335,17 +270,12 @@ def run_scale():
             "speedup_floor": None if SMOKE else floor,
             "colorings_identical": identical,
             "block_native": block.extras.get("block_native", False),
-            "kernel_tier": block.extras["kernel_tier"],
             "kernels": {
                 name: {"calls": calls, "seconds": seconds}
                 for name, (calls, seconds) in sorted(kernel_timings.items())
             },
         }
     json_payload["algorithms"] = algorithms
-    json_payload["compiled"] = {
-        "available": compiled_available(),
-        "cases": run_compiled_leg(rows),
-    }
     json_payload["sharded"] = run_sharded_leg(rows)
     # Back-compat artifact fields: the flagship deterministic record.
     flagship = algorithms["deterministic"]
@@ -380,11 +310,9 @@ def test_s1_scale(benchmark, record_table, record_json):
         f"throughput sweep must cover the whole registry; "
         f"missing {sorted(set(REGISTRY.names()) - recorded)}"
     )
-    expected_tier = "compiled" if compiled_available() else "numpy"
     for algo, record in payload["algorithms"].items():
         assert record["colorings_identical"], algo
         assert record["block_native"], algo
-        assert record["kernel_tier"] == expected_tier, algo
         assert all(
             rec["calls"] > 0 and rec["seconds"] >= 0.0
             for rec in record["kernels"].values()
@@ -408,17 +336,3 @@ def test_s1_scale(benchmark, record_table, record_json):
             f"declared budget {rec['rss_budget_bytes']}"
         )
         assert rec["edges_per_sec"] > 0, algo
-    assert payload["compiled"]["available"] == compiled_available()
-    if compiled_available():
-        cases = payload["compiled"]["cases"]
-        assert set(cases) == {c[0] for c in COMPILED_CASES}
-        for algo, case in cases.items():
-            assert case["identical"], (
-                f"{algo}: compiled tier diverged from the numpy reference"
-            )
-            assert sum(case["kernel_hits"].values()) > 0, algo
-            assert case["speedup"] >= case["floor"], (
-                f"{algo}: compiled tier sustained only "
-                f"{case['speedup']:.1f}x the numpy tier "
-                f"(floor {case['floor']}x)"
-            )

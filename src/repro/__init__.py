@@ -14,18 +14,8 @@ Public API highlights
 - :mod:`repro.analysis.experiments` — the T1-T10/A1-A4 experiment suite,
   expressed as engine grids.
 
-Importing the algorithm classes from this top-level package
-(``from repro import DeterministicColoring``) still works but emits a
-:class:`DeprecationWarning`; construct algorithms through
-:func:`repro.engine.run` / :data:`repro.engine.REGISTRY`, or import the
-classes from their home modules (:mod:`repro.core`, :mod:`repro.baselines`,
-:mod:`repro.adversaries`).
-
 See README.md for a quickstart and DESIGN.md for the system inventory.
 """
-
-import importlib
-import warnings
 
 from repro.engine import (
     REGISTRY,
@@ -45,20 +35,6 @@ from repro.streaming.stream import stream_from_graph, stream_with_lists
 
 __version__ = "1.1.0"
 
-# Pre-engine top-level names, kept importable through thin deprecation
-# shims: name -> (home module, replacement hint).
-_DEPRECATED = {
-    "DeterministicColoring": ("repro.core", 'run(RunSpec(algorithm="deterministic", ...))'),
-    "DeterministicListColoring": ("repro.core", 'run(RunSpec(algorithm="list_coloring", ...))'),
-    "RobustColoring": ("repro.core", 'run_game(GameSpec(algorithm="robust", ...))'),
-    "LowRandomnessRobustColoring": ("repro.core", 'run_game(GameSpec(algorithm="robust_lowrandom", ...))'),
-    "two_party_coloring_protocol": ("repro.core", "repro.core.two_party_coloring_protocol"),
-    "ConflictSeekingAdversary": ("repro.adversaries", "repro.adversaries.ConflictSeekingAdversary"),
-    "LevelAwareAdversary": ("repro.adversaries", "repro.adversaries.LevelAwareAdversary"),
-    "RandomAdversary": ("repro.adversaries", "repro.adversaries.RandomAdversary"),
-    "run_adversarial_game": ("repro.adversaries", "repro.engine.run_game"),
-}
-
 __all__ = [
     "AlgorithmRegistry",
     "ColoringResult",
@@ -75,22 +51,4 @@ __all__ = [
     "run_game",
     "stream_from_graph",
     "stream_with_lists",
-    *sorted(_DEPRECATED),
 ]
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        module_name, hint = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name!r} from the top-level 'repro' package is "
-            f"deprecated; use {hint} (home module: {module_name})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(importlib.import_module(module_name), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED))

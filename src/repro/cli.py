@@ -25,13 +25,9 @@ from repro.analysis import experiments as exp
 from repro.analysis.report import build_report
 from repro.analysis.tables import format_table
 from repro.common.exceptions import ReproError
-from repro.engine import (
-    KERNEL_TIERS,
-    REGISTRY,
-    set_default_kernel_tier,
-    set_default_stream,
-    set_default_workers,
-)
+from repro.engine import REGISTRY, set_default_stream, set_default_workers
+from repro.engine.grid import get_default_workers
+from repro.engine.runner import DEFAULT_STREAM_BACKEND, get_default_stream
 
 
 def _ints(text: str) -> list[int]:
@@ -155,15 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--stream-backend", default=None, metavar="BACKEND",
                      help="data plane for every run of the experiment: "
                      "tokens | materialized | generator | file | "
-                     "sharded_file (default: tokens)")
+                     f"sharded_file (default: {DEFAULT_STREAM_BACKEND})")
     run.add_argument("--chunk-size", type=int, default=None, metavar="K",
                      help="edges per block for the block backends "
                      "(default 8192)")
-    run.add_argument("--kernel-tier", default=None, choices=KERNEL_TIERS,
-                     help="hot-loop implementation tier for every run of "
-                     "the experiment: auto (compiled when numba is "
-                     "importable, else numpy) | numpy | compiled "
-                     "(error when numba is absent); default auto")
 
     profile = sub.add_parser(
         "profile",
@@ -173,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--algorithms", default=None, metavar="LIST",
                          help="comma-separated algorithm names "
                          "(default: every algorithm with a profile case)")
-    profile.add_argument("--kernel-tier", default=None, choices=KERNEL_TIERS,
-                         help="tier to profile (default auto)")
     profile.add_argument("--chunk-size", type=int, default=None, metavar="K",
                          help="edges per block (default 8192)")
     profile.add_argument("--seed", type=int, default=401)
@@ -828,8 +817,8 @@ def _run_profile(args) -> int:
 
     try:
         payload = profile_sweep(
-            _csv(args.algorithms), kernel_tier=args.kernel_tier,
-            chunk_size=args.chunk_size, seed=args.seed, top=args.top,
+            _csv(args.algorithms), chunk_size=args.chunk_size,
+            seed=args.seed, top=args.top,
         )
     except ReproError as error:
         print(f"repro profile: error: {error}", file=sys.stderr)
@@ -933,25 +922,22 @@ def main(argv=None) -> int:
                   "or pass --resume CKPT", file=sys.stderr)
             return 2
         description, dispatch = EXPERIMENT_TABLE[args.experiment]
+        saved_workers = get_default_workers()
+        saved_stream = get_default_stream()
         try:
             if args.workers < 1:
                 raise ReproError(f"--workers must be >= 1, got {args.workers}")
             set_default_workers(args.workers)
             set_default_stream(backend=args.stream_backend,
                                chunk_size=args.chunk_size)
-            if args.kernel_tier is not None:
-                set_default_kernel_tier(args.kernel_tier)
             headers, rows = dispatch(args)
         except ReproError as error:
             print(f"repro run {args.experiment}: error: {error}",
                   file=sys.stderr)
             return 2
         finally:
-            from repro.streaming.source import DEFAULT_CHUNK_SIZE
-
-            set_default_workers(1)
-            set_default_stream(backend="tokens", chunk_size=DEFAULT_CHUNK_SIZE)
-            set_default_kernel_tier("auto")
+            set_default_workers(saved_workers)
+            set_default_stream(*saved_stream)
         print(format_table(headers, rows,
                            title=f"{args.experiment}: {description}"))
         return 0

@@ -52,14 +52,13 @@ def mod_horner_array(coeffs, xs, p: int):
 
     ``coeffs`` is low-to-high degree; every coefficient must lie in
     ``[0, p)``.  Fast paths: int64 arithmetic through the kernel-dispatch
-    layer (``repro.kernels`` — pure numpy, or the compiled tier when
-    active), valid whenever the intermediate ``acc * x + c`` (with
-    ``acc, c < p`` and ``x`` bounded by the largest key) cannot exceed
-    ``2**63 - 1``.  For larger moduli the evaluation falls back to exact
-    Python-int (object dtype) arithmetic, so results are correct at any
-    prime size — the overflow-safe modular path shared by every hash
-    family here.  The object-dtype fallback never dispatches: the int64
-    domain guard is what makes the compiled twin admissible.
+    layer (``repro.kernels``), valid whenever the intermediate
+    ``acc * x + c`` (with ``acc, c < p`` and ``x`` bounded by the largest
+    key) cannot exceed ``2**63 - 1``.  For larger moduli the evaluation
+    falls back to exact Python-int (object dtype) arithmetic, so results
+    are correct at any prime size — the overflow-safe modular path shared
+    by every hash family here.  The object-dtype fallback never
+    dispatches: the kernels assume the int64 domain.
     """
     import numpy as np
 

@@ -33,12 +33,11 @@ is frozen before ``h_curr`` is first revealed.  We implement
 State layout: the ``n`` degree counters and buffer degrees are int64
 arrays updated in place; buffer B and each sketch ``A_i``/``C_i`` is an
 int64 ``(m, 2)`` edge array, the live rows of a store that grows by
-doubling.  With the numpy kernels, :meth:`RobustColoring.process_block`
-therefore costs ``Theta(k (E + L))`` for a block of ``k`` edges (``E``
-epochs, ``L`` levels) plus one append per sketch that receives events,
-with no ``Theta(n)`` term; only a buffer roll, once per
-``n Delta^beta`` edges, clears the ``n`` buffer degrees.  The compiled
-``running_degrees`` kernel zeroes ``n`` counters per block.
+doubling.  :meth:`RobustColoring.process_block` therefore costs
+``Theta(k (E + L))`` for a block of ``k`` edges (``E`` epochs, ``L``
+levels) plus one append per sketch that receives events, with no
+``Theta(n)`` term; only a buffer roll, once per ``n Delta^beta`` edges,
+clears the ``n`` buffer degrees.
 """
 
 from dataclasses import dataclass

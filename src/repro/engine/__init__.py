@@ -49,12 +49,6 @@ from repro.engine.guarantees import (
     evaluate_guarantees,
 )
 from repro.engine.protocol import StreamingColorer
-from repro.kernels import (
-    KERNEL_TIERS,
-    compiled_available,
-    get_default_kernel_tier,
-    set_default_kernel_tier,
-)
 from repro.engine.registry import REGISTRY, AlgorithmEntry, AlgorithmRegistry
 from repro.engine.result import (
     RESULT_SCHEMA,
@@ -88,10 +82,7 @@ __all__ = [
     "GuaranteeCheck",
     "GuaranteeReport",
     "GuaranteeSpec",
-    "KERNEL_TIERS",
-    "compiled_available",
     "evaluate_guarantees",
-    "get_default_kernel_tier",
     "ListColoringConfig",
     "LowRandomConfig",
     "NaiveConfig",
@@ -107,7 +98,6 @@ __all__ = [
     "resume",
     "run",
     "run_game",
-    "set_default_kernel_tier",
     "set_default_stream",
     "set_default_workers",
     "validate_result_dict",

@@ -34,6 +34,7 @@ from repro.engine.runner import (
 __all__ = [
     "GridRunner",
     "GridSpec",
+    "get_default_workers",
     "results_table",
     "set_default_workers",
 ]
@@ -53,6 +54,11 @@ def set_default_workers(workers: int) -> None:
     if workers < 1:
         raise ReproError(f"workers must be >= 1, got {workers}")
     _default_workers = workers
+
+
+def get_default_workers() -> int:
+    """The worker count used by ``GridRunner(workers=None)``."""
+    return _default_workers
 
 
 @dataclass(frozen=True)
@@ -121,15 +127,14 @@ def _job_to_spec(job: dict, mode: str):
         raise ReproError(f"bad grid job {sorted(job)}: {exc}") from None
 
 
-def _execute_spec(spec, stream_defaults=None, edges_handle=None,
-                  kernel_tier_default=None) -> ColoringResult:
+def _execute_spec(spec, stream_defaults=None,
+                  edges_handle=None) -> ColoringResult:
     """Module-level job executor (picklable for the process pool).
 
     ``stream_defaults`` carries the parent's ``(backend, chunk_size)``
     data-plane defaults into pool workers, which under spawn/forkserver
     start methods re-import the runner module and would otherwise fall
-    back to the token path silently; ``kernel_tier_default`` does the
-    same for the process-level kernel tier (:mod:`repro.kernels`).
+    back to the module defaults silently.
 
     ``edges_handle`` names a :class:`~repro.streaming.shm.SharedEdgeArray`
     published by the parent: the worker maps the same pages read-only and
@@ -138,10 +143,6 @@ def _execute_spec(spec, stream_defaults=None, edges_handle=None,
     """
     if stream_defaults is not None:
         set_default_stream(*stream_defaults)
-    if kernel_tier_default is not None:
-        from repro.kernels import set_default_kernel_tier
-
-        set_default_kernel_tier(kernel_tier_default)
     if isinstance(spec, GameSpec):
         if edges_handle is not None:
             raise ReproError("shared_edges applies to stream specs, not games")
@@ -224,12 +225,9 @@ class GridRunner:
             if edges is None:
                 return [_execute_spec(spec) for spec in specs]
             return [_run_over_array(spec, edges) for spec in specs]
-        from repro.kernels import get_default_kernel_tier
-
         if edges is None:
             job = functools.partial(
                 _execute_spec, stream_defaults=get_default_stream(),
-                kernel_tier_default=get_default_kernel_tier(),
             )
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(job, specs))
@@ -241,7 +239,6 @@ class GridRunner:
                 _execute_spec,
                 stream_defaults=get_default_stream(),
                 edges_handle=shared.handle,
-                kernel_tier_default=get_default_kernel_tier(),
             )
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 return list(pool.map(job, specs))

@@ -27,7 +27,7 @@ from repro.graph.coloring import (
     validate_coloring_blocks,
 )
 from repro.graph.graph import Graph
-from repro.kernels import active_kernel_tier, kernel_run_hits, use_kernel_tier
+from repro.kernels import kernel_total_hits
 from repro.streaming.source import (
     DEFAULT_CHUNK_SIZE,
     FileSource,
@@ -41,6 +41,7 @@ import repro.obs as obs
 from repro.obs.clock import perf_now
 
 __all__ = [
+    "DEFAULT_STREAM_BACKEND",
     "GRAPH_FAMILIES",
     "GameSpec",
     "RunSpec",
@@ -49,6 +50,7 @@ __all__ = [
     "resume",
     "run",
     "run_game",
+    "run_spec_from_dict",
     "set_default_stream",
 ]
 
@@ -60,6 +62,10 @@ __all__ = [
 #: the out-of-core plane, exercised here on temp-dir shards).
 STREAM_BACKENDS = ("tokens", "materialized", "generator", "file", "sharded_file")
 
+#: The data plane a spec gets when neither it nor the process default
+#: picks one: the in-memory block source.
+DEFAULT_STREAM_BACKEND = "materialized"
+
 #: Valid ``RunSpec.graph_family`` values.  ``random_max_degree`` is the
 #: classic proposal-loop workload; ``near_regular`` is the vectorized
 #: Hamiltonian-cycle construction (max degree <= delta, numpy-built, the
@@ -70,7 +76,7 @@ GRAPH_FAMILIES = ("random_max_degree", "near_regular")
 # ``stream_backend`` / ``chunk_size`` as None; the CLI's --stream-backend /
 # --chunk-size flags set them once instead of threading parameters through
 # every experiment signature (mirroring grid.set_default_workers).
-_default_stream_backend = "tokens"
+_default_stream_backend = DEFAULT_STREAM_BACKEND
 _default_chunk_size = DEFAULT_CHUNK_SIZE
 
 
@@ -136,19 +142,10 @@ class RunSpec:
     edge sequence, so results are bit-for-bit equal across backends while
     every registered algorithm runs its passes vectorized.  Leaving either
     field as ``None`` uses the process defaults (:func:`set_default_stream`
-    — ``tokens`` / ``DEFAULT_CHUNK_SIZE`` unless the CLI overrode them).
-    ``graph_family`` picks the workload generator (see
-    :data:`GRAPH_FAMILIES`); ``near_regular`` is the numpy-built family
-    for n >= 10^4 instances.
-
-    ``kernel_tier`` selects the hot-loop implementation tier (see
-    :mod:`repro.kernels`): ``"numpy"`` forces the reference kernels,
-    ``"compiled"`` requires the numba tier (raising
-    :class:`~repro.common.exceptions.ReproError` when numba is absent),
-    ``"auto"`` takes compiled when available, and ``None`` defers to the
-    process default (:func:`repro.kernels.set_default_kernel_tier`).
-    Results are bit-for-bit identical across tiers; the resolved tier is
-    recorded under ``extras["kernel_tier"]``.
+    — :data:`DEFAULT_STREAM_BACKEND` / ``DEFAULT_CHUNK_SIZE`` unless the
+    CLI overrode them).  ``graph_family`` picks the workload generator
+    (see :data:`GRAPH_FAMILIES`); ``near_regular`` is the numpy-built
+    family for n >= 10^4 instances.
     """
 
     algorithm: str
@@ -164,7 +161,6 @@ class RunSpec:
     list_seed: int | None = None
     stream_backend: str | None = None
     chunk_size: int | None = None
-    kernel_tier: str | None = None
     validate: bool = True
     keep_coloring: bool = False
     #: Guarantee-oracle mode: False (off), True (evaluate the entry's
@@ -173,6 +169,20 @@ class RunSpec:
     #: and raise :class:`GuaranteeViolationError` on any violation).
     verify: bool | str = False
     tags: dict = field(default_factory=dict)
+
+
+def run_spec_from_dict(fields: dict) -> RunSpec:
+    """Rebuild a :class:`RunSpec` from its stored ``asdict`` form.
+
+    Run and session checkpoints store their spec this way.  Specs stored
+    before the kernel tier was removed carry a ``kernel_tier`` key; it is
+    dropped whatever its value, because no coloring ever depended on it.
+    Any other unknown key raises ``TypeError``, as ``RunSpec(**fields)``
+    does.
+    """
+    fields = dict(fields)
+    fields.pop("kernel_tier", None)
+    return RunSpec(**fields)
 
 
 @dataclass(frozen=True)
@@ -547,42 +557,54 @@ def _dispose_stream(stream) -> None:
         tmpdir.cleanup()
 
 
+def _kernel_hits_since(before: dict) -> dict:
+    """Per-kernel dispatch counts added since ``before`` was read.
+
+    ``before`` is a :func:`kernel_total_hits` read taken as a run starts,
+    so the result is that run's own hits, even inside another run.
+    """
+    return {
+        name: count - before.get(name, 0)
+        for name, count in kernel_total_hits().items()
+        if count > before.get(name, 0)
+    }
+
+
 def _run_on_stream(spec, entry, config, stream) -> ColoringResult:
     passes_before = stream.passes_used
     timings_before = len(stream.pass_seconds)
 
-    with use_kernel_tier(spec.kernel_tier):
-        algo = entry.create(spec.n, spec.delta, spec.seed, config)
-        start = perf_now()
-        coloring = algo.color_stream(stream)
-        wall_time = perf_now() - start
-        return _package_result(
-            spec, entry, config, stream, algo, coloring, wall_time,
-            passes_before, timings_before,
-        )
+    hits_before = kernel_total_hits()
+    algo = entry.create(spec.n, spec.delta, spec.seed, config)
+    start = perf_now()
+    coloring = algo.color_stream(stream)
+    wall_time = perf_now() - start
+    return _package_result(
+        spec, entry, config, stream, algo, coloring, wall_time,
+        passes_before, timings_before, _kernel_hits_since(hits_before),
+    )
 
 
 def _package_result(
     spec, entry, config, stream, algo, coloring, wall_time,
-    passes_before, timings_before,
+    passes_before, timings_before, kernel_hits=None,
 ) -> ColoringResult:
     """Validate the output and pack the uniform result record.
 
     Shared by the inline path above and the checkpointing
     :class:`repro.persist.driver.ResumableRun` (and the session service),
     so a resumed run's validation, extras, and guarantee evaluation are
-    the same code as an uninterrupted one's.
+    the same code as an uninterrupted one's.  ``kernel_hits`` is the
+    run's per-kernel dispatch counts, recorded when non-empty.
     """
     palette_bound = algo.palette_bound
     proper = _check_output(spec, stream, coloring, palette_bound, entry)
     extras = {
         "stream_edges": stream.edge_count(),
         "stream_backend": _backend_label(stream),
-        "kernel_tier": active_kernel_tier(),
     }
-    hits = kernel_run_hits()
-    if hits:
-        extras["kernel_hits"] = hits
+    if kernel_hits:
+        extras["kernel_hits"] = kernel_hits
     if isinstance(stream, StreamSource):
         extras["chunk_size"] = stream.chunk_size
         # True iff the algorithm consumed blocks natively (no token
@@ -650,19 +672,17 @@ def run_game(
     )
     adversary = make_adversary(spec.adversary, adversary_seed)
 
-    with use_kernel_tier(None):  # GameSpec uses the process default tier
-        algo = entry.create(spec.n, spec.delta, spec.seed, config)
-        start = perf_now()
-        outcome = run_adversarial_game(
-            algo, adversary, n=spec.n, delta=spec.delta, rounds=spec.rounds,
-            query_every=spec.query_every, batch_size=spec.batch_size,
-        )
-        wall_time = perf_now() - start
-        kernel_tier = active_kernel_tier()
-        hits = kernel_run_hits()
+    hits_before = kernel_total_hits()
+    algo = entry.create(spec.n, spec.delta, spec.seed, config)
+    start = perf_now()
+    outcome = run_adversarial_game(
+        algo, adversary, n=spec.n, delta=spec.delta, rounds=spec.rounds,
+        query_every=spec.query_every, batch_size=spec.batch_size,
+    )
+    wall_time = perf_now() - start
+    hits = _kernel_hits_since(hits_before)
 
     extras = {
-        "kernel_tier": kernel_tier,
         "batch_size": spec.batch_size,
         "rounds": outcome.rounds,
         "errors": outcome.errors,

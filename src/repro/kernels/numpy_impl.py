@@ -1,19 +1,13 @@
-"""Pure-numpy reference kernels — the permanent differential oracle.
+"""The data plane's hot-loop kernels, in pure numpy.
 
 Each function here is the hot inner loop of one algorithm layer, moved
-verbatim (not rewritten) out of its original call site so that the
-dispatch layer (:mod:`repro.kernels`) can swap in the optional compiled
-twins of :mod:`repro.kernels.compiled_impl`.  The contract is strict
-bit-identity: for every kernel and every admissible input, the compiled
-implementation must return arrays equal element-for-element (same values,
-same order, same shapes) to the function here.  The numpy tier is always
-available and is what every differential test compares against.
+out of its original call site so that every call goes through
+:func:`repro.kernels.dispatch`, which counts and (on request) times it.
 
 All kernels are array-in/array-out and state-free: no ``self``, no dict
-lookups, no Python objects beyond ints/bools — exactly the signature
-shape a ``@njit`` twin can compile.  Integer-domain guards (whether the
-arithmetic fits int64) live at the *call sites*; kernels assume the
-int64 fast path is admissible.
+lookups, no Python objects beyond ints/bools.  Integer-domain guards
+(whether the arithmetic fits int64) live at the *call sites*; kernels
+assume the int64 fast path is admissible.
 """
 
 import numpy as np
@@ -136,7 +130,7 @@ def group_pairs(pairs: np.ndarray):
     Returns ``(xs_sorted, ys_sorted, starts)``: the sorted key/value
     columns (int64) and the int64 start offsets of each equal-``x`` run
     (``starts[0] == 0``).  Stability makes the permutation unique, so any
-    stable sort (numpy ``stable``, compiled mergesort) is bit-identical.
+    stable sort gives the same arrays.
     """
     order = np.argsort(pairs[:, 0], kind="stable")
     xs = pairs[order, 0].astype(np.int64, copy=False)
@@ -214,8 +208,8 @@ def partition_scores(sub_table: np.ndarray, survivors: np.ndarray,
     return np.bincount(group_ids, weights=per_member, minlength=num_groups)
 
 
-#: Name -> reference implementation; the registry in ``repro.kernels``
-#: pairs these with the optional compiled twins.
+#: Name -> implementation; :func:`repro.kernels.dispatch` looks kernels
+#: up here.
 NUMPY_KERNELS = {
     "mod_horner": mod_horner,
     "eval_coeffs": eval_coeffs,

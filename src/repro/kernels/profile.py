@@ -15,14 +15,7 @@ import os
 import pstats
 
 from repro.common.exceptions import ReproError
-from repro.kernels import (
-    KERNELS,
-    compiled_available,
-    kernel_run_hits,
-    measure_kernels,
-    resolve_kernel_tier,
-    use_kernel_tier,
-)
+from repro.kernels import NUMPY_KERNELS, kernel_total_hits, measure_kernels
 
 __all__ = ["PROFILE_CASES", "format_profile", "profile_sweep"]
 
@@ -43,19 +36,17 @@ PROFILE_CASES = (
 )
 
 
-def profile_sweep(algorithms=None, *, kernel_tier=None, chunk_size=None,
-                  seed=401, top=12, registry=None):
+def profile_sweep(algorithms=None, *, chunk_size=None, seed=401, top=12,
+                  registry=None):
     """Profile the registry sweep; returns the machine-readable payload.
 
     ``algorithms`` restricts the sweep (default: every registered
-    algorithm with a profile case); ``kernel_tier`` selects the tier
-    exactly as ``RunSpec.kernel_tier`` does, so ``"compiled"`` raises
-    :class:`ReproError` when numba is absent.  ``top`` bounds the
-    cProfile function rows carried in the payload.
+    algorithm with a profile case).  ``top`` bounds the cProfile function
+    rows carried in the payload.
     """
     from repro.engine import RunSpec, run
+    from repro.engine.runner import _kernel_hits_since
 
-    resolved = resolve_kernel_tier(kernel_tier)
     cases_by_algo = {case[0]: case for case in PROFILE_CASES}
     if algorithms is None:
         picked = list(PROFILE_CASES)
@@ -75,14 +66,13 @@ def profile_sweep(algorithms=None, *, kernel_tier=None, chunk_size=None,
             spec = RunSpec(
                 algorithm=algo, n=n, delta=delta, graph_seed=seed,
                 config=config, graph_family=family, stream_backend=backend,
-                chunk_size=chunk_size, kernel_tier=kernel_tier,
-                validate=algo != "naive",
+                chunk_size=chunk_size, validate=algo != "naive",
             )
-            with use_kernel_tier(kernel_tier):
-                profiler.enable()
-                result = run(spec, registry=registry)
-                profiler.disable()
-                hits = kernel_run_hits()
+            hits_before = kernel_total_hits()
+            profiler.enable()
+            result = run(spec, registry=registry)
+            profiler.disable()
+            hits = _kernel_hits_since(hits_before)
             cases.append({
                 "algorithm": algo,
                 "n": n,
@@ -92,19 +82,17 @@ def profile_sweep(algorithms=None, *, kernel_tier=None, chunk_size=None,
                 "passes": result.passes,
                 "wall_time_s": round(result.wall_time_s, 6),
                 "edges_per_sec": result.extras.get("edges_per_sec"),
-                "kernel_tier": result.extras["kernel_tier"],
                 "kernel_hits": hits,
             })
     total_kernel_s = sum(cell[1] for cell in timings.values()) or 1.0
     kernels = {}
-    for name in KERNELS.names():
+    for name in sorted(NUMPY_KERNELS):
         calls, seconds = timings.get(name, (0, 0.0))
         kernels[name] = {
             "calls": calls,
             "total_s": round(seconds, 6),
             "mean_us": round(seconds / calls * 1e6, 3) if calls else 0.0,
             "share": round(seconds / total_kernel_s, 4) if calls else 0.0,
-            "compiled_twin": KERNELS.get(name).supports_compiled,
         }
     stats = pstats.Stats(profiler, stream=io.StringIO())
     rows = sorted(
@@ -122,12 +110,9 @@ def profile_sweep(algorithms=None, *, kernel_tier=None, chunk_size=None,
     from repro.obs import host_metadata
 
     return {
-        "kernel_tier": resolved,
-        "compiled_available": compiled_available(),
         "host_cpus": os.cpu_count(),
-        # Full host block (platform, machine, python_version, plus the two
-        # fields above) so --json payloads are comparable with the
-        # BENCH_s1_scale.json host stanza across machines.
+        # Full host block (platform, machine, python_version, ...) so
+        # --json payloads are comparable across machines.
         "host": host_metadata(),
         "cases": cases,
         "kernel_total_s": round(sum(c[1] for c in timings.values()), 6),
@@ -141,17 +126,13 @@ def format_profile(payload: dict) -> str:
     from repro.analysis.tables import format_table
 
     out = [
-        f"kernel_tier={payload['kernel_tier']} "
-        f"(compiled {'available' if payload['compiled_available'] else 'unavailable'}), "
         f"{len(payload['cases'])} cases, host_cpus={payload['host_cpus']}",
         "",
         format_table(
-            ["kernel", "impl", "calls", "total_s", "mean_us", "share"],
+            ["kernel", "calls", "total_s", "mean_us", "share"],
             [
                 [
                     name,
-                    ("compiled" if payload["kernel_tier"] == "compiled"
-                     and rec["compiled_twin"] else "numpy"),
                     rec["calls"],
                     f"{rec['total_s']:.4f}",
                     f"{rec['mean_us']:.1f}",

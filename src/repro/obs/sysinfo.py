@@ -53,12 +53,12 @@ class RssSampler(threading.Thread):
 
 def host_metadata() -> dict:
     """Machine-identity block for cross-host comparison of JSON outputs."""
-    from repro.kernels import compiled_available
-
     return {
         "host_cpus": os.cpu_count(),
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python_version": "%d.%d.%d" % sys.version_info[:3],
-        "compiled_available": compiled_available(),
+        # Always False: the kernels have no compiled implementation.  The
+        # key stays because perfbench's run table has a column for it.
+        "compiled_available": False,
     }

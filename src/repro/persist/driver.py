@@ -23,7 +23,7 @@ must be re-supplied (the header records which case applies).
 from dataclasses import asdict
 
 from repro.common.exceptions import CheckpointError, ReproError
-from repro.kernels import kernel_run_hits, use_kernel_tier
+from repro.kernels import kernel_total_hits
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 from repro.streaming.source import StreamSource
 import repro.obs as obs
@@ -116,12 +116,14 @@ class ResumableRun:
         With ``checkpoint_every=k`` a snapshot is written to
         ``checkpoint_path`` after every ``k``-th block of the pass.
         """
+        from repro.engine.runner import _kernel_hits_since
+
         if self.done:
             return False
-        with obs.span("persist.pass") as sp, \
-                use_kernel_tier(self.spec.kernel_tier):
+        hits_before = kernel_total_hits()
+        with obs.span("persist.pass") as sp:
             more = self._step_pass(checkpoint_every, checkpoint_path)
-            step_hits = kernel_run_hits()
+            step_hits = _kernel_hits_since(hits_before)
             for name, count in step_hits.items():
                 self._kernel_hits[name] = self._kernel_hits.get(name, 0) + count
             if sp is not None:
@@ -186,14 +188,11 @@ class ResumableRun:
 
         if not self.done:
             self.run_to_completion()
-        with use_kernel_tier(self.spec.kernel_tier):
-            result = _package_result(
-                self.spec, self.entry, self.config, self.stream, self.algo,
-                self._coloring, self._wall, self._passes_before,
-                self._timings_before,
-            )
-        if self._kernel_hits:
-            result.extras["kernel_hits"] = dict(self._kernel_hits)
+        result = _package_result(
+            self.spec, self.entry, self.config, self.stream, self.algo,
+            self._coloring, self._wall, self._passes_before,
+            self._timings_before, dict(self._kernel_hits),
+        )
         if self._resumed:
             result.extras["resumed"] = True
         if self._checkpoints_written:
@@ -292,14 +291,14 @@ class ResumableRun:
     def from_snapshot(cls, header, arrays, stream=None,
                       registry=None) -> "ResumableRun":
         """Rebuild a driver from a snapshot header + payloads."""
-        from repro.engine.runner import RunSpec
+        from repro.engine.runner import run_spec_from_dict
 
         if header.get("kind") != "run":
             raise CheckpointError(
                 f"checkpoint is of kind {header.get('kind')!r}, expected 'run'"
             )
         try:
-            spec = RunSpec(**header["spec"])
+            spec = run_spec_from_dict(header["spec"])
         except (KeyError, TypeError) as error:
             raise CheckpointError(
                 f"checkpoint spec does not match RunSpec: {error}"

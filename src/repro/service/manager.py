@@ -32,7 +32,7 @@ import numpy as np
 from repro.common.exceptions import CheckpointError, ReproError, ServiceError
 from repro.engine.registry import REGISTRY
 from repro.engine.result import ColoringResult
-from repro.engine.runner import RunSpec
+from repro.engine.runner import RunSpec, run_spec_from_dict
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
 from repro.persist.driver import ResumableRun
 from repro.streaming.source import DEFAULT_CHUNK_SIZE, GeneratorSource
@@ -649,7 +649,7 @@ class SessionManager:
                 f"{header.get('kind')!r})"
             )
         try:
-            spec = RunSpec(**header["spec"])
+            spec = run_spec_from_dict(header["spec"])
         except (KeyError, TypeError) as error:
             raise ServiceError(f"bad session checkpoint spec: {error}") from None
         entry = self.registry.get(spec.algorithm)

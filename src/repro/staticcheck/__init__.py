@@ -27,9 +27,8 @@ R8  exception-taxonomy       raises derive from the ``ReproError`` taxonomy
 R9  ipc-discipline           worker IPC never pickles payloads: edge blocks
                              ride the shared-memory ring; pipe I/O only via
                              the ``_send_msg``/``_recv_msg`` choke points
-R10 kernel-dispatch          numba imports only inside ``repro.kernels``;
-    discipline               implementation modules reached only through
-                             ``dispatch()``
+R10 kernel-dispatch          the kernel implementation module is reached
+    discipline               only through ``repro.kernels.dispatch()``
 R11 shard-container          the ``REPROED2`` magic and the container's
     discipline               private helpers stay inside
                              ``repro.streaming.sharded``

@@ -684,40 +684,25 @@ class WorkerIpcRule(Rule):
 # R10 — kernel-dispatch discipline
 # ----------------------------------------------------------------------
 class KernelDisciplineRule(Rule):
-    """Numba stays behind the dispatch layer; call sites never pick a tier.
+    """Call sites reach the kernels only through ``dispatch()``.
 
-    The bit-identity contract of :mod:`repro.kernels` holds because every
-    hot-loop call goes through ``dispatch(name, ...)``, which resolves the
-    tier (numpy reference vs optional compiled twin) from one place.  Two
-    structural guarantees keep that true: (a) ``numba`` is importable only
-    inside ``repro.kernels`` — anywhere else it would create a second,
-    unswitchable compiled path the numpy oracle never differences; and
-    (b) the implementation modules (``numpy_impl`` / ``compiled_impl``)
-    are not imported from outside ``repro.kernels`` — reaching a twin
-    directly would bypass tier resolution, hit counting, and the
-    ``measure_kernels`` observability hook.
+    Every hot-loop call goes through ``repro.kernels.dispatch(name,
+    ...)``, which counts it (the per-run ``kernel_hits`` extras and the
+    obs plane's dispatch counters) and times it under
+    ``measure_kernels`` (``repro profile``).  Importing the
+    implementation module ``numpy_impl`` from outside ``repro.kernels``
+    would reach a kernel past both.
     """
 
     id = "R10"
     title = "kernel-dispatch discipline"
-    _IMPL_MODULES = (
-        "repro.kernels.numpy_impl",
-        "repro.kernels.compiled_impl",
+    _IMPL_MODULE = "repro.kernels.numpy_impl"
+    _MESSAGE = (
+        "import of kernel implementation module 'repro.kernels.numpy_impl' "
+        "outside repro.kernels; call sites go through "
+        "repro.kernels.dispatch() so hit counting and timing stay "
+        "centralized"
     )
-
-    def _numba_message(self) -> str:
-        return (
-            "import of numba outside repro.kernels; compiled twins live "
-            "only in repro.kernels.compiled_impl behind dispatch()"
-        )
-
-    def _impl_message(self, name: str) -> str:
-        return (
-            f"import of kernel implementation module {name!r} outside "
-            f"repro.kernels; call sites go through "
-            f"repro.kernels.dispatch() so tier selection, hit counting, "
-            f"and timing stay centralized"
-        )
 
     def check(self, mod, project):
         if not _in_package(mod, "repro"):
@@ -726,34 +711,17 @@ class KernelDisciplineRule(Rule):
             return
         for node in ast.walk(mod.tree):
             if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numba" \
-                            or alias.name.startswith("numba."):
-                        yield _finding(
-                            mod, node, self.id, self._numba_message()
-                        )
-                    elif alias.name in self._IMPL_MODULES:
-                        yield _finding(
-                            mod, node, self.id,
-                            self._impl_message(alias.name),
-                        )
+                if any(alias.name == self._IMPL_MODULE
+                       for alias in node.names):
+                    yield _finding(mod, node, self.id, self._MESSAGE)
             elif isinstance(node, ast.ImportFrom):
                 base = node.module or ""
-                if base == "numba" or base.startswith("numba."):
-                    yield _finding(mod, node, self.id, self._numba_message())
-                elif base in self._IMPL_MODULES:
-                    yield _finding(
-                        mod, node, self.id, self._impl_message(base)
-                    )
-                elif base == "repro.kernels":
-                    for alias in node.names:
-                        if alias.name in ("numpy_impl", "compiled_impl"):
-                            yield _finding(
-                                mod, node, self.id,
-                                self._impl_message(
-                                    f"repro.kernels.{alias.name}"
-                                ),
-                            )
+                if base == self._IMPL_MODULE or (
+                    base == "repro.kernels"
+                    and any(alias.name == "numpy_impl"
+                            for alias in node.names)
+                ):
+                    yield _finding(mod, node, self.id, self._MESSAGE)
 
 
 # ----------------------------------------------------------------------

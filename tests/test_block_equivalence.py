@@ -10,12 +10,8 @@ import pytest
 
 from repro.common.exceptions import ReproError
 from repro.engine import REGISTRY, GameSpec, RunSpec, run, run_game
-from repro.kernels import compiled_available
+from repro.kernels import kernel_total_hits
 from repro.streaming.model import OnePassAlgorithm
-
-#: Tiers runnable on this host: the numpy reference always, the compiled
-#: twin tier only when numba imports (CI's ``kernels`` job installs it).
-AVAILABLE_TIERS = ["numpy"] + (["compiled"] if compiled_available() else [])
 
 # (n, delta) kept modest per algorithm so the whole matrix stays fast; the
 # deterministic algorithm additionally covers both selection modes and a
@@ -46,6 +42,15 @@ def fingerprint(result):
         result.palette_bound,
         result.proper,
     )
+
+
+def hits_between(before, after):
+    """Per-kernel dispatch counts added between two ``kernel_total_hits``."""
+    return {
+        name: count - before.get(name, 0)
+        for name, count in after.items()
+        if count > before.get(name, 0)
+    }
 
 
 def run_backend(algorithm, n, delta, config, seed, backend, chunk_size=64):
@@ -93,6 +98,14 @@ class TestTokenBlockEquivalence:
             "materialized",
         )
         assert r.extras["block_native"] is True
+
+    def test_block_runs_record_kernel_hits(self):
+        r = run_backend(
+            "deterministic", 64, 6, {"selection": "greedy_slack"}, 3,
+            "materialized",
+        )
+        hits = r.extras["kernel_hits"]
+        assert hits and all(v > 0 for v in hits.values())
 
     def test_generator_and_file_backends_match(self):
         # Edge-only backends, deterministic block consumer, both selections.
@@ -151,6 +164,11 @@ class TestTokenBlockEquivalence:
                     results.append(fingerprint(r))
                 assert all(r == results[0] for r in results), (config, order)
 
+    def test_default_backend_is_materialized(self):
+        r = run(RunSpec(algorithm="deterministic", n=32, delta=4,
+                        graph_seed=1))
+        assert r.extras["stream_backend"] == "materialized"
+
     def test_throughput_extras_recorded(self):
         r = run_backend(
             "deterministic", 64, 6, {"selection": "greedy_slack"}, 3,
@@ -193,68 +211,37 @@ class TestTokenBlockEquivalence:
                         stream_backend="carrier-pigeon"))
 
 
-class TestKernelTierEquivalence:
-    """Kernel tiers swap implementations, never observable results.
+class TestDefaultDataPlane:
+    """A spec that names no backend runs on the default block plane.
 
-    Every case runs under each available tier; the ColoringResults must be
-    field-for-field identical (coloring, passes, peak space, random bits,
-    palettes, properness).  With numba absent only the numpy tier runs —
-    still asserting the explicit-tier plumbing records itself; the CI
-    ``kernels`` job is where the numpy/compiled differential executes.
+    The default chunk size holds these whole streams in one block, a
+    partition the explicit 64-edge runs above never produce; the result
+    must still equal the token path, and the run must report exactly the
+    kernel dispatches it made.
     """
 
     @pytest.mark.parametrize(
         "algorithm,n,delta,config", CASES,
         ids=[f"{c[0]}-{i}" for i, c in enumerate(CASES)],
     )
-    @pytest.mark.parametrize("tier", AVAILABLE_TIERS)
-    def test_tier_matches_numpy_reference(
-        self, tier, algorithm, n, delta, config
+    def test_default_plane_matches_tokens_and_owns_its_hits(
+        self, algorithm, n, delta, config
     ):
-        for seed in SEEDS:
-            reference = run(RunSpec(
-                algorithm=algorithm, n=n, delta=delta, seed=seed,
-                graph_seed=seed, config=config,
-                stream_backend="materialized", chunk_size=64,
-                kernel_tier="numpy", keep_coloring=True,
-                validate=algorithm != "naive",
-            ))
-            assert reference.extras["kernel_tier"] == "numpy"
-            result = run(RunSpec(
-                algorithm=algorithm, n=n, delta=delta, seed=seed,
-                graph_seed=seed, config=config,
-                stream_backend="materialized", chunk_size=64,
-                kernel_tier=tier, keep_coloring=True,
-                validate=algorithm != "naive",
-            ))
-            assert result.extras["kernel_tier"] == tier
-            assert fingerprint(result) == fingerprint(reference), (tier, seed)
-
-    @pytest.mark.skipif(not compiled_available(),
-                        reason="numba not installed (pip install -e .[compiled])")
-    def test_compiled_tier_hits_compiled_kernels(self):
-        r = run(RunSpec(
-            algorithm="deterministic", n=64, delta=6, seed=3, graph_seed=3,
-            config={"selection": "greedy_slack"},
-            stream_backend="materialized", kernel_tier="compiled",
+        seed = SEEDS[0]
+        before = kernel_total_hits()
+        result = run(RunSpec(
+            algorithm=algorithm, n=n, delta=delta, seed=seed,
+            graph_seed=seed, config=config, keep_coloring=True,
+            validate=algorithm != "naive",
         ))
-        assert r.extras["kernel_tier"] == "compiled"
-        assert sum(r.extras["kernel_hits"].values()) > 0
-
-    def test_compiled_tier_without_numba_is_an_error(self):
-        if compiled_available():
-            pytest.skip("numba present; the unavailable path cannot trigger")
-        with pytest.raises(ReproError, match="numba"):
-            run(RunSpec(algorithm="naive", n=16, delta=4,
-                        kernel_tier="compiled"))
-
-    def test_block_runs_record_kernel_hits(self):
-        r = run_backend(
-            "deterministic", 64, 6, {"selection": "greedy_slack"}, 3,
-            "materialized",
+        after = kernel_total_hits()
+        assert result.extras["stream_backend"] == "materialized"
+        assert result.extras["block_native"] is True
+        assert result.extras.get("kernel_hits", {}) == hits_between(
+            before, after
         )
-        hits = r.extras["kernel_hits"]
-        assert hits and all(v > 0 for v in hits.values())
+        token = run_backend(algorithm, n, delta, config, seed, "tokens")
+        assert fingerprint(result) == fingerprint(token)
 
 
 class TestAdversarialGameBatching:
@@ -294,6 +281,17 @@ class TestAdversarialGameBatching:
             assert outcomes[0] == outcomes[1] == outcomes[2], (
                 algorithm, adversary
             )
+
+    def test_batched_game_reports_its_own_kernel_hits(self):
+        before = kernel_total_hits()
+        result = run_game(GameSpec(
+            algorithm="robust_lowrandom", n=48, delta=6, rounds=96, seed=5,
+            adversary="conflict", query_every=8, batch_size=None,
+        ))
+        after = kernel_total_hits()
+        hits = result.extras["kernel_hits"]
+        assert hits and all(count > 0 for count in hits.values())
+        assert hits == hits_between(before, after)
 
     def test_bad_batch_size_rejected(self):
         from repro.common.exceptions import AdversaryError

@@ -77,6 +77,15 @@ class TestErrorHandling:
                      "--chunk-size", "0"]) == 2
         assert "chunk size" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "t1", "--n", "16", "--deltas", "2"],
+        ["profile", "--algorithms", "naive"],
+    ], ids=["run", "profile"])
+    def test_removed_kernel_tier_option_rejected_by_parser(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--kernel-tier", "numpy"])
+        assert excinfo.value.code == 2
+
     def test_unknown_experiment_rejected_by_parser(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "zzz"])
@@ -158,12 +167,34 @@ class TestRun:
         assert "t1:" in capsys.readouterr().out
 
     def test_stream_backend_default_restored_after_run(self):
-        from repro.engine.runner import _resolve_data_plane, RunSpec
+        from repro.engine import set_default_stream
+        from repro.engine.runner import get_default_stream
 
+        before = get_default_stream()
         assert main(["run", "t1", "--n", "20", "--deltas", "2",
-                     "--stream-backend", "file", "--chunk-size", "7"]) == 0
-        spec = RunSpec(algorithm="naive", n=4, delta=1)
-        assert _resolve_data_plane(spec) == ("tokens", 8192)
+                     "--stream-backend", "tokens", "--chunk-size", "7"]) == 0
+        assert get_default_stream() == before
+        # A default set by the caller survives the run too.
+        set_default_stream(backend="generator", chunk_size=5)
+        try:
+            assert main(["run", "t1", "--n", "20", "--deltas", "2",
+                         "--stream-backend", "tokens"]) == 0
+            assert get_default_stream() == ("generator", 5)
+        finally:
+            set_default_stream(*before)
+
+    def test_workers_default_restored_after_run(self):
+        from repro.engine import set_default_workers
+        from repro.engine.grid import get_default_workers
+
+        before = get_default_workers()
+        set_default_workers(3)
+        try:
+            assert main(["run", "t1", "--n", "20", "--deltas", "2",
+                         "--workers", "1"]) == 0
+            assert get_default_workers() == 3
+        finally:
+            set_default_workers(before)
 
     def test_run_t6_small(self, capsys):
         assert main([

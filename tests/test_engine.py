@@ -166,6 +166,28 @@ class TestRun:
                 registry=registry)
 
 
+    def test_default_stream_is_validated_and_restorable(self):
+        from repro.engine import set_default_stream
+        from repro.engine.runner import DEFAULT_STREAM_BACKEND, get_default_stream
+
+        before = get_default_stream()
+        assert before[0] == DEFAULT_STREAM_BACKEND
+        try:
+            set_default_stream(backend="generator", chunk_size=5)
+            assert get_default_stream() == ("generator", 5)
+            with pytest.raises(ReproError, match="unknown stream backend"):
+                set_default_stream(backend="carrier-pigeon")
+            with pytest.raises(ReproError, match="chunk size"):
+                set_default_stream(chunk_size=0)
+            # A failed set is a no-op.
+            assert get_default_stream() == ("generator", 5)
+            result = run(RunSpec(algorithm="naive", n=16, delta=3))
+            assert result.extras["stream_backend"] == "generator"
+            assert result.extras["chunk_size"] == 5
+        finally:
+            set_default_stream(*before)
+        assert get_default_stream() == before
+
 class _Monochrome:
     """Deliberately improper colorer for the validation test."""
 
@@ -298,32 +320,6 @@ class TestGrid:
 
 
 class TestDeprecationShims:
-    OLD_NAMES = (
-        "DeterministicColoring", "DeterministicListColoring",
-        "RobustColoring", "LowRandomnessRobustColoring",
-        "ConflictSeekingAdversary", "run_adversarial_game",
-        "two_party_coloring_protocol",
-    )
-
-    @pytest.mark.parametrize("name", OLD_NAMES)
-    def test_old_top_level_names_warn_but_work(self, name):
-        import repro
-
-        with pytest.warns(DeprecationWarning, match=name):
-            obj = getattr(repro, name)
-        assert obj is not None
-
-    def test_shimmed_class_still_runs(self):
-        import repro
-        from repro.graph.generators import random_max_degree_graph
-        from repro.streaming.stream import stream_from_graph
-
-        with pytest.warns(DeprecationWarning):
-            cls = repro.DeterministicColoring
-        graph = random_max_degree_graph(16, 3, seed=2)
-        coloring = cls(16, 3).run(stream_from_graph(graph))
-        assert set(coloring) == set(range(16))
-
     def test_new_names_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -331,6 +327,29 @@ class TestDeprecationShims:
 
             assert repro.run is run
             assert repro.REGISTRY is REGISTRY
+
+    def test_old_top_level_names_live_only_in_their_home_modules(self):
+        import importlib
+
+        import repro
+
+        homes = {
+            "repro.core": (
+                "DeterministicColoring", "DeterministicListColoring",
+                "RobustColoring", "LowRandomnessRobustColoring",
+                "two_party_coloring_protocol",
+            ),
+            "repro.adversaries": (
+                "ConflictSeekingAdversary", "LevelAwareAdversary",
+                "RandomAdversary", "run_adversarial_game",
+            ),
+        }
+        for module_name, names in homes.items():
+            home = importlib.import_module(module_name)
+            for name in names:
+                assert getattr(home, name) is not None, name
+                assert not hasattr(repro, name), name
+                assert name not in dir(repro) and name not in repro.__all__
 
     def test_unknown_attribute_raises(self):
         import repro

@@ -18,12 +18,6 @@ from repro.hashing.carter_wegman import CarterWegmanFamily  # noqa: E402
 from repro.hashing.kindependent import PolynomialHashFamily  # noqa: E402
 from repro.hashing.partitions import PartitionFamily  # noqa: E402
 from repro.hashing.universal import TwoUniversalFamily  # noqa: E402
-from repro.kernels import compiled_available, use_kernel_tier  # noqa: E402
-
-#: Kernel tiers the batched evaluators run under on this host.  The
-#: scalar paths never dispatch, so each property is also a numpy-vs-
-#: compiled differential when numba is installed (CI ``kernels`` job).
-AVAILABLE_TIERS = ["numpy"] + (["compiled"] if compiled_available() else [])
 
 # Primes spanning the arithmetic regimes: tiny, medium, the largest
 # int64-safe Mersenne, just past 2^31, past 2^32 (object fallback), and
@@ -35,24 +29,21 @@ keys = st.lists(st.integers(min_value=0, max_value=2**40),
                 min_size=1, max_size=24)
 
 
-@pytest.mark.parametrize("tier", AVAILABLE_TIERS)
 @given(p=st.sampled_from(PRIMES), k=st.integers(1, 5),
        data=st.data(), xs=keys)
-def test_polynomial_eval_array_matches_scalar(tier, p, k, data, xs):
+def test_polynomial_eval_array_matches_scalar(p, k, data, xs):
     m = data.draw(st.integers(1, min(p, 10**6)))
     coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=k,
                                 max_size=k))
     f = PolynomialHashFamily(p, k, m).function(coeffs)
-    with use_kernel_tier(tier):
-        arr = f.eval_array(np.asarray(xs, dtype=np.int64))
+    arr = f.eval_array(np.asarray(xs, dtype=np.int64))
     assert arr.dtype == np.int64
     assert arr.tolist() == [f(x) for x in xs]
 
 
-@pytest.mark.parametrize("tier", AVAILABLE_TIERS)
 @given(p=st.sampled_from(PRIMES), k=st.integers(1, 4), data=st.data(),
        xs=keys)
-def test_eval_coeffs_matches_per_member_eval(tier, p, k, data, xs):
+def test_eval_coeffs_matches_per_member_eval(p, k, data, xs):
     m = data.draw(st.integers(1, min(p, 10**6)))
     family = PolynomialHashFamily(p, k, m)
     members = data.draw(st.integers(1, 4))
@@ -62,39 +53,34 @@ def test_eval_coeffs_matches_per_member_eval(tier, p, k, data, xs):
         dtype=object if p > 2**32 else np.int64,
     )
     xs_arr = np.asarray(xs, dtype=np.int64)
-    with use_kernel_tier(tier):
-        batched = family.eval_coeffs(coeffs, xs_arr)
+    batched = family.eval_coeffs(coeffs, xs_arr)
     assert batched.shape == (len(xs), members)
     for j in range(members):
         scalar = family.function(coeffs[j].tolist())
         assert batched[:, j].tolist() == [scalar(x) for x in xs]
 
 
-@pytest.mark.parametrize("tier", AVAILABLE_TIERS)
 @given(p=st.sampled_from(PRIMES), data=st.data(), xs=keys)
-def test_affine_and_mod_eval_array_match_scalar(tier, p, data, xs):
+def test_affine_and_mod_eval_array_match_scalar(p, data, xs):
     a = data.draw(st.integers(1, p - 1))
     b = data.draw(st.integers(0, p - 1))
     s = data.draw(st.integers(1, 64))
     xs_arr = np.asarray(xs, dtype=np.int64)
     affine = CarterWegmanFamily(p).function(a % p, b)
     mod = TwoUniversalFamily(p, s).function(a, b)
-    with use_kernel_tier(tier):
-        affine_vals = np.asarray(affine.eval_array(xs_arr)).tolist()
-        mod_vals = np.asarray(mod.eval_array(xs_arr)).tolist()
+    affine_vals = np.asarray(affine.eval_array(xs_arr)).tolist()
+    mod_vals = np.asarray(mod.eval_array(xs_arr)).tolist()
     assert affine_vals == [affine(x) for x in xs]
     assert mod_vals == [mod(x) for x in xs]
 
 
-@pytest.mark.parametrize("tier", AVAILABLE_TIERS)
 @given(universe=st.integers(1, 40), s=st.integers(1, 10), data=st.data())
-def test_partition_class_array_matches_class_table(tier, universe, s, data):
+def test_partition_class_array_matches_class_table(universe, s, data):
     family = PartitionFamily(universe, s)
     p = family.p
     a = data.draw(st.integers(1, p - 1))
     b = data.draw(st.integers(0, p - 1))
-    with use_kernel_tier(tier):
-        arr = family.class_array(a, b)
+    arr = family.class_array(a, b)
     table = family.class_table()
     row = (a - 1) * p + b  # members() order: a-major, b-minor
     assert arr.tolist() == table[row].tolist()

@@ -1,12 +1,10 @@
-"""Tests for ``repro.kernels``: dispatch, tiers, oracles, and the profiler.
+"""Tests for ``repro.kernels``: dispatch, oracles, and the profiler.
 
 Four layers:
 
-- the registry and tier resolution (``auto`` / ``numpy`` / ``compiled``,
-  process default, the exit-2 error when numba is absent);
-- per-kernel differential oracles: synthetic admissible inputs for every
-  registered kernel, numpy tier vs compiled twin bit-for-bit (skipped
-  without numba — CI's ``kernels`` job is where this leg runs);
+- the kernel table and ``dispatch``: synthetic admissible inputs for
+  every kernel, dispatched and called directly;
+- per-kernel reference oracles;
 - hit counting and the ``measure_kernels`` timing hook;
 - the D-sketch hash table and the ``repro profile`` harness.
 """
@@ -21,19 +19,12 @@ from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
 from repro.cli import main
 from repro.common.exceptions import ReproError
 from repro.core.robust_lowrandom import LowRandomnessRobustColoring
+from repro.engine import RunSpec, run
 from repro.kernels import (
-    KERNEL_TIERS,
-    KERNELS,
-    KernelRegistry,
-    active_kernel_tier,
-    compiled_available,
+    NUMPY_KERNELS,
     dispatch,
-    get_default_kernel_tier,
-    kernel_run_hits,
+    kernel_total_hits,
     measure_kernels,
-    resolve_kernel_tier,
-    set_default_kernel_tier,
-    use_kernel_tier,
 )
 from repro.streaming import blocks
 from repro.streaming.blocks import cached_hash_rows
@@ -138,124 +129,54 @@ def as_arrays(out):
 
 
 # ----------------------------------------------------------------------
-# registry + tier resolution
+# the kernel table + dispatch
 # ----------------------------------------------------------------------
-def test_registry_contents_and_capability_flags():
-    assert set(KERNELS.names()) == EXPECTED_KERNELS
-    assert len(KERNELS) == len(EXPECTED_KERNELS)
-    for kernel in KERNELS:
-        assert kernel.numpy_impl is not None
-        assert kernel.supports_compiled == (
-            compiled_available()
-        ), kernel.name  # all twins load together or not at all
-    headers, rows = KERNELS.describe()
-    assert headers == ["kernel", "numpy", "compiled"]
-    assert [r[0] for r in rows] == KERNELS.names()
-
-
-def test_registry_rejects_duplicates_and_unknown_names():
-    registry = KernelRegistry()
-    registry.register("k", lambda: None)
-    with pytest.raises(ReproError, match="already registered"):
-        registry.register("k", lambda: None)
-    with pytest.raises(ReproError, match="unknown kernel"):
-        registry.get("nope")
+def test_kernel_table_contents():
+    assert set(NUMPY_KERNELS) == EXPECTED_KERNELS
     with pytest.raises(KeyError):
         dispatch("not-a-kernel")
 
 
-def test_resolve_kernel_tier():
-    assert KERNEL_TIERS == ("auto", "numpy", "compiled")
-    assert resolve_kernel_tier("numpy") == "numpy"
-    expected_auto = "compiled" if compiled_available() else "numpy"
-    assert resolve_kernel_tier("auto") == expected_auto
-    assert resolve_kernel_tier(None) == resolve_kernel_tier(
-        get_default_kernel_tier()
-    )
-    with pytest.raises(ReproError, match="unknown kernel_tier"):
-        resolve_kernel_tier("fortran")
-    if not compiled_available():
-        with pytest.raises(ReproError, match="numba"):
-            resolve_kernel_tier("compiled")
-    else:
-        assert resolve_kernel_tier("compiled") == "compiled"
-
-
-def test_default_tier_is_validated_and_restorable():
-    before = get_default_kernel_tier()
-    try:
-        set_default_kernel_tier("numpy")
-        assert get_default_kernel_tier() == "numpy"
-        assert active_kernel_tier() == "numpy"
-        with pytest.raises(ReproError):
-            set_default_kernel_tier("fortran")
-        assert get_default_kernel_tier() == "numpy"  # failed set is a no-op
-        if not compiled_available():
-            with pytest.raises(ReproError, match="numba"):
-                set_default_kernel_tier("compiled")
-    finally:
-        set_default_kernel_tier(before)
-
-
-# ----------------------------------------------------------------------
-# per-kernel differential oracle: numpy reference vs compiled twin
-# ----------------------------------------------------------------------
 @pytest.mark.parametrize("name", sorted(EXPECTED_KERNELS))
-def test_numpy_tier_serves_the_reference_impl(name):
-    kernel = KERNELS.get(name)
-    for seed, args in enumerate(kernel_inputs(name, seed=17)):
-        direct = as_arrays(kernel.numpy_impl(*args))
-        with use_kernel_tier("numpy"):
-            via_dispatch = as_arrays(dispatch(name, *args))
+def test_dispatch_serves_the_numpy_impl(name):
+    for args in kernel_inputs(name, seed=17):
+        direct = as_arrays(NUMPY_KERNELS[name](*args))
+        via_dispatch = as_arrays(dispatch(name, *args))
         for a, b in zip(direct, via_dispatch):
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
-
-
-@pytest.mark.skipif(not compiled_available(),
-                    reason="numba not installed (pip install -e .[compiled])")
-@pytest.mark.parametrize("name", sorted(EXPECTED_KERNELS))
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_compiled_twin_is_bit_identical(name, seed):
-    kernel = KERNELS.get(name)
-    assert kernel.supports_compiled
-    for args in kernel_inputs(name, seed=seed):
-        reference = as_arrays(kernel.numpy_impl(*args))
-        compiled = as_arrays(kernel.compiled_impl(*args))
-        assert len(reference) == len(compiled)
-        for ref, got in zip(reference, compiled):
-            ref, got = np.asarray(ref), np.asarray(got)
-            assert ref.shape == got.shape, name
-            assert ref.dtype == got.dtype, name
-            np.testing.assert_array_equal(ref, got)
 
 
 # ----------------------------------------------------------------------
 # hit counting + timing
 # ----------------------------------------------------------------------
 def test_hit_counts_are_per_activation_and_nest():
+    """A run's ``kernel_hits`` are its own, even inside another run."""
     args = kernel_inputs("det_conflict_mask", seed=3)[0]
-    assert kernel_run_hits() == {}  # no active frame at top level
-    with use_kernel_tier("numpy") as resolved:
-        assert resolved == "numpy"
-        assert active_kernel_tier() == "numpy"
-        dispatch("det_conflict_mask", *args)
-        assert kernel_run_hits() == {"det_conflict_mask": 1}
-        with use_kernel_tier("numpy"):
-            assert kernel_run_hits() == {}  # inner frame: fresh baseline
-            dispatch("det_conflict_mask", *args)
-            dispatch("det_conflict_mask", *args)
-            assert kernel_run_hits() == {"det_conflict_mask": 2}
-        # outer frame sees its own call plus the nested run's
-        assert kernel_run_hits() == {"det_conflict_mask": 3}
-    assert kernel_run_hits() == {}
+    spec = RunSpec(algorithm="deterministic", n=64, delta=6, graph_seed=3,
+                   config={"selection": "greedy_slack"})
+    alone = run(spec).extras["kernel_hits"]
+    assert alone and all(count > 0 for count in alone.values())
+
+    before = kernel_total_hits()
+    dispatch("det_conflict_mask", *args)
+    nested = run(spec).extras["kernel_hits"]
+    after = kernel_total_hits()
+    # The nested run reports only its own calls, not the one before it...
+    assert nested == alone
+    # ...while the process totals count both.
+    expected = dict(alone)
+    expected["det_conflict_mask"] = expected.get("det_conflict_mask", 0) + 1
+    assert {
+        name: after[name] - before.get(name, 0)
+        for name in after if after[name] > before.get(name, 0)
+    } == expected
 
 
 def test_measure_kernels_records_calls_and_time():
     args = kernel_inputs("running_degrees", seed=5)[0]
     with measure_kernels() as timings:
-        with use_kernel_tier("numpy"):
-            dispatch("running_degrees", *args)
-            dispatch("running_degrees", *args)
+        dispatch("running_degrees", *args)
+        dispatch("running_degrees", *args)
     assert timings["running_degrees"][0] == 2
     assert timings["running_degrees"][1] >= 0.0
     with measure_kernels() as fresh:
@@ -277,7 +198,7 @@ def reference_event_filter(table, us, vs):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
 def test_sketch_event_filter_matches_the_nonzero_reference(dtype):
-    kernel = KERNELS.get("sketch_event_filter").numpy_impl
+    kernel = NUMPY_KERNELS["sketch_event_filter"]
     rng = np.random.default_rng(5)
     # The second table's rows hold 2^16 entries, so the kernel gathers
     # four edges per sub-batch and the flat offsets cross sub-batches.
@@ -362,22 +283,35 @@ def test_hash_table_holds_at_most_n_rows(cls):
 def test_profile_sweep_payload_shape():
     from repro.kernels.profile import format_profile, profile_sweep
 
-    payload = profile_sweep(["naive", "robust_lowrandom"], kernel_tier="numpy",
-                            seed=11, top=3)
-    assert payload["kernel_tier"] == "numpy"
-    assert payload["compiled_available"] == compiled_available()
+    payload = profile_sweep(["naive", "robust_lowrandom"], seed=11, top=3)
     assert payload["host_cpus"] >= 1
     assert [c["algorithm"] for c in payload["cases"]] == [
         "naive", "robust_lowrandom",
     ]
     for case in payload["cases"]:
-        assert case["kernel_tier"] == "numpy"
         assert case["edges"] > 0
     assert set(payload["kernels"]) == EXPECTED_KERNELS
     assert sum(rec["calls"] for rec in payload["kernels"].values()) > 0
     assert len(payload["top_functions"]) <= 3
     text = format_profile(payload)
     assert "per-kernel time" in text and "per-case sweep" in text
+
+
+def test_profile_case_hits_add_up_to_the_kernel_calls():
+    from repro.kernels.profile import profile_sweep
+
+    payload = profile_sweep(["robust", "robust_lowrandom", "deterministic"],
+                            seed=11, top=0)
+    summed: dict = {}
+    for case in payload["cases"]:
+        assert case["kernel_hits"], case["algorithm"]
+        for name, count in case["kernel_hits"].items():
+            summed[name] = summed.get(name, 0) + count
+    calls = {
+        name: rec["calls"]
+        for name, rec in payload["kernels"].items() if rec["calls"]
+    }
+    assert summed == calls
 
 
 def test_profile_sweep_rejects_unknown_algorithm():
@@ -389,19 +323,9 @@ def test_profile_sweep_rejects_unknown_algorithm():
 
 def test_cli_profile_smoke(tmp_path, capsys):
     out = tmp_path / "profile.json"
-    code = main(["profile", "--algorithms", "naive", "--kernel-tier",
-                 "numpy", "--top", "2", "--json", str(out)])
+    code = main(["profile", "--algorithms", "naive", "--top", "2",
+                 "--json", str(out)])
     assert code == 0
     assert "per-kernel time" in capsys.readouterr().out
     payload = json.loads(out.read_text())
-    assert payload["kernel_tier"] == "numpy"
     assert payload["cases"][0]["algorithm"] == "naive"
-
-
-def test_cli_profile_compiled_without_numba_exits_2(capsys):
-    if compiled_available():
-        pytest.skip("numba present; the unavailable path cannot trigger")
-    code = main(["profile", "--algorithms", "naive", "--kernel-tier",
-                 "compiled"])
-    assert code == 2
-    assert "numba" in capsys.readouterr().err

@@ -11,12 +11,14 @@ that breaks for the four core algorithms.
 
 import os
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from repro.common.exceptions import CheckpointError
 from repro.engine import REGISTRY, RunSpec, resume, run
+from repro.engine.runner import run_spec_from_dict
 from repro.persist import (
     ResumableRun,
     read_checkpoint,
@@ -429,6 +431,56 @@ class TestDriverValidation:
                       checkpoint_path=str(tmp_path / "c.ck"))
         assert strip_volatile(plain) == strip_volatile(checked)
         assert checked.extras["checkpoints"] >= 1
+
+
+    def test_stepped_run_reports_the_plain_runs_kernel_hits(self):
+        # strip_volatile drops kernel_hits (a resumed run counts only its
+        # own passes), so pin the uninterrupted stepped run separately.
+        for algorithm in ("deterministic", "robust"):
+            spec = zoo_spec(algorithm, "power_law", 9)
+            plain = run(spec).extras["kernel_hits"]
+            stepped = ResumableRun(spec).run_to_completion()
+            assert plain
+            assert stepped.extras["kernel_hits"] == plain, algorithm
+
+
+class TestStoredSpecs:
+    """Checkpoints whose stored spec predates the current RunSpec."""
+
+    def mid_run_checkpoint(self, algorithm, tmp_path, monkeypatch):
+        spec = zoo_spec(algorithm, "power_law", 5)
+        path = str(tmp_path / "old.ck")
+        reference, copies = checkpoint_copies(spec, path, 2, monkeypatch)
+        with open(path, "wb") as fh:
+            fh.write(copies[len(copies) // 2])
+        return path, reference
+
+    @pytest.mark.parametrize("algorithm", ["deterministic", "robust"])
+    def test_kernel_tier_key_is_dropped(self, algorithm, tmp_path,
+                                        monkeypatch):
+        # Specs stored while RunSpec still had a kernel tier carry the key.
+        path, reference = self.mid_run_checkpoint(algorithm, tmp_path,
+                                                  monkeypatch)
+        header, arrays = read_checkpoint(path)
+        header["spec"]["kernel_tier"] = "auto"
+        write_checkpoint(path, header, arrays)
+        assert strip_volatile(resume(path)) == strip_volatile(reference)
+
+    def test_only_stored_specs_forgive_kernel_tier(self):
+        spec = zoo_spec("robust", "power_law", 5)
+        stored = dict(asdict(spec), kernel_tier="compiled")
+        assert run_spec_from_dict(stored) == spec
+        # The live constructor no longer takes the removed option.
+        with pytest.raises(TypeError, match="kernel_tier"):
+            RunSpec(**stored)
+
+    def test_other_unknown_spec_keys_still_fail(self, tmp_path, monkeypatch):
+        path, _ = self.mid_run_checkpoint("robust", tmp_path, monkeypatch)
+        header, arrays = read_checkpoint(path)
+        header["spec"]["colour_scheme"] = "auto"
+        write_checkpoint(path, header, arrays)
+        with pytest.raises(CheckpointError, match="does not match RunSpec"):
+            resume(path)
 
 
 class TestSourceCursors:

@@ -180,6 +180,44 @@ class TestSessionManager:
                       "random_bits", "proper"):
             assert plain[field] == evicted[field], field
 
+    @pytest.mark.parametrize("algorithm", ["robust", "deterministic"])
+    def test_checkpoint_with_kernel_tier_key_restores(self, algorithm,
+                                                      tmp_path):
+        # Specs stored while RunSpec still had a kernel tier carry the key.
+        from repro.persist import read_checkpoint, write_checkpoint
+        from repro.persist.driver import VOLATILE_EXTRAS
+
+        arranged, n, delta = zoo_cell(seed=5)
+        half = len(arranged) // 2
+
+        async def run_session(spec_key):
+            manager = SessionManager(checkpoint_dir=str(tmp_path))
+            try:
+                sid = await manager.create(
+                    spec_dict(algorithm, n, delta, seed=5)
+                )
+                await manager.feed(sid, arranged[:half].tolist())
+                if spec_key is not None:
+                    path = await manager.snapshot(sid)
+                    await manager.drop(sid)
+                    header, arrays = read_checkpoint(path)
+                    header["spec"][spec_key] = "numpy"
+                    write_checkpoint(path, header, arrays)
+                    sid = await manager.adopt(path)
+                await manager.feed(sid, arranged[half:].tolist())
+                result = await manager.finalize(sid)
+            finally:
+                manager.close()
+            result.pop("wall_time_s")
+            result["extras"] = {k: v for k, v in result["extras"].items()
+                                if k not in VOLATILE_EXTRAS}
+            return result
+
+        plain = asyncio.run(run_session(None))
+        assert asyncio.run(run_session("kernel_tier")) == plain
+        with pytest.raises(ServiceError, match="bad session checkpoint spec"):
+            asyncio.run(run_session("colour_scheme"))
+
     def test_lru_eviction_under_residency_pressure(self):
         arranged, n, delta = zoo_cell(n=24)
 

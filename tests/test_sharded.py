@@ -38,8 +38,6 @@ from repro.streaming import (
 )
 from repro.streaming.sharded import MANIFEST_NAME
 
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
-
 
 def small_edges(m=37, n=16, seed=7):
     """A deterministic loop-free (m, 2) int64 edge array, endpoints in [0, n)."""

@@ -375,38 +375,23 @@ def test_r9_allows_choke_points_and_other_packages(tmp_path):
 # ----------------------------------------------------------------------
 # R10 kernel-dispatch discipline
 # ----------------------------------------------------------------------
-def test_r10_flags_numba_outside_kernels(tmp_path):
-    report = lint_snippet(tmp_path, "repro/core/algo.py", """\
-        from numba import njit
-
-        @njit(cache=True)
-        def hot(xs):
-            return xs.sum()
-        """, rules=["R10"])
-    assert rule_ids(report) == {"R10"}
-    assert "numba" in report.findings[0].message
-
-
 def test_r10_flags_direct_impl_imports(tmp_path):
     report = lint_snippet(tmp_path, "repro/streaming/fast.py", """\
         from repro.kernels.numpy_impl import running_degrees
-        from repro.kernels import compiled_impl
+        from repro.kernels import numpy_impl
+        import repro.kernels.numpy_impl
 
         def degrees(deg0, edges):
             return running_degrees(deg0, edges)
         """, rules=["R10"])
     assert rule_ids(report) == {"R10"}
-    assert len(report.findings) == 2
+    assert len(report.findings) == 3
     assert all("dispatch" in f.message for f in report.findings)
 
 
 def test_r10_allows_kernels_package_and_dispatch_call_sites(tmp_path):
-    clean = lint_snippet(tmp_path, "repro/kernels/compiled_impl.py", """\
-        try:
-            from numba import njit
-            NUMBA_AVAILABLE = True
-        except ImportError:
-            NUMBA_AVAILABLE = False
+    clean = lint_snippet(tmp_path, "repro/kernels/extra.py", """\
+        from repro.kernels.numpy_impl import NUMPY_KERNELS
         """, rules=["R10"])
     assert clean.findings == []
     call_site = lint_snippet(tmp_path, "repro/streaming/fast.py", """\
