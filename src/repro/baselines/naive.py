@@ -23,73 +23,56 @@ from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2
 from repro.common.rng import SeededRng
 from repro.graph.coloring import greedy_coloring
-from repro.graph.graph import Graph
-from repro.streaming.model import MultipassStreamingAlgorithm, OnePassAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken
-from repro.obs.clock import perf_now
+from repro.streaming.model import (
+    MultipassStreamingAlgorithm,
+    OnePassAlgorithm,
+    block_source,
+)
 
 
 class TrivialColoring(MultipassStreamingAlgorithm):
     """``n`` distinct colors without reading the stream."""
-
-    supports_blocks = True  # trivially: the stream is never read
 
     def __init__(self, n: int):
         super().__init__()
         self.n = n
         self.palette_size = n
 
-    def run(self, stream: TokenStream) -> dict[int, int]:
+    def run(self, stream) -> dict[int, int]:
         return {v: v + 1 for v in range(self.n)}
 
 
 class StoreEverythingColoring(MultipassStreamingAlgorithm):
     """Store the whole graph in one pass, then color it greedily offline."""
 
-    supports_blocks = True
-
     def __init__(self, n: int):
         super().__init__()
         self.n = n
 
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            graph = self._collect_graph_blocks(stream)
-        else:
-            graph = Graph(self.n)
-            for token in stream.new_pass():
-                if isinstance(token, EdgeToken):
-                    graph.add_edge(token.u, token.v)
+    def run(self, stream) -> dict[int, int]:
+        graph = self._collect_graph_blocks(block_source(stream))
         self.meter.set_gauge(
             "whole graph", graph.m * 2 * ceil_log2(max(2, self.n))
         )
         return greedy_coloring(graph)
 
     def _collect_graph_blocks(self, stream):
-        """Block twin of the collection pass: one CSR build, no token churn.
+        """The collection pass: every edge block, then one CSR build.
 
         :class:`~repro.graph.csr.CSRGraph` deduplicates exactly as
         ``Graph.add_edge`` does and exposes the same ``n``/``m``/
-        ``neighbors`` surface, so the greedy offline coloring is identical.
+        ``neighbors`` surface, so the greedy offline coloring is the same.
         """
         from repro.graph.csr import CSRGraph
 
         chunks = [
             item for item in stream.new_pass() if isinstance(item, np.ndarray)
         ]
-        # Deferred CSR build mirrors the token path's (timed) in-loop
-        # add_edge work.
-        reduce_start = perf_now()
         if chunks:
-            graph = CSRGraph.from_edge_array(self.n, np.concatenate(chunks))
-        else:
-            graph = CSRGraph.from_edge_array(
-                self.n, np.empty((0, 2), dtype=np.int64)
-            )
-        stream.pass_seconds[-1] += perf_now() - reduce_start
-        return graph
+            return CSRGraph.from_edge_array(self.n, np.concatenate(chunks))
+        return CSRGraph.from_edge_array(
+            self.n, np.empty((0, 2), dtype=np.int64)
+        )
 
 
 class OneShotRandomColoring(OnePassAlgorithm):

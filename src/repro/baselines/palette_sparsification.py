@@ -22,13 +22,8 @@ import numpy as np
 from repro.common.exceptions import AlgorithmFailure, ReproError
 from repro.common.integer_math import ceil_log2
 from repro.common.rng import SeededRng
-from repro.graph.graph import Graph
-from repro.streaming.machine import PassConsumer, drive_blocks, require_machine
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken
-from repro.obs.clock import perf_now
 
 
 class _ConflictCollectConsumer(PassConsumer):
@@ -58,21 +53,17 @@ class _ConflictCollectConsumer(PassConsumer):
     def finish(self, stream):
         from repro.graph.csr import CSRGraph
 
-        reduce_start = perf_now()
-        conflict = CSRGraph.from_edge_array(
+        return CSRGraph.from_edge_array(
             self.algo.n,
             np.concatenate(self.chunks)
             if self.chunks
             else np.empty((0, 2), dtype=np.int64),
         )
-        stream.pass_seconds[-1] += perf_now() - reduce_start
-        return conflict
 
 
 class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
     """Single-pass randomized ``(Delta+1)``-coloring for oblivious streams."""
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(
@@ -99,20 +90,8 @@ class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
         self.completion_attempts = completion_attempts
         self.conflict_edge_count = 0
 
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        conflict = Graph(self.n)
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if self.lists[u] & self.lists[v]:
-                conflict.add_edge(u, v)
-        return self._complete(conflict)
-
     # ------------------------------------------------------------------
-    # pass machine (block path): one collection pass, then completion
+    # pass machine: one collection pass, then completion
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         self._mach = {"phase": "collect"}
@@ -149,7 +128,7 @@ class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
             f"after {self.completion_attempts} attempts"
         )
 
-    def _try_complete(self, conflict: Graph, order):
+    def _try_complete(self, conflict, order):
         coloring: dict[int, int] = {}
         for v in order:
             used = {coloring[w] for w in conflict.neighbors(v) if w in coloring}

@@ -48,8 +48,9 @@ class SpaceMeter:
         Block-native passes replay many per-item gauge updates as one
         vectorized step; the intermediate high-water mark (e.g. a buffer
         filling to capacity mid-block before rolling) is computed in closed
-        form and reported here, so token-path and block-path peaks agree
-        bit for bit without per-item ``set_gauge`` calls.
+        form and reported here, so the per-edge ``process`` loop and the
+        block path report the same peak bit for bit without per-item
+        ``set_gauge`` calls.
         """
         if total_bits < 0:
             raise ParameterError("observed peak cannot be negative")

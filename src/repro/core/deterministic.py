@@ -25,15 +25,13 @@ Structure (Section 3.1-3.3):
 heuristic (1 pass per stage, no Lemma 3.5 guarantee) — see DESIGN.md,
 faithfulness note 1.
 
-The block path runs on the resumable pass machine of
+The run executes on the resumable pass machine of
 :mod:`repro.streaming.machine`: every cross-pass quantity — the partial
 coloring, the uncolored set, the subcube PCCs, per-stage slack counters,
 the registered selector, the committed proposals — lives in ``self._mach``
 between passes (and is therefore snapshot-complete for
 ``repro.persist``); the intra-pass accumulators live in the three
-consumer classes below, rebuilt by deterministic replay on restore.  The
-token path is the unchanged reference implementation; the two are locked
-together by the block-equivalence suite.
+consumer classes below, rebuilt by deterministic replay on restore.
 """
 
 from dataclasses import dataclass, field
@@ -52,12 +50,9 @@ from repro.core.subcube import Subcube
 from repro.graph.graph import Graph
 from repro.graph.independent_set import turan_independent_set
 from repro.kernels import dispatch
-from repro.streaming.machine import PassConsumer, drive_blocks, require_machine
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
 from repro.streaming.tokens import EdgeToken
-from repro.obs.clock import perf_now
 
 
 # Pending-key budget for the block slack pass: flushing the (vertex,
@@ -118,7 +113,7 @@ def choose_family_prime(n: int, policy: str, override=None) -> int:
 
 
 class _SlackPassConsumer(PassConsumer):
-    """Stage pass 1 over edge blocks: ``np.bincount`` instead of per-token dicts.
+    """Stage pass 1 (line 14): the slack counters, one ``np.bincount``.
 
     Within an epoch every uncolored vertex's subcube shares ``(b, fixed)``
     and differs only in ``value``, so membership and ``pattern_of`` reduce
@@ -165,16 +160,12 @@ class _SlackPassConsumer(PassConsumer):
                 self.pending = 0
 
     def finish(self, stream):
-        # The deferred histogram replaces counting work the token path does
-        # inside its (timed) loop; charge it to the pass it belongs to.
         n, delta = self.algo.n, self.algo.delta
         s, kk, fixed = self.s, self.kk, self.fixed
-        reduce_start = perf_now()
         if self.key_chunks:
             self.counts += np.bincount(
                 np.concatenate(self.key_chunks), minlength=n * s
             )
-        stream.pass_seconds[-1] += perf_now() - reduce_start
         used = self.counts.reshape(n, s)[self.members]
         # base[i, j] = |restrict(j, kk) ∩ [1, delta+1]| in closed form.
         hi = delta + 1
@@ -188,11 +179,11 @@ class _SlackPassConsumer(PassConsumer):
 
 
 class _ConflictEdgesConsumer(PassConsumer):
-    """Block twin of :meth:`DeterministicColoring._collect_conflict_edges`.
+    """Stage passes 2-3 and the end-of-epoch F pass: edges inside U whose
+    endpoints share a subcube (its proposal, once the cube is a singleton).
 
-    Returns the identical conflict-edge sequence as a ``(k, 2)`` array:
-    unique and in first-occurrence stream order, matching the token
-    path's list exactly.  The selector's sums are exact, but its
+    Returns the conflict edges as a ``(k, 2)`` array, unique and in
+    first-occurrence stream order.  The selector's sums are exact, but its
     tie-break is the first minimizer of float64 sums accumulated in edge
     order, so order still matters for the member sums' rounding and the
     part sums' near-tie re-score (:mod:`repro.core.selector`).
@@ -218,21 +209,16 @@ class _ConflictEdgesConsumer(PassConsumer):
 
         if not self.chunks:
             return np.empty((0, 2), dtype=np.int64)
-        # Deferred dedup mirrors the token path's (timed) in-loop seen-set.
-        reduce_start = perf_now()
-        edges = dedupe_edges(
+        return dedupe_edges(
             self.algo.n, np.concatenate(self.chunks), keep_order=True
         )
-        stream.pass_seconds[-1] += perf_now() - reduce_start
-        return edges
 
 
 class _FinalAdjacencyConsumer(PassConsumer):
-    """Block twin of the final-pass edge collection.
+    """The final pass (line 6): every edge incident to U.
 
-    Gathers the unique directed pairs ``(x, y)`` with ``x`` uncolored
-    (exactly what the token path's per-vertex sets hold), then groups
-    them into adjacency lists with one sort.
+    Gathers the unique directed pairs ``(x, y)`` with ``x`` uncolored,
+    then groups them into adjacency lists with one sort.
     """
 
     def __init__(self, algo, uncolored):
@@ -253,12 +239,9 @@ class _FinalAdjacencyConsumer(PassConsumer):
         adjacency: dict[int, list] = {x: [] for x in self.uncolored}
         if not self.chunks:
             return adjacency, 0
-        # Deferred grouping mirrors the token path's (timed) in-loop
-        # adjacency-set building.
         from repro.streaming.blocks import group_pairs
 
         n, unc = self.algo.n, self.unc
-        reduce_start = perf_now()
         arr = np.concatenate(self.chunks)
         fwd = arr[unc[arr[:, 0]]]
         rev = arr[unc[arr[:, 1]]][:, ::-1]
@@ -266,24 +249,18 @@ class _FinalAdjacencyConsumer(PassConsumer):
         keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
         for x, ys in group_pairs(np.stack([keys // n, keys % n], axis=1)):
             adjacency[x] = ys.tolist()
-        stream.pass_seconds[-1] += perf_now() - reduce_start
         return adjacency, len(keys)
 
 
 class DeterministicColoring(MultipassStreamingAlgorithm):
     """Deterministic multipass ``(Delta+1)``-coloring (Theorem 1).
 
-    Consumes either data-plane view.  Given a :class:`TokenStream`, every
-    pass is the original token-at-a-time loop; given a
-    :class:`~repro.streaming.source.StreamSource`, the run executes on the
-    pass machine with the counting passes (slack counters, conflict-edge
-    collection, the end-of-epoch F pass, and the final stored-edges pass)
-    vectorized over ``(k, 2)`` edge blocks.  Both paths take the same
-    passes, charge the same :class:`SpaceMeter` gauges, and produce the
-    identical coloring (locked by the block-equivalence test suite).
+    Runs on the pass machine with the counting passes (slack counters,
+    conflict-edge collection, the end-of-epoch F pass, and the final
+    stored-edges pass) vectorized over ``(k, 2)`` edge blocks; a token
+    stream is read as one-edge blocks.
     """
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(
@@ -312,29 +289,6 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         self.max_epochs = max_epochs
         self.stats = RunStats()
         self.palette_size = delta + 1
-
-    # ------------------------------------------------------------------
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        n, delta = self.n, self.delta
-        chi: dict[int, int] = {v: None for v in range(n)}
-        if delta == 0:
-            for v in range(n):
-                chi[v] = 1
-            return chi
-        uncolored = set(range(n))
-        self.meter.set_gauge("partial coloring", n * (ceil_log2(delta + 2) + 1))
-        epoch = 0
-        while len(uncolored) * delta > n:
-            epoch += 1
-            if epoch > self.max_epochs:
-                break  # heuristic mode may stall; the final pass still finishes
-            self._run_epoch(stream, chi, uncolored, epoch)
-        self._final_pass(stream, chi, uncolored)
-        self.stats.passes = stream.passes_used
-        self.stats.epochs = epoch
-        return chi
 
     # ------------------------------------------------------------------
     # pass machine (block path)
@@ -565,7 +519,7 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         self._mach = {"phase": "done", "coloring": chi}
 
     # ------------------------------------------------------------------
-    # block-path state snapshots (derived per pass; O(n) << O(m) scan cost)
+    # per-pass state arrays (derived per pass; O(n) << O(m) scan cost)
     # ------------------------------------------------------------------
     def _state_arrays(self, chi, uncolored, cubes=None):
         from repro.graph.coloring import coloring_array
@@ -582,185 +536,8 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
             cube_value[x] = cube.value
         return chi_arr, unc, cube_value
 
-    # ------------------------------------------------------------------
-    # epoch logic (Algorithm 1, COLORING-EPOCH) — token path
-    # ------------------------------------------------------------------
-    def _run_epoch(self, stream, chi, uncolored, epoch) -> None:
-        n, delta = self.n, self.delta
-        b = ceil_log2(delta + 1)
-        k = 1 + floor_log2(max(1, n // len(uncolored)))
-        cubes = {x: Subcube.full(b) for x in uncolored}
-        self.meter.set_gauge("pcc", len(uncolored) * (b + ceil_log2(max(2, b)) + 1))
-        u_before = len(uncolored)
-        fixed = 0
-        stage_index = 0
-        while fixed < b:
-            stage_index += 1
-            kk = min(k, b - fixed)
-            self._run_stage(
-                stream, chi, uncolored, cubes, kk, epoch, stage_index
-            )
-            fixed += kk
-        # --- end-of-epoch pass: collect F (line 29) ---
-        proposals = {x: cubes[x].sole_color for x in uncolored}
-        conflict_edges = []
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored and proposals[u] == proposals[v]:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    conflict_edges.append(key)
-        self.meter.set_gauge(
-            "epoch conflict edges F",
-            len(conflict_edges) * 2 * ceil_log2(max(2, n)),
-        )
-        # --- commit on a Turán independent set (lines 30-33) ---
-        members = sorted(uncolored)
-        index = {x: i for i, x in enumerate(members)}
-        conflict_graph = Graph(len(members))
-        for u, v in conflict_edges:
-            conflict_graph.add_edge(index[u], index[v])
-        independent = turan_independent_set(conflict_graph)
-        for i in independent:
-            x = members[i]
-            chi[x] = proposals[x]
-            uncolored.discard(x)
-        self.meter.clear_gauge("epoch conflict edges F")
-        self.meter.clear_gauge("pcc")
-        if self.instrument:
-            self.stats.epoch_stats.append(
-                EpochStats(
-                    epoch=epoch,
-                    uncolored_before=u_before,
-                    uncolored_after=len(uncolored),
-                    conflict_edges=len(conflict_edges),
-                    stages=stage_index,
-                )
-            )
-
-    # ------------------------------------------------------------------
-    # stage logic (Algorithm 1, lines 12-27) — token path
-    # ------------------------------------------------------------------
-    def _run_stage(
-        self, stream, chi, uncolored, cubes, kk, epoch, stage_index
-    ) -> None:
-        n, delta = self.n, self.delta
-        s = 1 << kk
-        members = sorted(uncolored)
-        # --- pass 1: slack counters (line 14) ---
-        self.meter.set_gauge(
-            "stage counters", len(members) * s * ceil_log2(max(2, delta + 2))
-        )
-        used = {x: np.zeros(s, dtype=np.int64) for x in members}
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            for x, y in ((token.u, token.v), (token.v, token.u)):
-                if x in uncolored:
-                    color = chi.get(y)
-                    if color is not None and cubes[x].contains(color):
-                        used[x][cubes[x].pattern_of(color, kk)] += 1
-        slacks = {}
-        for x in members:
-            base = np.array(
-                [cubes[x].subpattern_count(delta + 1, j, kk) for j in range(s)],
-                dtype=np.int64,
-            )
-            slacks[x] = np.maximum(0, base - used[x])
-        potential_before = None
-        if self.instrument:
-            potential_before = self._measure_potential(stream, chi, uncolored, cubes, slacks=None)
-        # --- selection ---
-        if self.selection == "greedy_slack":
-            proposals = {
-                x: int(np.argmax(slacks[x])) for x in members
-            }
-        else:
-            p = choose_family_prime(n, self.prime_policy, self.prime_override)
-            selector = SlackWeightedSelector(p, n, cid_space=s)
-            for x in members:
-                selector.register_vertex(x, np.arange(s), slacks[x])
-            self.meter.set_gauge("part accumulators", selector.accumulator_bits())
-            # --- pass 2: part sums over the sqrt(|H|) parts (lines 20-23) ---
-            conflict_edges = self._collect_conflict_edges(stream, uncolored, cubes)
-            part = selector.part_sums(conflict_edges)
-            a_star = int(np.argmin(part)) if len(conflict_edges) else 0
-            # --- pass 3: members of the best part (lines 24-26) ---
-            conflict_edges = self._collect_conflict_edges(stream, uncolored, cubes)
-            member = selector.member_sums(a_star, conflict_edges)
-            b_star = int(np.argmin(member)) if len(conflict_edges) else 0
-            proposals = {
-                x: selector.proposal_for(x, a_star, b_star) for x in members
-            }
-            self.meter.clear_gauge("part accumulators")
-        # --- tighten the PCC (line 27) ---
-        for x in members:
-            j = proposals[x]
-            if slacks[x][j] <= 0:
-                raise ReproError(
-                    f"stage selected a zero-slack pattern for vertex {x}; "
-                    "Lemma 3.6 invariant violated"
-                )
-            cubes[x] = cubes[x].restrict(j, kk)
-        self.meter.clear_gauge("stage counters")
-        if self.instrument:
-            potential_after = self._measure_potential(
-                stream, chi, uncolored, cubes, slacks=None
-            )
-            self.stats.stage_stats.append(
-                StageStats(
-                    epoch=epoch,
-                    stage=stage_index,
-                    k=kk,
-                    potential_before=potential_before,
-                    potential_after=potential_after,
-                    uncolored=len(uncolored),
-                )
-            )
-
-    # ------------------------------------------------------------------
-    def _collect_conflict_edges(self, stream, uncolored, cubes):
-        """One streaming pass listing edges inside U with equal subcubes.
-
-        These are exactly the edges contributing to the potential (eq. (2));
-        the selector consumes them to evaluate its accumulators.  The pass
-        itself only feeds accumulators of ``O(sqrt(|H|) log n)`` bits in the
-        paper's accounting; the edge list here is a computational shortcut
-        with identical results (module docstring of selector.py).
-        """
-        edges = []
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored and cubes[u] == cubes[v]:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-        return edges
-
-    # ------------------------------------------------------------------
-    def _final_pass(self, stream, chi, uncolored) -> None:
-        """Line 6-7: collect all edges incident to U, then finish greedily."""
-        adjacency = {x: set() for x in uncolored}
-        stored = 0
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            for x, y in ((token.u, token.v), (token.v, token.u)):
-                if x in uncolored and y not in adjacency.get(x, ()):
-                    adjacency[x].add(y)
-                    stored += 1
-        self._finish_greedy(chi, uncolored, adjacency, stored)
-
     def _finish_greedy(self, chi, uncolored, adjacency, stored) -> None:
-        """Shared final-pass epilogue: gauge the store, first-fit U."""
+        """Final-pass epilogue: gauge the store, first-fit U."""
         n = self.n
         self.meter.set_gauge("final edges", stored * 2 * ceil_log2(max(2, n)))
         palette = set(range(1, self.delta + 2))
@@ -777,18 +554,12 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
     def _measure_potential(self, stream, chi, uncolored, cubes, slacks) -> float:
         """Out-of-band diagnostic: Phi via Lemma 3.3 (sum of dconf(x)/s_x).
 
-        Reads the stream out-of-band (``tokens`` / ``iter_tokens``, not
-        ``new_pass``) so that instrumentation does not distort the pass
-        count.
+        Reads the stream out-of-band (``iter_tokens``, not ``new_pass``)
+        so that instrumentation does not distort the pass count.
         """
         dconf = {x: 0 for x in uncolored}
         used_total = {x: 0 for x in uncolored}
-        tokens = (
-            stream.iter_tokens()
-            if isinstance(stream, StreamSource)
-            else stream.tokens
-        )
-        for token in tokens:
+        for token in stream.iter_tokens():
             if not isinstance(token, EdgeToken):
                 continue
             u, v = token.u, token.v

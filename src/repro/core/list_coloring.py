@@ -30,12 +30,11 @@ Differences from Algorithm 1 (Section 3.5):
 ``P_x`` is represented by its *chain*: the per-stage class indices under
 the globally chosen partitions — the paper's ``O(log n)``-bit encoding.
 
-As with Algorithm 1, the block path executes on the resumable pass
-machine of :mod:`repro.streaming.machine`: the epoch state (chains,
-partitions, proposals), the partition-search candidates, the slack
-counters, and the registered selector all live in ``self._mach`` between
-passes, making runs snapshot/restorable at every pass boundary; the
-token path below is the unchanged reference implementation.
+As with Algorithm 1, the run executes on the resumable pass machine of
+:mod:`repro.streaming.machine`: the epoch state (chains, partitions,
+proposals), the partition-search candidates, the slack counters, and the
+registered selector all live in ``self._mach`` between passes, making
+runs snapshot/restorable at every pass boundary.
 """
 
 from dataclasses import dataclass, field
@@ -52,11 +51,9 @@ from repro.graph.graph import Graph
 from repro.graph.independent_set import turan_independent_set
 from repro.hashing.partitions import PartitionFamily
 from repro.kernels import dispatch
-from repro.streaming.machine import PassConsumer, drive_blocks, require_machine
+from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken, ListToken
+from repro.streaming.tokens import ListToken
 
 
 @dataclass
@@ -80,20 +77,9 @@ class _EpochState:
         self.partitions: list[np.ndarray] = []
         self.proposals: dict[int, int] = {}
 
-    def contains(self, x: int, color: int) -> bool:
-        """Whether ``color`` is in ``P_x`` (walk the chain)."""
-        chain = self.chain[x]
-        for arr, cls in zip(self.partitions, chain):
-            if arr[color] != cls:
-                return False
-        return True
-
-    def chains_equal(self, u: int, v: int) -> bool:
-        return self.chain[u] == self.chain[v]
-
 
 # ----------------------------------------------------------------------
-# block-path pass consumers (vectorized twins of the token-path passes)
+# pass consumers
 # ----------------------------------------------------------------------
 
 class _ListMassConsumer(PassConsumer):
@@ -126,8 +112,7 @@ class _PartitionScoreConsumer(PassConsumer):
     All candidate members are scored at once against the family's
     precomputed class table: per list token, one occupancy bincount over
     ``(member, class)`` keys yields every member's ``a_R`` value, then a
-    grouped sum.  Scores are integer-valued float sums, exactly as the
-    token path accumulates them.
+    grouped sum.  Scores are integer-valued float sums.
     """
 
     def __init__(self, algo, uncolored, state, family, groups):
@@ -229,10 +214,9 @@ class _ListSlackConsumer(PassConsumer):
 class _ChainConflictConsumer(PassConsumer):
     """Edges inside U whose endpoints share the same chain.
 
-    Returns the identical edge sequence as the token path — unique, in
-    first-occurrence stream order — because the selector accumulates
-    float potentials per edge and summation order matters for exact
-    argmin ties.
+    Returns the edges unique, in first-occurrence stream order, because
+    the selector accumulates float potentials per edge and summation
+    order matters for exact argmin ties.
     """
 
     def __init__(self, algo, state):
@@ -393,18 +377,14 @@ class _ListFinalConsumer(PassConsumer):
 class DeterministicListColoring(MultipassStreamingAlgorithm):
     """Deterministic multipass (deg+1)-list-coloring (Theorem 2).
 
-    Consumes either data-plane view.  Given a
-    :class:`~repro.streaming.source.StreamSource` (edge blocks with
-    ``ListToken`` items interleaved in place), every pass runs vectorized
-    on the pass machine: list-token work is numpy per token (survivor
-    masks over the chain's partition arrays), edge work is masked block
-    arithmetic, and the Lemma 3.10 partition search scores whole
-    candidate groups against the family's precomputed class table.  Both
-    paths take the same passes, charge the same gauges, and produce the
-    identical coloring.
+    Every pass runs vectorized on the pass machine over edge blocks with
+    ``ListToken`` items interleaved in place: list-token work is numpy
+    per token (survivor masks over the chain's partition arrays), edge
+    work is masked block arithmetic, and the Lemma 3.10 partition search
+    scores whole candidate groups against the family's precomputed class
+    table.
     """
 
-    supports_blocks = True
     supports_checkpoint = True
 
     def __init__(
@@ -441,30 +421,6 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         self.stats = ListRunStats()
 
     # ------------------------------------------------------------------
-    def run(self, stream: TokenStream) -> dict[int, int]:
-        if isinstance(stream, StreamSource):
-            return drive_blocks(self, stream)
-        n = self.n
-        chi: dict[int, int] = {v: None for v in range(n)}
-        uncolored = set(range(n))
-        self.meter.set_gauge(
-            "partial coloring", n * (ceil_log2(max(2, self.universe)) + 1)
-        )
-        if self.delta == 0:
-            self._final_pass(stream, chi, uncolored)
-            return chi
-        epoch = 0
-        while len(uncolored) * self.delta > n:
-            epoch += 1
-            if epoch > self.max_epochs:
-                break
-            self._run_epoch(stream, chi, uncolored, epoch)
-        self._final_pass(stream, chi, uncolored)
-        self.stats.passes = stream.passes_used
-        self.stats.epochs = epoch
-        return chi
-
-    # ------------------------------------------------------------------
     # pass machine (block path)
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
@@ -475,7 +431,7 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
             "partial coloring", n * (ceil_log2(max(2, self.universe)) + 1)
         )
         if self.delta == 0:
-            # Token path returns before the epoch loop: stats stay unset.
+            # No epoch loop runs: stats stay unset.
             self._mach = {
                 "phase": "final", "chi": chi, "uncolored": uncolored,
                 "epoch": None,
@@ -787,7 +743,7 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         self._mach = {"phase": "done", "coloring": chi}
 
     # ------------------------------------------------------------------
-    # block-path state snapshots (derived per pass; O(n) << O(m) scan cost)
+    # per-pass state arrays (derived per pass; O(n) << O(m) scan cost)
     # ------------------------------------------------------------------
     def _chain_arrays(self, state):
         """``(member_mask, chain_matrix)`` arrays mirroring the PCC chains.
@@ -827,282 +783,12 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
     def _token_colors(self, token) -> np.ndarray:
         return np.fromiter(token.colors, dtype=np.int64, count=len(token.colors))
 
-    # ------------------------------------------------------------------
-    # epoch (token path)
-    # ------------------------------------------------------------------
-    def _run_epoch(self, stream, chi, uncolored, epoch) -> None:
-        n = self.n
-        k = 1 + floor_log2(max(1, n // len(uncolored)))
-        s = 1 << k
-        state = _EpochState(uncolored)
-        self.meter.set_gauge(
-            "pcc chains",
-            len(state.members)
-            * (2 * ceil_log2(max(2, self.delta + 1)) + ceil_log2(max(2, self.universe))),
-        )
-        max_partition_stages = ceil_div(2 * ceil_log2(self.delta + 1), k) + 2
-        for stage in range(max_partition_stages):
-            mass = self._list_mass(stream, chi, uncolored, state)
-            if self.instrument:
-                self.stats.list_mass_per_stage.append((epoch, mass))
-            if mass <= len(state.members):
-                break
-            self._partition_stage(stream, chi, uncolored, state, s)
-        self._final_stage(stream, chi, uncolored, state)
-        self._commit(stream, chi, uncolored, state)
-        self.meter.clear_gauge("pcc chains")
-
-    # ------------------------------------------------------------------
-    def _list_mass(self, stream, chi, uncolored, state) -> int:
-        """One pass: the Lemma 3.10 decay quantity ``sum_x (|P_x ∩ L_x| - 1)``."""
-        total = 0
-        seen = set()
-        for token in stream.new_pass():
-            if isinstance(token, ListToken) and token.x in uncolored:
-                if token.x in seen:
-                    continue
-                seen.add(token.x)
-                count = sum(1 for c in token.colors if state.contains(token.x, c))
-                total += max(0, count - 1)
-        return total
-
-    # ------------------------------------------------------------------
-    # partition stages (token path)
-    # ------------------------------------------------------------------
-    def _partition_stage(self, stream, chi, uncolored, state, s) -> None:
-        family = PartitionFamily(self.universe, s)
-        key = self._select_partition(stream, uncolored, state, family)
-        partition_arr = self._materialize(family, key)
-        # --- slack counter pass (both base and used, per class) ---
-        members = state.members
-        self.meter.set_gauge(
-            "stage counters",
-            len(members) * s * 2 * ceil_log2(max(2, self.delta + 2)),
-        )
-        base = {x: np.zeros(s, dtype=np.int64) for x in members}
-        used = {x: np.zeros(s, dtype=np.int64) for x in members}
-        seen_lists = set()
-        for token in stream.new_pass():
-            if isinstance(token, ListToken):
-                x = token.x
-                if x in uncolored and x not in seen_lists:
-                    seen_lists.add(x)
-                    for c in token.colors:
-                        if state.contains(x, c):
-                            base[x][partition_arr[c]] += 1
-            elif isinstance(token, EdgeToken):
-                for x, y in ((token.u, token.v), (token.v, token.u)):
-                    if x in uncolored:
-                        color = chi.get(y)
-                        if color is not None and state.contains(x, color):
-                            used[x][partition_arr[color]] += 1
-        slacks = {x: np.maximum(0, base[x] - used[x]) for x in members}
-        proposals = self._select_classes(stream, uncolored, state, slacks, s)
-        for x in members:
-            if slacks[x][proposals[x]] <= 0:
-                raise ReproError(
-                    f"list stage chose a zero-slack class for vertex {x}"
-                )
-            state.chain[x] = state.chain[x] + (proposals[x],)
-        state.partitions.append(partition_arr)
-        self.meter.clear_gauge("stage counters")
-
-    def _select_partition(self, stream, uncolored, state, family):
-        """The paper's 4-pass group minimization over the Lemma 3.10 family.
-
-        Each pass computes ``sum_R sum_x a_R(P_x ∩ L_x)`` for each group of
-        candidate partitions (computable online: ``a_R`` is evaluated the
-        moment an ``(x, L_x)`` token arrives), keeps the best group, and
-        splits it further; the last pass scores individual partitions.
-        """
-        candidates = list(family.members())
-        levels = max(1, self.partition_levels)
-        for level in range(levels):
-            if len(candidates) == 1:
-                break
-            # Group count ~ |candidates|^(1/(levels - level)) so the last
-            # level reaches singletons, mirroring |F|^{1/4} groups per pass.
-            remaining = levels - level
-            group_count = max(2, round(len(candidates) ** (1.0 / remaining)))
-            group_size = ceil_div(len(candidates), group_count)
-            groups = [
-                candidates[i : i + group_size]
-                for i in range(0, len(candidates), group_size)
-            ]
-            scores = self._score_partition_groups(stream, uncolored, state, family, groups)
-            candidates = groups[int(np.argmin(scores))]
-        if len(candidates) > 1:
-            scores = self._score_partition_groups(
-                stream, uncolored, state, family, [[key] for key in candidates]
-            )
-            return candidates[int(np.argmin(scores))]
-        return candidates[0]
-
-    def _score_partition_groups(self, stream, uncolored, state, family, groups):
-        """One pass: ``sum over group members of sum_x a_R(P_x ∩ L_x)``."""
-        self.meter.set_gauge(
-            "partition accumulators", len(groups) * 2 * ceil_log2(max(2, self.n))
-        )
-        scores = np.zeros(len(groups))
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, ListToken) or token.x not in uncolored:
-                continue
-            x = token.x
-            if x in seen:
-                continue
-            seen.add(x)
-            survivors = [c for c in token.colors if state.contains(x, c)]
-            if not survivors:
-                continue
-            for gi, group in enumerate(groups):
-                for a, b in group:
-                    counts = np.zeros(family.s, dtype=np.int64)
-                    for c in survivors:
-                        counts[family.class_of(a, b, c)] += 1
-                    scores[gi] += max(0, int(counts.max()) - 1)
-        self.meter.clear_gauge("partition accumulators")
-        return scores
-
     def _materialize(self, family, key) -> np.ndarray:
         """Color -> class array for the chosen partition (index 1..universe)."""
         return family.class_array(*key)
 
-    def _select_classes(self, stream, uncolored, state, slacks, s):
-        """Slack-weighted class choice: greedy or 3-pass hash-family search."""
-        members = state.members
-        if self.selection == "greedy_slack":
-            return {x: int(np.argmax(slacks[x])) for x in members}
-        p = choose_family_prime(self.n, self.prime_policy, self.prime_override)
-        selector = SlackWeightedSelector(p, self.n, cid_space=s)
-        for x in members:
-            selector.register_vertex(x, np.arange(s), slacks[x])
-        self.meter.set_gauge("part accumulators", selector.accumulator_bits())
-        conflict = self._conflict_edges(stream, uncolored, state)
-        part = selector.part_sums(conflict)
-        a_star = int(np.argmin(part)) if len(conflict) else 0
-        conflict = self._conflict_edges(stream, uncolored, state)
-        member = selector.member_sums(a_star, conflict)
-        b_star = int(np.argmin(member)) if len(conflict) else 0
-        self.meter.clear_gauge("part accumulators")
-        return {x: selector.proposal_for(x, a_star, b_star) for x in members}
-
-    def _conflict_edges(self, stream, uncolored, state):
-        """One pass: edges inside U whose endpoints share the same chain."""
-        edges = []
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored and state.chains_equal(u, v):
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append(key)
-        return edges
-
-    # ------------------------------------------------------------------
-    # final singleton stage (token path)
-    # ------------------------------------------------------------------
-    def _final_stage(self, stream, chi, uncolored, state) -> None:
-        members = state.members
-        # Recording pass: P_x ∩ L_x explicitly (<= 2|U| ids total after decay).
-        candidates: dict[int, list[int]] = {x: [] for x in members}
-        seen = set()
-        for token in stream.new_pass():
-            if isinstance(token, ListToken) and token.x in uncolored:
-                if token.x in seen:
-                    continue
-                seen.add(token.x)
-                candidates[token.x] = sorted(
-                    c for c in token.colors if state.contains(token.x, c)
-                )
-        total_ids = sum(len(v) for v in candidates.values())
-        self.meter.set_gauge(
-            "final-stage candidates", total_ids * ceil_log2(max(2, self.universe))
-        )
-        # Marking pass: drop colors used by already-colored neighbors.
-        unavailable: dict[int, set[int]] = {x: set() for x in members}
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            for x, y in ((token.u, token.v), (token.v, token.u)):
-                if x in uncolored:
-                    color = chi.get(y)
-                    if color is not None:
-                        unavailable[x].add(color)
-        avail = {
-            x: [c for c in candidates[x] if c not in unavailable[x]]
-            for x in members
-        }
-        for x in members:
-            if not avail[x]:
-                raise ReproError(
-                    f"vertex {x} has no available color at the final stage; "
-                    "slack invariant violated"
-                )
-        # Selection: candidates are the colors themselves (uniform slack).
-        if self.selection == "greedy_slack":
-            state.proposals = {x: avail[x][0] for x in members}
-        else:
-            p = choose_family_prime(self.n, self.prime_policy, self.prime_override)
-            selector = SlackWeightedSelector(p, self.n, cid_space=self.universe + 1)
-            for x in members:
-                selector.register_vertex(x, avail[x], [1] * len(avail[x]))
-            conflict = self._conflict_edges(stream, uncolored, state)
-            part = selector.part_sums(conflict)
-            a_star = int(np.argmin(part)) if len(conflict) else 0
-            conflict = self._conflict_edges(stream, uncolored, state)
-            member = selector.member_sums(a_star, conflict)
-            b_star = int(np.argmin(member)) if len(conflict) else 0
-            state.proposals = {
-                x: selector.proposal_for(x, a_star, b_star) for x in members
-            }
-        self.meter.clear_gauge("final-stage candidates")
-
-    # ------------------------------------------------------------------
-    def _commit(self, stream, chi, uncolored, state) -> None:
-        """End-of-epoch: collect F, Turán-commit an independent set."""
-        proposals = state.proposals
-        conflict_edges = []
-        seen = set()
-        for token in stream.new_pass():
-            if not isinstance(token, EdgeToken):
-                continue
-            u, v = token.u, token.v
-            if u in uncolored and v in uncolored and proposals[u] == proposals[v]:
-                key = (min(u, v), max(u, v))
-                if key not in seen:
-                    seen.add(key)
-                    conflict_edges.append(key)
-        members = state.members
-        index = {x: i for i, x in enumerate(members)}
-        conflict_graph = Graph(len(members))
-        for u, v in conflict_edges:
-            conflict_graph.add_edge(index[u], index[v])
-        for i in turan_independent_set(conflict_graph):
-            x = members[i]
-            chi[x] = proposals[x]
-            uncolored.discard(x)
-
-    # ------------------------------------------------------------------
-    def _final_pass(self, stream, chi, uncolored) -> None:
-        """Collect edges incident to U plus U's lists; finish greedily."""
-        adjacency: dict[int, set[int]] = {x: set() for x in uncolored}
-        lists: dict[int, set[int]] = {}
-        for token in stream.new_pass():
-            if isinstance(token, ListToken):
-                if token.x in uncolored and token.x not in lists:
-                    lists[token.x] = set(token.colors)
-            elif isinstance(token, EdgeToken):
-                for x, y in ((token.u, token.v), (token.v, token.u)):
-                    if x in uncolored:
-                        adjacency[x].add(y)
-        self._finish_greedy(chi, uncolored, adjacency, lists)
-
     def _finish_greedy(self, chi, uncolored, adjacency, lists) -> None:
-        """Shared final-pass epilogue: gauge the store, first-fit from lists."""
+        """Final-pass epilogue: gauge the store, first-fit from lists."""
         stored = sum(len(a) for a in adjacency.values())
         self.meter.set_gauge(
             "final edges+lists",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.exceptions import ImproperColoringError, ReproError
+from repro.common.exceptions import ReproError
 from repro.engine.registry import REGISTRY, AlgorithmRegistry
 from repro.engine.result import ColoringResult
 from repro.graph.coloring import (
@@ -54,8 +54,10 @@ __all__ = [
     "set_default_stream",
 ]
 
-#: Valid ``RunSpec.stream_backend`` values.  ``tokens`` is the legacy
-#: token-at-a-time path; the others construct block sources
+#: Valid ``RunSpec.stream_backend`` values.  ``tokens`` builds a
+#: :class:`TokenStream`, which multipass algorithms read as one-edge blocks
+#: and one-pass algorithms feed to ``process`` edge by edge; the others
+#: construct block sources
 #: (``materialized`` in-memory, ``generator`` lazily regenerated each pass,
 #: ``file`` memory-mapped from a binary edge file written on the fly,
 #: ``sharded_file`` streamed from a multi-shard ``REPROED2`` container —
@@ -338,15 +340,26 @@ def _build_stream(spec: RunSpec, entry, config):
     return stream
 
 
-def _graph_and_lists(stream: TokenStream) -> tuple[Graph, dict | None]:
-    """Reconstruct the validation graph (and lists) from the stream itself."""
+def _graph_and_lists(stream) -> tuple[Graph, dict | None]:
+    """Reconstruct the validation graph (and lists) from the stream itself.
+
+    Reads a block source's items (edge blocks and list tokens) or a token
+    stream's tokens without counting a pass.
+    """
     graph = Graph(stream.n)
     lists: dict[int, frozenset] = {}
-    for token in stream.tokens:
-        if isinstance(token, EdgeToken):
-            graph.add_edge(token.u, token.v)
-        elif isinstance(token, ListToken):
-            lists[token.x] = token.colors
+    items = (
+        stream.iter_items() if isinstance(stream, StreamSource)
+        else stream.tokens
+    )
+    for item in items:
+        if isinstance(item, ListToken):
+            lists[item.x] = item.colors
+        elif isinstance(item, EdgeToken):
+            graph.add_edge(item.u, item.v)
+        else:
+            for u, v in item.tolist():
+                graph.add_edge(u, v)
     return graph, (lists or None)
 
 
@@ -373,57 +386,65 @@ def _backend_label(stream) -> str:
     return "tokens"
 
 
+def _first_conflict(stream, colors):
+    """Sweep a block source's edges: the first monochromatic edge, or None.
+
+    A self-loop raises as ``Graph.add_edge`` does, wherever it sits in
+    the stream, so the token plane's reconstructed-graph check and this
+    sweep fail the same way.  The sweep sees every edge, so it hands the
+    edge count to the source and spares lazy sources a re-scan.
+    """
+    from repro.graph.coloring import first_monochromatic
+
+    witness = None
+    edge_total = 0
+    for item in stream.iter_items():
+        if not isinstance(item, np.ndarray):
+            continue
+        edge_total += len(item)
+        loops = np.flatnonzero(item[:, 0] == item[:, 1])
+        if len(loops):
+            raise ReproError(
+                f"self-loop at vertex {int(item[loops[0], 0])} is not allowed"
+            )
+        if witness is None:
+            witness = first_monochromatic(colors, item)
+    stream.note_edge_count(edge_total)
+    return witness
+
+
 def _check_output(spec: RunSpec, stream, coloring, palette_bound, entry) -> bool:
     """Validate (or measure) the output coloring against the stream's graph.
 
-    Block sources validate vectorized, one block at a time (O(chunk_size)
-    memory — the full edge array is never concatenated); token streams and
-    list-coloring inputs go through the reconstructed :class:`Graph`.
-    Returns measured properness when ``spec.validate`` is false.
+    Edge-only block sources validate vectorized, one block at a time
+    (O(chunk_size) memory — the full edge array is never concatenated);
+    token streams and list-coloring inputs go through the reconstructed
+    :class:`Graph`.  Returns measured properness when ``spec.validate``
+    is false.
     """
-    from repro.graph.coloring import coloring_array, first_monochromatic
+    from repro.graph.coloring import coloring_array
 
-    if isinstance(stream, StreamSource):
-        if entry.needs_lists:
-            # List constraints need the reconstructed per-vertex lists:
-            # fall through to the Graph-based path via the shim.
-            stream = stream.as_token_stream()
-        else:
-            colors = coloring_array(stream.n, coloring)
-            if spec.validate:
-                validate_coloring_blocks(
-                    stream.n,
-                    np.empty((0, 2), dtype=np.int64),
-                    coloring,
-                    palette_size=palette_bound if entry.enforce_palette else None,
-                )  # totality + palette; edges checked block-by-block below
-                edge_total = 0
-                for item in stream.iter_items():
-                    if not isinstance(item, np.ndarray):
-                        continue
-                    edge_total += len(item)
-                    witness = first_monochromatic(colors, item)
-                    if witness is not None:
-                        raise ImproperColoringError(*witness)
-                # The sweep saw every edge; spare lazy sources a re-scan.
-                stream.note_edge_count(edge_total)
-                return True
-            if not bool((colors != 0).all()):
-                return False
-            edge_total = 0
-            for item in stream.iter_items():
-                if isinstance(item, np.ndarray):
-                    edge_total += len(item)
-                    if first_monochromatic(colors, item) is not None:
-                        return False
-            stream.note_edge_count(edge_total)
+    palette = palette_bound if entry.enforce_palette else None
+    if isinstance(stream, StreamSource) and not entry.needs_lists:
+        colors = coloring_array(stream.n, coloring)
+        witness = _first_conflict(stream, colors)
+        if spec.validate:
+            # Totality, then the witness, then the palette: the order
+            # validate_coloring checks them in.
+            validate_coloring_blocks(
+                stream.n,
+                np.array([witness[:2]] if witness else [], dtype=np.int64),
+                coloring,
+                palette_size=palette,
+            )
             return True
+        return witness is None and bool((colors != 0).all())
     graph, lists = _graph_and_lists(stream)
     if spec.validate:
         validate_coloring(
             graph,
             coloring,
-            palette_size=palette_bound if entry.enforce_palette else None,
+            palette_size=palette,
             lists=lists if entry.needs_lists else None,
         )
         return True

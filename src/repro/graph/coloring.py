@@ -157,7 +157,8 @@ def first_monochromatic(colors, edges):
 
     ``colors`` is a :func:`coloring_array`; 0 (unset) never conflicts.
     Any other equal pair is a violation — including out-of-domain
-    non-positive colors, matching the token path's ``is not None`` test.
+    non-positive colors, matching :func:`validate_coloring`'s
+    ``is not None`` test.
     """
     import numpy as np
 
@@ -183,7 +184,7 @@ def validate_coloring_blocks(
     Raises the same exceptions with the same witnesses (first violation in
     vertex/edge order) without materializing a :class:`Graph`.  List
     constraints are not supported here — list-coloring runs validate
-    through the token path.
+    through :func:`validate_coloring` on the reconstructed graph.
     """
     import numpy as np
 

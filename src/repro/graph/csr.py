@@ -25,8 +25,8 @@ def dedupe_edges(n: int, edges: np.ndarray, keep_order: bool = False) -> np.ndar
     and unique.  ``keep_order=True`` returns edges in first-occurrence
     order instead of sorted — the selector's tie-break follows float64
     sums accumulated in edge order (its member sums and its part-sum
-    near-tie re-score), so the block path keeps the token path's stream
-    order to select bit-for-bit the same member.
+    near-tie re-score), so keeping stream order selects the same member
+    at every chunk size.
     """
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) == 0:

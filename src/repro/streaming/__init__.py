@@ -2,9 +2,10 @@
 
 The paper's two settings are represented directly:
 
-- **Static multipass** (Section 3): a :class:`TokenStream` fixed in advance;
-  a :class:`MultipassStreamingAlgorithm` reads it with ``stream.new_pass()``
-  as many times as it needs, and the stream counts the passes.
+- **Static multipass** (Section 3): a stream fixed in advance; a
+  :class:`MultipassStreamingAlgorithm` reads it with ``stream.new_pass()``
+  as many times as its pass machine needs, and the stream counts the
+  passes.
 - **Adversarial single-pass** (Section 4): a :class:`OnePassAlgorithm`
   exposes ``process(u, v)`` / ``query()``, and the game loop in
   :mod:`repro.adversaries` drives it against an adaptive adversary.
@@ -14,7 +15,8 @@ plane"): the token-at-a-time :class:`TokenStream` and the array-backed,
 chunked :class:`StreamSource` (:class:`MaterializedSource`,
 :class:`GeneratorSource`, :class:`FileSource`,
 :class:`ShardedFileSource`), whose passes yield ``(k, 2)`` numpy edge
-blocks.  Pass counting and space accounting are identical on both.
+blocks.  Pass counting and space accounting are identical on both;
+multipass algorithms read a token stream as one-edge blocks.
 Inputs too large for one file live in the sharded ``REPROED2`` container
 (see DESIGN.md, "Sharded edge container").
 """
@@ -29,11 +31,9 @@ from repro.streaming.sharded import (
 )
 from repro.streaming.source import (
     DEFAULT_CHUNK_SIZE,
-    TOKEN_MATERIALIZE_LIMIT,
     FileSource,
     GeneratorSource,
     MaterializedSource,
-    SourceTokenStream,
     StreamSource,
     as_edge_blocks,
     iter_edge_blocks,
@@ -54,9 +54,7 @@ __all__ = [
     "MultipassStreamingAlgorithm",
     "OnePassAlgorithm",
     "ShardedFileSource",
-    "SourceTokenStream",
     "StreamSource",
-    "TOKEN_MATERIALIZE_LIMIT",
     "TokenStream",
     "as_edge_blocks",
     "edge_tokens",

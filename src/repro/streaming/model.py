@@ -5,8 +5,8 @@ interfaces exist so the experiment harness, the adversarial game loop, and
 the communication-protocol reduction can treat algorithms uniformly.
 
 Both base classes implement the :class:`repro.engine.StreamingColorer`
-protocol: :meth:`color_stream` consumes a :class:`TokenStream` and returns
-a total coloring, and :attr:`palette_bound` exposes the declared palette
+protocol: :meth:`color_stream` consumes a :class:`TokenStream` or a
+:class:`~repro.streaming.source.StreamSource` and returns a total coloring, and :attr:`palette_bound` exposes the declared palette
 size (``None`` when the algorithm only guarantees an asymptotic shape).
 The engine's :func:`repro.engine.run` entry point drives algorithms only
 through that protocol.
@@ -20,8 +20,14 @@ from repro.common.exceptions import CheckpointError
 from repro.common.space import SpaceMeter
 from repro.streaming.machine import OnePassStreamConsumer, drive_blocks, require_machine
 from repro.streaming.source import StreamSource
-from repro.streaming.stream import TokenStream
 from repro.streaming.tokens import EdgeToken
+
+
+def block_source(stream) -> StreamSource:
+    """The stream as a block source: a token stream reads as one-edge blocks."""
+    if isinstance(stream, StreamSource):
+        return stream
+    return stream.as_source(1)
 
 
 class SnapshotableAlgorithm:
@@ -63,37 +69,32 @@ class SnapshotableAlgorithm:
         return require_machine(self)["coloring"]
 
 
-class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
-    """A (possibly multipass) algorithm over a fixed :class:`TokenStream`.
+class MultipassStreamingAlgorithm(SnapshotableAlgorithm):
+    """A (possibly multipass) algorithm over a fixed input stream.
 
-    Subclasses implement :meth:`run`, reading the stream only via
-    ``stream.new_pass()`` and charging ``self.meter`` for state.
-
-    :meth:`run` accepts either data-plane view: a token stream (one
-    ``EdgeToken``/``ListToken`` per item) or a
+    Subclasses implement the pass-machine protocol below, reading the
+    stream only through the passes :meth:`run` drives and charging
+    ``self.meter`` for state.  :meth:`run` is the one driver: a
     :class:`~repro.streaming.source.StreamSource` (numpy ``(k, 2)`` edge
-    blocks, list tokens interleaved in place).  Every algorithm in the
-    registry consumes blocks natively (:attr:`supports_blocks` is true) and
-    produces bit-identical output on both views; the legacy token
-    adaptation in :meth:`color_stream` remains only as the contract
-    fallback for third-party subclasses that never vectorized.
+    blocks, list tokens interleaved in place) goes straight to
+    :func:`~repro.streaming.machine.drive_blocks`, and a
+    :class:`TokenStream` is read as one-edge blocks through
+    ``stream.as_source(1)``, which shares the stream's pass counter and
+    fires its per-token observer.
     """
 
-    #: True when ``run`` consumes StreamSource blocks natively (all
-    #: registered algorithms).  False falls back to token adaptation.
-    supports_blocks = False
+    #: Every multipass algorithm consumes blocks natively.
+    supports_blocks = True
 
     def __init__(self):
         self.meter = SpaceMeter()
 
-    @abc.abstractmethod
-    def run(self, stream: TokenStream) -> dict[int, int]:
+    def run(self, stream) -> dict[int, int]:
         """Process the stream and return a total coloring ``vertex -> color``."""
+        return drive_blocks(self, block_source(stream))
 
     def color_stream(self, stream) -> dict[int, int]:
-        """Protocol entry point: :meth:`run`, adapting block sources if needed."""
-        if isinstance(stream, StreamSource) and not self.supports_blocks:
-            stream = stream.as_token_stream()
+        """Protocol entry point: :meth:`run`."""
         return self.run(stream)
 
     # -- pass-machine protocol (repro.streaming.machine) ----------------
@@ -177,11 +178,11 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
         This is the static-stream (oblivious) driver; the adaptive setting
         goes through :func:`repro.adversaries.run_adversarial_game` instead.
         Block sources are fed through :meth:`process_block` block by block
-        — the same edge order as the token path, vectorized whenever the
-        algorithm overrides it — via the generic one-pass pass machine, so
-        every one-pass algorithm is suspend/restorable at any block
-        boundary for free (its whole state lives in object attributes
-        between ``process_block`` calls).
+        — the same edge order as the per-token :meth:`process` loop below,
+        vectorized whenever the algorithm overrides it — via the generic
+        one-pass pass machine, so every one-pass algorithm is
+        suspend/restorable at any block boundary for free (its whole state
+        lives in object attributes between ``process_block`` calls).
         """
         if isinstance(stream, StreamSource):
             return drive_blocks(self, stream)

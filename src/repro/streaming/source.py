@@ -50,9 +50,7 @@ __all__ = [
     "FileSource",
     "GeneratorSource",
     "MaterializedSource",
-    "SourceTokenStream",
     "StreamSource",
-    "TOKEN_MATERIALIZE_LIMIT",
     "as_edge_blocks",
     "iter_edge_blocks",
     "read_edge_file_header",
@@ -60,12 +58,6 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK_SIZE = 8192
-
-#: Hard ceiling on ``SourceTokenStream.tokens`` materialization: one
-#: Python object per edge is fine for diagnostics at test sizes, but on an
-#: out-of-core source it is a silent multi-GB allocation.  Streams above
-#: this edge count must be consumed via ``iter_tokens()`` / ``new_pass()``.
-TOKEN_MATERIALIZE_LIMIT = 1 << 20
 
 _MAGIC = b"REPROED1"
 _HEADER = struct.Struct("<QQ")  # n, m
@@ -140,8 +132,8 @@ class StreamSource(abc.ABC):
 
     Subclasses implement :meth:`_pass_items`, yielding ``(k, 2)`` int64
     arrays and/or :class:`ListToken` items for one sweep of the input.  The
-    base class handles pass counting, per-pass wall-time recording, cached
-    degree statistics, and the token-compatibility shim.
+    base class handles pass counting, per-pass wall-time recording, and
+    cached degree statistics.
     """
 
     def __init__(self, n: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
@@ -157,7 +149,6 @@ class StreamSource(abc.ABC):
         self._pass_seconds: list[float] = []
         self._edge_count = None
         self._max_degree = None
-        self._token_view = None
 
     # -- pass accounting (overridden by MaterializedSource to share the
     #    wrapped stream's counters) --------------------------------------
@@ -168,13 +159,9 @@ class StreamSource(abc.ABC):
 
     @property
     def pass_seconds(self) -> list[float]:
-        """Wall time of each completed pass, including consumer work.
+        """Wall time of each completed pass: first item to exhaustion.
 
-        The recorded time spans first item to generator exhaustion.  A
-        consumer whose per-pass work happens *after* exhausting the blocks
-        (e.g. one deferred reduction over collected chunks) must charge
-        that time back with ``pass_seconds[-1] += elapsed`` so token-path
-        and block-path pass times stay comparable.
+        Each entry is the duration of that pass's ``stream.pass`` span.
         """
         return self._pass_seconds
 
@@ -299,12 +286,6 @@ class StreamSource(abc.ABC):
         self._max_degree = int(deg.max()) if self.n else 0
 
     # -------------------------------------------------------------------
-    def as_token_stream(self) -> "SourceTokenStream":
-        """The compatibility shim: token-at-a-time view sharing pass counts."""
-        if self._token_view is None:
-            self._token_view = SourceTokenStream(self)
-        return self._token_view
-
     def set_observer(self, callback) -> None:
         """Per-token observers require a materialized stream."""
         raise StreamProtocolError(
@@ -326,11 +307,6 @@ class MaterializedSource(StreamSource):
     """
 
     def __init__(self, stream: TokenStream, chunk_size: int = DEFAULT_CHUNK_SIZE):
-        if isinstance(stream, SourceTokenStream):
-            raise StreamProtocolError(
-                "cannot materialize a source-backed token shim; "
-                "use the original source"
-            )
         super().__init__(stream.n, chunk_size)
         self.stream = stream
         self._segments = None
@@ -563,79 +539,3 @@ class FileSource(StreamSource):
     def close(self) -> None:
         """Release the memory mapping (subsequent passes raise)."""
         self._mmap = None
-
-
-class SourceTokenStream(TokenStream):
-    """Thin compatibility shim: token-at-a-time iteration over any source.
-
-    Looks like a :class:`TokenStream` (``new_pass`` yields tokens,
-    ``tokens`` materializes lazily for diagnostics) but delegates pass
-    counting, timings, and cached statistics to the underlying source, so
-    an algorithm consuming the shim and a harness reading the source agree
-    on every measured quantity.
-    """
-
-    def __init__(self, source: StreamSource):
-        # Deliberately skip TokenStream.__init__: tokens materialize lazily.
-        self._source = source
-        self.n = source.n
-        self._observer = None
-        self._tokens_cache = None
-
-    @property
-    def tokens(self) -> list:
-        """Materialized token list — diagnostics only, size-gated.
-
-        One Python object per edge: harmless at test sizes, a silent
-        multi-GB allocation on an out-of-core source.  Streams larger
-        than :data:`TOKEN_MATERIALIZE_LIMIT` refuse to materialize;
-        consume them via :meth:`new_pass` / ``iter_tokens()`` instead.
-        """
-        if self._tokens_cache is None:
-            count = self._source.edge_count()
-            if count > TOKEN_MATERIALIZE_LIMIT:
-                raise StreamProtocolError(
-                    f"refusing to materialize {count} edges as tokens "
-                    f"(limit {TOKEN_MATERIALIZE_LIMIT}); iterate the "
-                    "source's blocks or iter_tokens() instead"
-                )
-            self._tokens_cache = list(self._source.iter_tokens())
-        return self._tokens_cache
-
-    @property
-    def passes_used(self) -> int:
-        return self._source.passes_used
-
-    @property
-    def pass_seconds(self) -> list[float]:
-        return self._source.pass_seconds
-
-    def __len__(self) -> int:
-        # Delegates to the source's cached count: taking the length of a
-        # huge stream must not trip the materialization gate above.
-        return self._source.edge_count()
-
-    def as_source(self, chunk_size=None) -> StreamSource:
-        if chunk_size is not None and chunk_size != self._source.chunk_size:
-            raise StreamProtocolError(
-                f"shim's source already chunks at {self._source.chunk_size}; "
-                f"cannot re-chunk to {chunk_size}"
-            )
-        return self._source
-
-    def set_observer(self, callback) -> None:
-        self._source.set_observer(callback)
-
-    def new_pass(self):
-        for item in self._source.new_pass():
-            if isinstance(item, ListToken):
-                yield item
-            else:
-                for u, v in item.tolist():
-                    yield EdgeToken(u, v)
-
-    def edge_count(self) -> int:
-        return self._source.edge_count()
-
-    def max_degree(self) -> int:
-        return self._source.max_degree()

@@ -9,11 +9,11 @@ Alice/Bob boundary.
 
 ``TokenStream`` is the token-at-a-time view of the data plane; the
 array-backed, chunked view lives in :mod:`repro.streaming.source`
-(:class:`StreamSource` and friends).  The two interconvert:
-``stream.as_source()`` wraps a token stream in a block source sharing its
-pass counter, and ``source.as_token_stream()`` adapts any block source back
-to token iteration.  The token list is treated as immutable once the stream
-is constructed (``edge_count``/``max_degree`` are cached on first use).
+(:class:`StreamSource` and friends).  ``stream.as_source()`` wraps a token
+stream in a block source sharing its pass counter; multipass algorithms
+read a token stream through ``stream.as_source(1)``, one edge per block.
+The token list is treated as immutable once the stream is constructed
+(``edge_count``/``max_degree`` are cached on first use).
 """
 
 

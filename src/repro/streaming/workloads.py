@@ -5,13 +5,11 @@ data plane.  :func:`workload_source` wraps a ``(family, n, order, seed)``
 cell in a :class:`~repro.streaming.source.GeneratorSource` — the edge
 array (and its arrangement) is re-derived on every pass, so nothing about
 the stream is retained between passes and the source works at any chunk
-size.  :func:`workload_token_stream` is the token-path twin used as the
-differential reference, and :func:`workload_list_stream` builds the
+size.  :func:`workload_token_stream` is the same cell as a token stream,
+the differential's token plane, and :func:`workload_list_stream` builds the
 Theorem 2 input (edges + per-vertex list tokens) for ``needs_lists``
 algorithms from the same underlying zoo graph.
 """
-
-import numpy as np
 
 from repro.graph.zoo import arrange_edges, workload_delta, workload_edges
 from repro.streaming.source import DEFAULT_CHUNK_SIZE, GeneratorSource

@@ -8,7 +8,7 @@ entry point:
   palette / pass / space / randomness claims, evaluated on every result
   when ``RunSpec.verify`` is set.
 - **Differential checks** (:mod:`repro.verify.differential`): the token
-  path and every block backend/chunk size must be observably identical —
+  plane and every block backend/chunk size must be observably identical —
   same coloring, passes, peak space, random bits.
 - **Metamorphic properties** (:mod:`repro.verify.metamorphic`): seed
   determinism, stream-order invariance where the paper promises it, and

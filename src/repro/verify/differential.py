@@ -1,11 +1,14 @@
 """The differential oracle: all data planes must agree bit for bit.
 
-PR 2/3 established that every registered algorithm produces identical
-colorings, pass counts, space charges, and randomness draws on the token
-path and on every block backend at every chunk size.  This module turns
-that property from ad-hoc test assertions into a reusable oracle: run one
-verification cell on the token plane and on each requested chunk size,
-and report any field-level divergence.
+Every registered algorithm must produce identical colorings, pass
+counts, space charges, and randomness draws on the token plane and on
+every block backend at every chunk size.  Multipass algorithms read the
+token plane as one-edge blocks and one-pass algorithms feed it to
+``process`` edge by edge, so the check pins chunking invariance of the
+pass consumers and the scalar/vectorized agreement of the one-pass
+algorithms.  This module runs one verification cell on the token plane
+and on each requested chunk size, and reports any field-level
+divergence.
 """
 
 from dataclasses import dataclass, replace
@@ -36,7 +39,7 @@ class DifferentialReport:
     def describe(self) -> list[str]:
         return [
             f"{self.cell.algorithm}/{self.cell.family}/{self.cell.order} "
-            f"chunk={chunk}: {field} diverged from the token path "
+            f"chunk={chunk}: {field} diverged from the token plane "
             f"({token!r} vs {block!r})"
             for chunk, field, token, block in self.mismatches
         ]

@@ -2,6 +2,7 @@
 
 import contextlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +12,19 @@ from repro.adversaries import (
     RandomAdversary,
     run_adversarial_game,
 )
-from repro.baselines.acs22 import ColorReductionColoring, TwoPassQuadraticColoring
+from repro.baselines.acs22 import (
+    ColorReductionColoring,
+    TwoPassQuadraticColoring,
+    _MemberCountsConsumer,
+    _PartCountsConsumer,
+)
 from repro.baselines.naive import (
     OneShotRandomColoring,
     StoreEverythingColoring,
     TrivialColoring,
 )
 from repro.baselines.palette_sparsification import PaletteSparsificationColoring
-from repro.graph.coloring import num_colors_used, validate_coloring
+from repro.graph.coloring import validate_coloring
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -78,6 +84,77 @@ class TestQuadratic:
         algo = TwoPassQuadraticColoring(25, 4)
         coloring = algo.run(stream)
         validate_coloring(g, coloring, palette_size=algo.palette_size)
+
+
+# ----------------------------------------------------------------------
+# The per-edge reference: TwoPassQuadraticColoring's first two passes as
+# first written, an O(p) numpy update per edge.  The block consumers
+# aggregate by edge difference (pass 1) and by circular b-intervals
+# (pass 2) and must give the same exact integer counts.
+# ----------------------------------------------------------------------
+def reference_part_collision_counts(algo, edges):
+    """For each part ``a``, ``sum_b #monochromatic edges of h_{a,b}``."""
+    p, r = algo.p, algo.range_size
+    a = np.arange(1, p, dtype=np.int64)
+    totals = np.zeros(p - 1, dtype=np.int64)
+    for u, v in edges:
+        d = (a * ((v - u) % p)) % p
+        collide = (p - d) * (d % r == 0) + d * ((d - p) % r == 0)
+        totals += collide
+    return totals
+
+
+def reference_member_collision_counts(algo, edges, a_star):
+    """Exact monochromatic-edge count of every ``h_{a*, b}``."""
+    p, r = algo.p, algo.range_size
+    b = np.arange(p, dtype=np.int64)
+    counts = np.zeros(p, dtype=np.int64)
+    for u, v in edges:
+        t = (a_star * u + b) % p
+        fu = t % r
+        fv = ((t + a_star * ((v - u) % p)) % p) % r
+        counts += fu == fv
+    return counts
+
+
+def fed_in_chunks(consumer, edges, chunk):
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    for start in range(0, len(arr), chunk):
+        consumer.feed(arr[start : start + chunk])
+    return consumer.finish(None)
+
+
+@st.composite
+def quadratic_instances(draw):
+    n = draw(st.integers(2, 30))
+    delta = draw(st.integers(1, 4))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        max_size=40,
+    ))
+    chunk = draw(st.integers(1, 8))
+    return TwoPassQuadraticColoring(n, delta), edges, chunk
+
+
+class TestQuadraticCountsMatchReference:
+    @given(quadratic_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_part_counts(self, instance):
+        algo, edges, chunk = instance
+        got = fed_in_chunks(_PartCountsConsumer(algo), edges, chunk)
+        assert np.array_equal(got, reference_part_collision_counts(algo, edges))
+
+    @given(quadratic_instances(), st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_member_counts(self, instance, a_seed):
+        algo, edges, chunk = instance
+        a_star = 1 + a_seed % (algo.p - 1)
+        got = fed_in_chunks(_MemberCountsConsumer(algo, a_star), edges, chunk)
+        assert np.array_equal(
+            got, reference_member_collision_counts(algo, edges, a_star)
+        )
 
 
 class TestColorReduction:

@@ -9,12 +9,19 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.exceptions import ReproError
-from repro.core.deterministic import DeterministicColoring, choose_family_prime
+from repro.common.integer_math import ceil_log2
+from repro.core.deterministic import (
+    DeterministicColoring,
+    _SlackPassConsumer,
+    choose_family_prime,
+)
+from repro.core.subcube import Subcube
 from repro.graph.coloring import num_colors_used, validate_coloring
 from repro.graph.generators import (
     clique_blowup_graph,
@@ -181,6 +188,79 @@ class TestTheoremBounds:
         g = gnp_random_graph(30, 0.15, seed=seed)
         delta = max(1, g.max_degree())
         run_and_validate(g, delta)
+
+
+# ----------------------------------------------------------------------
+# The per-token reference: Algorithm 1's slack pass (line 14) as first
+# written, one Subcube.pattern_of per colored neighbor and the base counts
+# from Subcube.subpattern_count.  _SlackPassConsumer replaces both with
+# bit arithmetic over edge blocks and a closed form.
+# ----------------------------------------------------------------------
+def reference_slacks(delta, edges, chi, uncolored, cubes, kk):
+    s = 1 << kk
+    members = sorted(uncolored)
+    used = {x: np.zeros(s, dtype=np.int64) for x in members}
+    for u, v in edges:
+        for x, y in ((u, v), (v, u)):
+            if x in uncolored:
+                color = chi.get(y)
+                if color is not None and cubes[x].contains(color):
+                    used[x][cubes[x].pattern_of(color, kk)] += 1
+    slacks = {}
+    for x in members:
+        base = np.array(
+            [cubes[x].subpattern_count(delta + 1, j, kk) for j in range(s)],
+            dtype=np.int64,
+        )
+        slacks[x] = np.maximum(0, base - used[x])
+    return slacks
+
+
+@st.composite
+def slack_pass_states(draw):
+    """A mid-epoch state: a partial coloring, and subcubes that share
+    ``(b, fixed)`` and differ only in their fixed bits."""
+    n = draw(st.integers(2, 24))
+    delta = draw(st.integers(1, 12))
+    b = ceil_log2(delta + 1)
+    fixed = draw(st.integers(0, b - 1))
+    kk = draw(st.integers(1, b - fixed))
+    colors = draw(st.lists(
+        st.one_of(st.none(), st.integers(1, delta + 1)),
+        min_size=n, max_size=n,
+    ).filter(lambda cs: None in cs))
+    chi = dict(enumerate(colors))
+    uncolored = {v for v, c in chi.items() if c is None}
+    cubes = {
+        x: Subcube.full(b).restrict(draw(st.integers(0, (1 << fixed) - 1)), fixed)
+        for x in sorted(uncolored)
+    }
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda e: e[0] != e[1]
+        ),
+        max_size=60,
+    ))
+    chunk = draw(st.integers(1, 8))
+    return n, delta, chi, uncolored, cubes, kk, edges, chunk
+
+
+class TestSlackPassMatchesReference:
+    @given(slack_pass_states())
+    @settings(max_examples=80, deadline=None)
+    def test_block_slacks_equal_per_token_slacks(self, state):
+        n, delta, chi, uncolored, cubes, kk, edges, chunk = state
+        algo = DeterministicColoring(n, delta)
+        members = sorted(uncolored)
+        consumer = _SlackPassConsumer(algo, chi, uncolored, cubes, kk, members)
+        arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        for start in range(0, len(arr), chunk):
+            consumer.feed(arr[start : start + chunk])
+        got = consumer.finish(None)
+        want = reference_slacks(delta, edges, chi, uncolored, cubes, kk)
+        assert list(got) == members
+        for x in members:
+            assert np.array_equal(got[x], want[x]), x
 
 
 class TestStreamOrders:

@@ -11,12 +11,14 @@ import pytest
 
 from repro.common.exceptions import AdversaryError, ReproError
 from repro.core.deterministic import DeterministicColoring
+from repro.engine import REGISTRY, RunSpec, run
 from repro.core.list_coloring import DeterministicListColoring
 from repro.core.robust import RobustColoring
 from repro.core.robust_lowrandom import LowRandomnessRobustColoring
 from repro.graph.coloring import validate_coloring
 from repro.graph.generators import complete_graph, random_max_degree_graph
 from repro.graph.graph import Graph
+from repro.streaming.source import FileSource, write_edge_file
 from repro.streaming.stream import TokenStream, stream_from_graph
 from repro.streaming.tokens import EdgeToken, ListToken
 
@@ -43,6 +45,44 @@ class TestUnderstatedDelta:
         algo.process(0, 1)
         with pytest.raises(ReproError):
             algo.process(1, 2)
+
+
+LOOP_EDGES = [(0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]
+
+
+def loop_outcome(name, plane, validate, tmp_path):
+    """``(type, message)`` of what a run over LOOP_EDGES raises, or None."""
+    tokens = [EdgeToken(u, v) for u, v in LOOP_EDGES]
+    if REGISTRY.get(name).needs_lists:
+        tokens = [ListToken(x, frozenset(range(1, 5))) for x in range(4)] + tokens
+    stream = TokenStream(tokens, 4)
+    if plane == "materialized":
+        stream = stream.as_source()
+    elif plane == "file":
+        path = tmp_path / f"{name}-{validate}.bin"
+        write_edge_file(path, 4, LOOP_EDGES)
+        stream = FileSource(path)
+    spec = RunSpec(algorithm=name, n=4, delta=3, seed=1, validate=validate)
+    try:
+        run(spec, stream)
+    except ReproError as error:
+        return type(error), str(error)
+    return None
+
+
+class TestSelfLoop:
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_every_plane_fails_the_same_way(self, name, validate, tmp_path):
+        planes = ["tokens", "materialized"]
+        if not REGISTRY.get(name).needs_lists:
+            planes.append("file")
+        outcomes = {
+            plane: loop_outcome(name, plane, validate, tmp_path)
+            for plane in planes
+        }
+        assert outcomes["tokens"] is not None
+        assert all(o == outcomes["tokens"] for o in outcomes.values()), outcomes
 
 
 class TestBenignAnomalies:

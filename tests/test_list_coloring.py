@@ -1,11 +1,16 @@
 """Integration tests for Theorem 2: deterministic (deg+1)-list-coloring."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.exceptions import ReproError
-from repro.core.list_coloring import DeterministicListColoring
+from repro.core.list_coloring import (
+    DeterministicListColoring,
+    _EpochState,
+    _PartitionScoreConsumer,
+)
 from repro.graph.coloring import validate_coloring
 from repro.graph.generators import (
     complete_graph,
@@ -14,7 +19,9 @@ from repro.graph.generators import (
     random_max_degree_graph,
 )
 from repro.graph.graph import Graph
+from repro.hashing.partitions import PartitionFamily
 from repro.streaming.stream import stream_with_lists
+from repro.streaming.tokens import ListToken
 
 
 def run_and_validate(graph, delta, lists, universe, **kwargs):
@@ -112,3 +119,90 @@ class TestLemma310Decay:
         for (ep1, before), (ep2, after) in zip(masses, masses[1:]):
             if ep1 == ep2:  # decay is a within-epoch property
                 assert after <= before
+
+
+# ----------------------------------------------------------------------
+# The per-token reference: Theorem 2's partition-group scoring pass as
+# first written, one PartitionFamily.class_of per (survivor, candidate)
+# and a chain walk per color for P_x membership.  _PartitionScoreConsumer
+# replaces both with the family's class table and one occupancy bincount
+# per list token.
+# ----------------------------------------------------------------------
+def reference_contains(state, x, color):
+    """Whether ``color`` is in ``P_x`` (walk the chain)."""
+    for arr, cls in zip(state.partitions, state.chain[x]):
+        if arr[color] != cls:
+            return False
+    return True
+
+
+def reference_group_scores(items, uncolored, state, family, groups):
+    """``sum over group members of sum_x a_R(P_x ∩ L_x)``, per group."""
+    scores = np.zeros(len(groups))
+    seen = set()
+    for token in items:
+        if not isinstance(token, ListToken) or token.x not in uncolored:
+            continue
+        x = token.x
+        if x in seen:
+            continue
+        seen.add(x)
+        survivors = [c for c in token.colors if reference_contains(state, x, c)]
+        if not survivors:
+            continue
+        for gi, group in enumerate(groups):
+            for a, b in group:
+                counts = np.zeros(family.s, dtype=np.int64)
+                for c in survivors:
+                    counts[family.class_of(a, b, c)] += 1
+                scores[gi] += max(0, int(counts.max()) - 1)
+    return scores
+
+
+@st.composite
+def partition_score_states(draw):
+    """Chains over a few committed stages, lists, and candidate groups."""
+    n = draw(st.integers(1, 10))
+    universe = draw(st.integers(2, 12))
+    s = draw(st.sampled_from([2, 4]))
+    family = PartitionFamily(universe, s)
+    keys = list(family.members())
+    uncolored = set(draw(st.lists(st.integers(0, n - 1), min_size=1)))
+    state = _EpochState(uncolored)
+    for _ in range(draw(st.integers(0, 2))):
+        key = keys[draw(st.integers(0, len(keys) - 1))]
+        state.partitions.append(family.class_array(*key))
+        for x in state.members:
+            state.chain[x] += (draw(st.integers(0, s - 1)),)
+    items = []
+    for _ in range(draw(st.integers(0, 2 * n))):
+        if draw(st.booleans()):
+            x = draw(st.integers(0, n - 1))
+            colors = draw(st.frozensets(st.integers(1, universe), min_size=1))
+            items.append(ListToken(x, colors))
+        else:
+            items.append(np.array([[0, 0]], dtype=np.int64))
+    candidates = draw(st.lists(
+        st.sampled_from(keys), min_size=1, max_size=12, unique=True,
+    ))
+    size = draw(st.integers(1, len(candidates)))
+    groups = [
+        candidates[i : i + size] for i in range(0, len(candidates), size)
+    ]
+    return n, universe, uncolored, state, family, groups, items
+
+
+class TestPartitionScoresMatchReference:
+    @given(partition_score_states())
+    @settings(max_examples=80, deadline=None)
+    def test_block_scores_equal_per_token_scores(self, case):
+        n, universe, uncolored, state, family, groups, items = case
+        algo = DeterministicListColoring(n, 1, universe)
+        consumer = _PartitionScoreConsumer(
+            algo, uncolored, state, family, groups
+        )
+        for item in items:
+            consumer.feed(item)
+        got = consumer.finish(None)
+        want = reference_group_scores(items, uncolored, state, family, groups)
+        assert np.array_equal(got, want)

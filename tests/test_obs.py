@@ -232,6 +232,26 @@ class TestTrace:
         assert int(pid_hex, 16) == record["pid"]
         assert int(counter_hex, 16) > 0
 
+    def test_pass_wall_times_are_the_stream_pass_spans(self, tmp_path):
+        # One record of a pass's time: no consumer adds time to a pass
+        # after its span is written.
+        from repro.engine import RunSpec, run
+
+        path = tmp_path / "trace.jsonl"
+        obs.configure(trace_log=path)
+        result = run(RunSpec(
+            algorithm="deterministic", n=256, delta=24, seed=1,
+            stream_backend="materialized",
+        ))
+        obs.reset()
+        spans = [
+            r for r in obs.read_trace_log(path) if r["name"] == "stream.pass"
+        ]
+        assert len(spans) == result.passes > 1
+        assert result.extras["pass_wall_times"] == [
+            round(r["dur_s"], 6) for r in spans
+        ]
+
 
 # ----------------------------------------------------------------------
 # structlog + configure round trip

@@ -6,11 +6,9 @@ import pytest
 from repro.common.exceptions import StreamProtocolError
 from repro.graph.generators import cycle_graph, gnp_random_graph
 from repro.streaming.source import (
-    TOKEN_MATERIALIZE_LIMIT,
     FileSource,
     GeneratorSource,
     MaterializedSource,
-    SourceTokenStream,
     as_edge_blocks,
     iter_edge_blocks,
     read_edge_file_header,
@@ -108,13 +106,6 @@ class TestMaterializedSource:
         with pytest.raises(ValueError):
             block[0, 0] = 99
         assert next(iter(source.iter_items())).tolist() == [[0, 1], [1, 2]]
-
-    def test_rejects_wrapping_a_shim(self):
-        source = MaterializedSource(
-            TokenStream(edge_tokens([(0, 1)]), n=2)
-        )
-        with pytest.raises(StreamProtocolError):
-            MaterializedSource(source.as_token_stream())
 
 
 class TestGeneratorSource:
@@ -290,64 +281,6 @@ class TestWriteEdgeFileAtomicity:
         assert np.array_equal(
             collect_edges(FileSource(path)), np.concatenate(blocks)
         )
-
-
-class TestSourceTokenStream:
-    def test_yields_tokens_and_counts_passes(self):
-        source = GeneratorSource(lambda: [(0, 1), (1, 2)], n=3)
-        shim = source.as_token_stream()
-        assert isinstance(shim, SourceTokenStream)
-        tokens = list(shim.new_pass())
-        assert tokens == [EdgeToken(0, 1), EdgeToken(1, 2)]
-        assert shim.passes_used == 1 and source.passes_used == 1
-
-    def test_lazy_tokens_do_not_count_a_pass(self):
-        source = GeneratorSource(lambda: [(0, 1)], n=2)
-        shim = source.as_token_stream()
-        assert shim.tokens == [EdgeToken(0, 1)]
-        assert len(shim) == 1
-        assert source.passes_used == 0
-
-    def test_delegates_stats(self):
-        source = GeneratorSource(lambda: [(0, 1), (0, 2)], n=3)
-        shim = source.as_token_stream()
-        assert shim.edge_count() == 2
-        assert shim.max_degree() == 2
-
-    def test_as_source_returns_original(self):
-        source = GeneratorSource(lambda: [(0, 1)], n=2)
-        assert source.as_token_stream().as_source() is source
-
-    def test_as_source_rejects_conflicting_chunk_size(self):
-        source = GeneratorSource(lambda: [(0, 1)], n=2, chunk_size=8)
-        shim = source.as_token_stream()
-        assert shim.as_source(chunk_size=8) is source
-        with pytest.raises(StreamProtocolError):
-            shim.as_source(chunk_size=100)
-
-    def test_tokens_refuses_to_materialize_huge_sources(self, monkeypatch):
-        # .tokens builds one EdgeToken per edge; on an out-of-core source
-        # that is exactly the allocation the file layer exists to avoid.
-        monkeypatch.setattr(
-            "repro.streaming.source.TOKEN_MATERIALIZE_LIMIT", 2
-        )
-        source = GeneratorSource(lambda: [(0, 1), (1, 2), (2, 3)], n=4)
-        shim = source.as_token_stream()
-        with pytest.raises(StreamProtocolError, match="refusing to materialize"):
-            shim.tokens
-        # Size and streaming access stay available above the limit.
-        assert len(shim) == 3
-        assert len(list(source.iter_tokens())) == 3
-
-    def test_tokens_allowed_at_the_limit(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.streaming.source.TOKEN_MATERIALIZE_LIMIT", 3
-        )
-        source = GeneratorSource(lambda: [(0, 1), (1, 2), (2, 3)], n=4)
-        assert len(source.as_token_stream().tokens) == 3
-
-    def test_default_limit_is_sane(self):
-        assert TOKEN_MATERIALIZE_LIMIT >= 1 << 20
 
 
 class TestIterEdgeBlocks:
