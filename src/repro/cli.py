@@ -7,7 +7,7 @@ Usage (also via ``python -m repro``):
     python -m repro run t1 --n 128 --deltas 2,4,8,16
     python -m repro run t6 --n 96 --delta 10 --rounds 320
     python -m repro run t2 --workers 4
-    python -m repro verify --all [--smoke] [--family power_law,empty]
+    python -m repro verify --all [--n 32] [--family power_law,empty]
     python -m repro report [--results benchmarks/results] [-o report.md]
 
 Experiments are one declarative table: each id maps to a description and a
@@ -192,13 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: random,degree_sorted,bfs,adversarial)")
     verify.add_argument("--chunk-sizes", default=None, metavar="LIST",
                         help="comma-separated block sizes to difference "
-                        "against the token path (default: 64,4096)")
+                        "against the token plane (default: 64,4096)")
     verify.add_argument("--n", type=int, default=64,
                         help="instance size per workload (default 64)")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--smoke", action="store_true",
-                        help="CI-sized sweep: the same grid and checks "
-                        "(incl. metamorphic) at n capped to 32")
 
     lint = sub.add_parser(
         "lint",
@@ -406,15 +403,14 @@ def _run_verify(args) -> int:
             raise ReproError(
                 f"chunk sizes must be >= 1, got {chunk_sizes}"
             )
-        n = args.n if not args.smoke else min(args.n, 32)
-        if n < 1:
+        if args.n < 1:
             raise ReproError(f"--n must be >= 1, got {args.n}")
         report = verify_sweep(
             algorithms=_csv(args.algorithms),
             families=_csv(args.family),
             orders=_csv(args.order),
             chunk_sizes=chunk_sizes,
-            n=n,
+            n=args.n,
             seed=args.seed,
             registry=REGISTRY,
         )

@@ -1,7 +1,7 @@
 """The verification sweep: registry × workload zoo × orders × chunk sizes.
 
 For every registered algorithm and every zoo cell the sweep runs the
-differential oracle (token path vs every chunk size) with the guarantee
+differential oracle (token plane vs every chunk size) with the guarantee
 oracle enabled on each run, then layers the metamorphic properties (seed
 determinism, declared order invariance, subsample stability) once per
 (algorithm, family).  The result is a flat list of verdict rows plus a
@@ -30,12 +30,6 @@ __all__ = ["DEFAULT_CHUNK_SIZES", "DEFAULT_ORDERS", "SweepReport",
 #: bracketing "many small blocks" and "one big block".
 DEFAULT_ORDERS = ("random", "degree_sorted", "bfs", "adversarial")
 DEFAULT_CHUNK_SIZES = (64, 4096)
-
-#: Instance-size caps per algorithm: the deterministic list-coloring
-#: stage machinery is O(universe^3) per partition-family table, so its
-#: near-star cells (Delta = n - 1) stay small; everything else runs at
-#: the sweep's requested n.
-_N_CAPS = {"list_coloring": 40, "deterministic": 72}
 
 
 @dataclass
@@ -122,12 +116,11 @@ def verify_sweep(
     violations: list[str] = []
     cells = runs = 0
     for algo in algorithms:
-        cell_n = min(n, _N_CAPS.get(algo, n))
         for family in families:
             for order in orders:
                 cells += 1
                 cell = Cell(algorithm=algo, family=family, order=order,
-                            n=cell_n, seed=seed)
+                            n=n, seed=seed)
                 diff = differential_check(
                     cell, chunk_sizes=chunk_sizes, registry=registry
                 )
@@ -157,7 +150,7 @@ def verify_sweep(
                                 )
             if metamorphic:
                 meta_cell = Cell(algorithm=algo, family=family,
-                                 order="random", n=cell_n, seed=seed,
+                                 order="random", n=n, seed=seed,
                                  chunk_size=chunk_sizes[0])
                 violations.extend(
                     check_seed_determinism(meta_cell, registry=registry)

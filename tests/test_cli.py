@@ -1,7 +1,5 @@
 """Tests for the CLI and the report assembler."""
 
-import pathlib
-
 import pytest
 
 from repro.analysis.report import build_report
@@ -125,7 +123,7 @@ class TestVerify:
         assert main([
             "verify", "--algorithms", "naive,cgs22", "--family",
             "power_law,empty", "--order", "random", "--chunk-sizes", "16",
-            "--n", "20", "--smoke",
+            "--n", "20",
         ]) == 0
         out = capsys.readouterr().out
         assert "guarantee verification" in out
@@ -142,7 +140,6 @@ class TestVerify:
         assert main([
             "verify", "--algorithms", "naive", "--family", "power_law",
             "--order", "random", "--chunk-sizes", "16", "--n", "20",
-            "--smoke",
         ]) == 2
         err = capsys.readouterr().err
         assert "violation" in err
