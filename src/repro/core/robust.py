@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.exceptions import ReproError
-from repro.common.integer_math import ceil_div, ceil_log2, ceil_sqrt
+from repro.common.integer_math import ceil_div, ceil_log2
 from repro.graph.coloring import first_missing_positive
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.graph import Graph

@@ -8,7 +8,7 @@ therefore serialize cleanly into run tables, grid specs, and JSON.
 """
 
 import dataclasses
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from repro.common.exceptions import ReproError
 

@@ -17,7 +17,7 @@ from repro.common.exceptions import ReproError
 from repro.staticcheck.baseline import compare_with_baseline, load_baseline
 from repro.staticcheck.findings import Finding
 from repro.staticcheck.project import ParsedModule, Project
-from repro.staticcheck.rules import ALL_RULES, rules_by_id
+from repro.staticcheck.rules import rules_by_id
 
 __all__ = ["LintReport", "collect_files", "run_lint"]
 

@@ -1,7 +1,6 @@
 """Unit tests for degeneracy machinery, cross-checked against networkx."""
 
 import networkx as nx
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 
 from repro.core.subcube import Subcube
 from repro.graph.generators import gnp_random_graph
-from repro.graph.graph import Graph
 
 
 # ----------------------------------------------------------------------

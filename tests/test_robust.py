@@ -23,7 +23,7 @@ from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.generators import near_regular_edge_array, random_max_degree_graph
 from repro.persist.codec import encode_value
 from repro.streaming.source import FileSource, write_edge_file
-from repro.streaming.stream import TokenStream, stream_from_graph
+from repro.streaming.stream import TokenStream
 from repro.streaming.tokens import edge_tokens
 
 

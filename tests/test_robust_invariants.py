@@ -13,7 +13,6 @@ from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
 from repro.core.robust import RobustColoring
 from repro.core.robust_lowrandom import LowRandomnessRobustColoring
 from repro.graph.degeneracy import degeneracy
-from repro.graph.generators import random_max_degree_graph
 from repro.graph.graph import Graph
 
 

@@ -15,7 +15,6 @@ import pytest
 from repro.common.exceptions import ServiceError
 from repro.engine import RunSpec, run
 from repro.graph.zoo import arrange_edges, workload_delta, workload_edges
-from repro.persist import strip_volatile
 from repro.service import ColoringService, ServiceClient, SessionManager
 from repro.service.protocol import decode_message, encode_message
 

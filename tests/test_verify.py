@@ -8,7 +8,6 @@ from repro.common.exceptions import GuaranteeViolationError, ReproError
 from repro.engine import (
     REGISTRY,
     AlgorithmRegistry,
-    GuaranteeSpec,
     RunSpec,
     evaluate_guarantees,
     run,
