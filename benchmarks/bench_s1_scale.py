@@ -3,13 +3,14 @@
 Two historical legs pin down what the engine sustains end to end (the
 deterministic algorithm at n=1024, the robust algorithm under adaptive
 pressure at n=2048).  The throughput sweep then runs EVERY registered
-algorithm on the token path and on its block backend over the *same*
-stream, recording edges/sec over the streaming passes; the colorings must
-be identical pairwise, and each case carries a speedup floor — ≥3x for
-the flagship ``robust`` and ``list_coloring`` cases (plus the n=16384
-deterministic leg's historical ≥5x), looser regression floors for the
-event-bound sketch baselines, and none for the single-pass trivial-work
-cases whose scan is materialization-bound either way.
+algorithm on the ``tokens`` plane and on its block backend over the
+*same* stream, recording edges/sec over the streaming passes; the
+colorings must be identical pairwise.  A one-pass algorithm's token leg
+is its scalar ``process`` loop, and those cases carry a speedup floor:
+≥3x for ``robust``, ≥4x for ``naive``, and looser floors for the
+event-bound sketch algorithms.  A multipass algorithm's token leg runs
+the same pass machine at one edge per block, so its ratio only measures
+chunking overhead and is recorded without a floor.
 
 Each sweep case additionally records the per-kernel dispatch totals
 (calls + seconds, via ``measure_kernels``).  ``BENCH_S1_SMOKE=1`` shrinks
@@ -45,17 +46,17 @@ SMOKE = bool(os.environ.get("BENCH_S1_SMOKE"))
 
 THROUGHPUT_N = 512 if SMOKE else 16384
 THROUGHPUT_DELTA = 24
-SPEEDUP_FLOOR = 5.0
 
 #: One throughput case per registered algorithm:
 #: (algorithm, n, delta, config, block backend, graph family, speedup floor).
-#: Floors are ~half the locally measured speedups; None = record only.
+#: Floors are ~half the locally measured speedups over the scalar
+#: ``process`` loop; None = record only (every multipass case).
 THROUGHPUT_CASES = [
     ("deterministic", THROUGHPUT_N, THROUGHPUT_DELTA,
      {"selection": "greedy_slack"}, "materialized", "random_max_degree",
-     SPEEDUP_FLOOR),
+     None),
     ("list_coloring", 160, 6, {"prime_policy": "scaled"}, "materialized",
-     "random_max_degree", 3.0),
+     "random_max_degree", None),
     ("robust", 512 if SMOKE else 2048, 16, {}, "materialized",
      "random_max_degree", 3.0),
     ("robust_lowrandom", 512 if SMOKE else 1024, 16, {}, "materialized",
@@ -63,7 +64,7 @@ THROUGHPUT_CASES = [
     ("cgs22", 512 if SMOKE else 1024, 16, {}, "materialized",
      "random_max_degree", 2.0),
     ("acs22", 512 if SMOKE else 1024, 8, {}, "materialized",
-     "random_max_degree", 2.0),
+     "random_max_degree", None),
     ("naive", THROUGHPUT_N, THROUGHPUT_DELTA, {}, "file", "near_regular",
      4.0),
     ("palette_sparsification", 512 if SMOKE else 4096, 16, {}, "file",
@@ -222,8 +223,8 @@ def run_scale():
     ))
     rows.append(["robust Alg 2 (adaptive)", n, delta, game.extras["rounds"],
                  game.passes, "-", game.proper])
-    # Throughput sweep: token path vs block path for every registered
-    # algorithm, identical stream per pair.  Each case also records where
+    # Throughput sweep: the tokens plane vs the block backend for every
+    # registered algorithm, identical stream per pair.  Each case also records where
     # the dispatched kernel time went.
     algorithms = {}
     flagship_token_proper = flagship_block_proper = False
@@ -294,7 +295,8 @@ def run_scale():
         })
     json_payload["speedup"] = flagship["speedup"]
     json_payload["colorings_identical"] = flagship["colorings_identical"]
-    json_payload["speedup_floor"] = None if SMOKE else SPEEDUP_FLOOR
+    # The flagship is multipass: its speedup is recorded, not gated.
+    json_payload["speedup_floor"] = None
     headers = ["algorithm", "n", "delta", "edges", "passes", "edges/s", "ok"]
     return (headers, rows), json_payload
 
