@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.exceptions import ReproError
+from repro.common.exceptions import ImproperColoringError, ReproError
 from repro.engine.registry import REGISTRY, AlgorithmRegistry
 from repro.engine.result import ColoringResult
 from repro.graph.coloring import (
@@ -138,12 +138,12 @@ class RunSpec:
     list assignment (``list_seed``) interleaved via ``stream_seed``.
 
     ``stream_backend`` selects the data-plane view (see
-    :data:`STREAM_BACKENDS`): ``tokens`` is the legacy token-at-a-time
-    stream; ``materialized`` / ``generator`` / ``file`` construct chunked
-    block sources (``chunk_size`` edges per block) carrying the identical
-    edge sequence, so results are bit-for-bit equal across backends while
-    every registered algorithm runs its passes vectorized.  Leaving either
-    field as ``None`` uses the process defaults (:func:`set_default_stream`
+    :data:`STREAM_BACKENDS`): ``tokens`` is the token-at-a-time stream,
+    which multipass algorithms read as one-edge blocks;
+    ``materialized`` / ``generator`` / ``file`` construct chunked block
+    sources (``chunk_size`` edges per block) carrying the identical edge
+    sequence, so results are bit-for-bit equal across backends.  Leaving
+    either field as ``None`` uses the process defaults (:func:`set_default_stream`
     — :data:`DEFAULT_STREAM_BACKEND` / ``DEFAULT_CHUNK_SIZE`` unless the
     CLI overrode them).  ``graph_family`` picks the workload generator
     (see :data:`GRAPH_FAMILIES`); ``near_regular`` is the numpy-built
@@ -429,14 +429,14 @@ def _check_output(spec: RunSpec, stream, coloring, palette_bound, entry) -> bool
         colors = coloring_array(stream.n, coloring)
         witness = _first_conflict(stream, colors)
         if spec.validate:
-            # Totality, then the witness, then the palette: the order
-            # validate_coloring checks them in.
             validate_coloring_blocks(
                 stream.n,
-                np.array([witness[:2]] if witness else [], dtype=np.int64),
+                np.empty((0, 2), dtype=np.int64),
                 coloring,
                 palette_size=palette,
-            )
+            )  # totality + palette; the sweep above checked the edges
+            if witness is not None:
+                raise ImproperColoringError(*witness)
             return True
         return witness is None and bool((colors != 0).all())
     graph, lists = _graph_and_lists(stream)

@@ -6,8 +6,9 @@ the communication-protocol reduction can treat algorithms uniformly.
 
 Both base classes implement the :class:`repro.engine.StreamingColorer`
 protocol: :meth:`color_stream` consumes a :class:`TokenStream` or a
-:class:`~repro.streaming.source.StreamSource` and returns a total coloring, and :attr:`palette_bound` exposes the declared palette
-size (``None`` when the algorithm only guarantees an asymptotic shape).
+:class:`~repro.streaming.source.StreamSource` and returns a total
+coloring, and :attr:`palette_bound` exposes the declared palette size
+(``None`` when the algorithm only guarantees an asymptotic shape).
 The engine's :func:`repro.engine.run` entry point drives algorithms only
 through that protocol.
 """

@@ -1,9 +1,12 @@
-"""Block-path vs token-path equivalence across every registered algorithm.
+"""Token-plane vs block-plane equivalence across every registered algorithm.
 
 The block data plane is only admissible if it changes *nothing* observable
 about a run: same coloring, same pass count, same peak space charge, same
-palette usage.  This suite drives a seeded grid through ``repro.engine``
-once per stream backend and compares the results field by field.
+palette usage.  Multipass algorithms read the token plane as one-edge
+blocks and one-pass algorithms feed it to ``process``, so the comparison
+pins chunking invariance and scalar/vectorized agreement.  This suite
+drives a seeded grid through ``repro.engine`` once per stream backend and
+compares the results field by field.
 """
 
 import pytest
@@ -80,10 +83,9 @@ class TestTokenBlockEquivalence:
         assert {c[0] for c in CASES} == set(REGISTRY.names())
 
     def test_every_registered_algorithm_is_block_native(self):
-        # Not just output-equivalent: no algorithm may fall through the
-        # token-adapter fallback.  Multipass algorithms must declare
-        # supports_blocks; onepass algorithms must additionally override
-        # the default scalar process_block loop.
+        # Not just output-equivalent: multipass algorithms consume blocks
+        # on the pass machine (supports_blocks); onepass algorithms must
+        # additionally override the default scalar process_block loop.
         for entry in REGISTRY:
             algo = entry.create(n=16, delta=3, seed=0)
             assert getattr(algo, "supports_blocks", False), entry.name
@@ -148,8 +150,8 @@ class TestTokenBlockEquivalence:
 
     def test_stream_orders_match_across_backends(self):
         # hash_family is the order-sensitive mode: the selector accumulates
-        # float potentials per conflict edge, so the block path must hand
-        # edges over in the token path's first-seen stream order.
+        # float potentials per conflict edge, so every chunk size must hand
+        # edges over in first-seen stream order.
         for config in ({"selection": "greedy_slack"},
                        {"selection": "hash_family", "prime_policy": "scaled"}):
             for order in ("insertion", "reverse", "random"):
@@ -216,7 +218,7 @@ class TestDefaultDataPlane:
 
     The default chunk size holds these whole streams in one block, a
     partition the explicit 64-edge runs above never produce; the result
-    must still equal the token path, and the run must report exactly the
+    must still equal the token plane, and the run must report exactly the
     kernel dispatches it made.
     """
 
