@@ -291,7 +291,7 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         self.palette_size = delta + 1
 
     # ------------------------------------------------------------------
-    # pass machine (block path)
+    # pass machine
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         n, delta = self.n, self.delta

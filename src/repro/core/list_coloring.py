@@ -421,7 +421,7 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         self.stats = ListRunStats()
 
     # ------------------------------------------------------------------
-    # pass machine (block path)
+    # pass machine
     # ------------------------------------------------------------------
     def blocks_start(self) -> None:
         n = self.n

@@ -1,4 +1,5 @@
-"""The resumable pass-machine protocol driving every block-path run.
+"""The resumable pass-machine protocol: every multipass run, and every
+one-pass run over a block source.
 
 A block-native algorithm executes as an explicit state machine whose
 *cross-pass* state lives entirely in object attributes (and is therefore

@@ -99,9 +99,9 @@ class MultipassStreamingAlgorithm(SnapshotableAlgorithm):
         return self.run(stream)
 
     # -- pass-machine protocol (repro.streaming.machine) ----------------
-    # Multipass algorithms implement these to run their block path as a
-    # resumable state machine; the default raises so that only audited
-    # classes claim checkpoint support.
+    # Multipass algorithms implement these to run as a resumable state
+    # machine; the default raises so that only audited classes claim
+    # checkpoint support.
     def blocks_start(self) -> None:
         raise CheckpointError(
             f"{type(self).__name__} does not implement the pass machine"
