@@ -52,8 +52,7 @@ class PassConsumer:
         raise NotImplementedError
 
     def finish(self, stream):
-        """Close the pass and return its result (may charge deferred time
-        to ``stream.pass_seconds[-1]``)."""
+        """Close the pass and return its result."""
         return None
 
 
