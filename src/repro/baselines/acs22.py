@@ -63,7 +63,7 @@ class _PartCountsConsumer(PassConsumer):
         diffs = (item[:, 1] - item[:, 0]) % p
         self.diff_counts += np.bincount(diffs, minlength=p)
 
-    def finish(self, stream):
+    def finish(self):
         p, r = self.algo.p, self.algo.range_size
         a = np.arange(1, p, dtype=np.int64)
         totals = np.zeros(p - 1, dtype=np.int64)
@@ -117,7 +117,7 @@ class _MemberCountsConsumer(PassConsumer):
         if high.any():
             self._add_intervals((p - d[high] - t0[high]) % p, d[high])
 
-    def finish(self, stream):
+    def finish(self):
         return np.cumsum(self.diff[: self.algo.p])
 
 
@@ -140,7 +140,7 @@ class _MonoEdgesConsumer(PassConsumer):
         if mask.any():
             self.conflicted.update(np.unique(item[mask]).tolist())
 
-    def finish(self, stream):
+    def finish(self):
         return self.conflicted, self.mono
 
 
@@ -167,7 +167,7 @@ class _RepairAdjacencyConsumer(PassConsumer):
         if mv.any():
             self.chunks.append(item[mv][:, ::-1])
 
-    def finish(self, stream):
+    def finish(self):
         adjacency: dict[int, set[int]] = {v: set() for v in self.conflicted}
         if self.chunks:
             from repro.streaming.blocks import group_pairs
@@ -296,7 +296,7 @@ class _ReductionPassConsumer(PassConsumer):
             self.stored_edges[bu].append((u, v))
             self.stored += 1
 
-    def finish(self, stream):
+    def finish(self):
         return self.stored_edges, self.stored, self.batch
 
 

@@ -50,7 +50,7 @@ class _ConflictCollectConsumer(PassConsumer):
         if hit.any():
             self.chunks.append(item[hit])
 
-    def finish(self, stream):
+    def finish(self):
         from repro.graph.csr import CSRGraph
 
         return CSRGraph.from_edge_array(

@@ -159,7 +159,7 @@ class _SlackPassConsumer(PassConsumer):
                 self.key_chunks.clear()
                 self.pending = 0
 
-    def finish(self, stream):
+    def finish(self):
         n, delta = self.algo.n, self.algo.delta
         s, kk, fixed = self.s, self.kk, self.fixed
         if self.key_chunks:
@@ -204,7 +204,7 @@ class _ConflictEdgesConsumer(PassConsumer):
         if sel.any():
             self.chunks.append(item[sel])
 
-    def finish(self, stream):
+    def finish(self):
         from repro.graph.csr import dedupe_edges
 
         if not self.chunks:
@@ -235,7 +235,7 @@ class _FinalAdjacencyConsumer(PassConsumer):
         if keep.any():
             self.chunks.append(item[keep])
 
-    def finish(self, stream):
+    def finish(self):
         adjacency: dict[int, list] = {x: [] for x in self.uncolored}
         if not self.chunks:
             return adjacency, 0

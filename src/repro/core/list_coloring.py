@@ -102,7 +102,7 @@ class _ListMassConsumer(PassConsumer):
             count = int(self.algo._contains_colors(self.state, x, colors).sum())
             self.total += max(0, count - 1)
 
-    def finish(self, stream):
+    def finish(self):
         return self.total
 
 
@@ -151,7 +151,7 @@ class _PartitionScoreConsumer(PassConsumer):
             self.group_ids, self.num_groups, self.s,
         )
 
-    def finish(self, stream):
+    def finish(self):
         return self.scores
 
 
@@ -204,7 +204,7 @@ class _ListSlackConsumer(PassConsumer):
                         minlength=self.algo.n * s,
                     )
 
-    def finish(self, stream):
+    def finish(self):
         used = self.used_counts.reshape(self.algo.n, self.s)
         return {
             x: np.maximum(0, self.base[x] - used[x]) for x in self.members
@@ -236,7 +236,7 @@ class _ChainConflictConsumer(PassConsumer):
         if sel.any():
             self.chunks.append(item[sel])
 
-    def finish(self, stream):
+    def finish(self):
         if not self.chunks:
             return np.empty((0, 2), dtype=np.int64)
         return dedupe_edges(self.algo.n, np.concatenate(self.chunks),
@@ -264,7 +264,7 @@ class _RecordConsumer(PassConsumer):
             ]
             self.candidates[item.x] = np.sort(inside).tolist()
 
-    def finish(self, stream):
+    def finish(self):
         return self.candidates
 
 
@@ -290,7 +290,7 @@ class _MarkingConsumer(PassConsumer):
                     xs[sel] * (self.algo.universe + 1) + cy[sel]
                 )
 
-    def finish(self, stream):
+    def finish(self):
         unavailable: dict[int, set[int]] = {x: set() for x in self.members}
         if self.key_chunks:
             keys = np.unique(np.concatenate(self.key_chunks))
@@ -327,7 +327,7 @@ class _ProposalConflictConsumer(PassConsumer):
         if sel.any():
             self.chunks.append(item[sel])
 
-    def finish(self, stream):
+    def finish(self):
         if not self.chunks:
             return np.empty((0, 2), dtype=np.int64)
         return dedupe_edges(self.algo.n, np.concatenate(self.chunks),
@@ -356,7 +356,7 @@ class _ListFinalConsumer(PassConsumer):
             if keep.any():
                 self.pair_chunks.append(item[keep])
 
-    def finish(self, stream):
+    def finish(self):
         adjacency: dict[int, set[int]] = {x: set() for x in self.uncolored}
         if self.pair_chunks:
             from repro.streaming.blocks import group_pairs

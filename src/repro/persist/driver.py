@@ -166,7 +166,7 @@ class ResumableRun:
                     resumable=consumer.resumable, pre_state=pre_state,
                     wall=self._wall + (perf_now() - start),
                 )
-        result = consumer.finish(self.stream)
+        result = consumer.finish()
         self.algo.blocks_deliver(result, self.stream)
         self._wall += perf_now() - start
         return True

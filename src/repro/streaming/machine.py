@@ -51,7 +51,7 @@ class PassConsumer:
         """Consume the next pass item (a ``(k, 2)`` block or a ListToken)."""
         raise NotImplementedError
 
-    def finish(self, stream):
+    def finish(self):
         """Close the pass and return its result."""
         return None
 
@@ -89,6 +89,6 @@ def drive_blocks(algo, stream) -> dict:
             break
         for item in stream.new_pass():
             consumer.feed(item)
-        result = consumer.finish(stream)
+        result = consumer.finish()
         algo.blocks_deliver(result, stream)
     return algo.blocks_result()

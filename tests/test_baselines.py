@@ -121,7 +121,7 @@ def fed_in_chunks(consumer, edges, chunk):
     arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     for start in range(0, len(arr), chunk):
         consumer.feed(arr[start : start + chunk])
-    return consumer.finish(None)
+    return consumer.finish()
 
 
 @st.composite

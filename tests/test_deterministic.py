@@ -256,7 +256,7 @@ class TestSlackPassMatchesReference:
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         for start in range(0, len(arr), chunk):
             consumer.feed(arr[start : start + chunk])
-        got = consumer.finish(None)
+        got = consumer.finish()
         want = reference_slacks(delta, edges, chi, uncolored, cubes, kk)
         assert list(got) == members
         for x in members:

@@ -203,6 +203,6 @@ class TestPartitionScoresMatchReference:
         )
         for item in items:
             consumer.feed(item)
-        got = consumer.finish(None)
+        got = consumer.finish()
         want = reference_group_scores(items, uncolored, state, family, groups)
         assert np.array_equal(got, want)
