@@ -11,10 +11,10 @@ import pytest
 
 from repro.common.exceptions import AdversaryError, ReproError
 from repro.core.deterministic import DeterministicColoring
-from repro.engine import REGISTRY, RunSpec, run
 from repro.core.list_coloring import DeterministicListColoring
 from repro.core.robust import RobustColoring
 from repro.core.robust_lowrandom import LowRandomnessRobustColoring
+from repro.engine import REGISTRY, RunSpec, run
 from repro.graph.coloring import validate_coloring
 from repro.graph.generators import complete_graph, random_max_degree_graph
 from repro.graph.graph import Graph
@@ -67,6 +67,9 @@ def loop_outcome(name, plane, validate, tmp_path):
         run(spec, stream)
     except ReproError as error:
         return type(error), str(error)
+    finally:
+        if plane == "file":
+            stream.close()
     return None
 
 

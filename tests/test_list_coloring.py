@@ -180,8 +180,8 @@ def partition_score_states(draw):
             x = draw(st.integers(0, n - 1))
             colors = draw(st.frozensets(st.integers(1, universe), min_size=1))
             items.append(ListToken(x, colors))
-        else:
-            items.append(np.array([[0, 0]], dtype=np.int64))
+        else:  # an edge block, which the scoring pass skips
+            items.append(np.array([[0, 1]], dtype=np.int64))
     candidates = draw(st.lists(
         st.sampled_from(keys), min_size=1, max_size=12, unique=True,
     ))
