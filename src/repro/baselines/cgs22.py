@@ -25,29 +25,15 @@ buffer dominates at ``n sqrt(Delta)`` edges — which is precisely why this
 sits at the ``O(n Delta^{1/2})`` point of the tradeoff curve.
 """
 
-import numpy as np
-
-from repro.common.exceptions import AlgorithmFailure, ReproError
+from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_log2, ceil_sqrt, floor_log2, next_prime
 from repro.common.rng import SeededRng
-from repro.graph.coloring import greedy_coloring
-from repro.graph.graph import Graph
+from repro.core.dsketch import DSketchColoring
 from repro.hashing.kindependent import PolynomialHashFamily
-from repro.streaming.blocks import cached_hash_rows
-from repro.streaming.model import OnePassAlgorithm
 
 
-class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
+class SketchSwitchingQuadraticColoring(DSketchColoring):
     """[CGS22]-style robust ``O(Delta^2)``-coloring at the ``n sqrt(Delta)`` space point."""
-
-    supports_blocks = True
-    # The vertex-major hash table is re-derived from the stored
-    # coefficients.
-    _snapshot_skip_ = ("_hash_table", "_hash_filled")
-
-    def _snapshot_init_(self) -> None:
-        self._hash_table = None
-        self._hash_filled = None
 
     def __init__(self, n: int, delta: int, seed: int, repetitions=None):
         super().__init__()
@@ -75,11 +61,7 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
             self.num_epochs * self.repetitions * self.family.seed_bits()
         )
         self._prime = prime
-        self._d_sets: list[list] = [
-            [[] for _ in range(self.repetitions)]
-            for _ in range(self.num_epochs + 2)
-        ]
-        self._buffer: list[tuple[int, int]] = []
+        self._init_sketches()
         self._curr = 1
         # (n, epochs, P) hash values, filled by cached_hash_rows on first use.
         self._hash_table = None
@@ -87,73 +69,10 @@ class SketchSwitchingQuadraticColoring(OnePassAlgorithm):
         self._edge_bits = 2 * ceil_log2(max(2, n))
 
     # ------------------------------------------------------------------
-    def _hash_all(self, x: int) -> np.ndarray:
-        """Values ``h_{i,j}(x)`` for all (i, j): row ``x`` of the hash table."""
-        return cached_hash_rows(self, np.array([x], dtype=np.int64))[x]
-
-    def _update_space(self) -> None:
-        stored = sum(
-            len(dj) for di in self._d_sets for dj in di if dj is not None
-        )
-        self.meter.set_gauge("D sketches", stored * self._edge_bits)
-        self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
-
-    # ------------------------------------------------------------------
-    def process(self, u: int, v: int) -> None:
-        """One insertion; a self-loop raises before any state changes."""
-        if u == v:
-            index = (self._curr - 1) * self.buffer_capacity + len(self._buffer)
-            raise ReproError(f"self-loop ({u},{v}) at stream index {index}")
-        if len(self._buffer) == self.buffer_capacity:
-            self._buffer = []
-            self._curr += 1
-        self._buffer.append((u, v))
-        hu = self._hash_all(u)
-        hv = self._hash_all(v)
-        mono_i, mono_j = np.nonzero(hu == hv)
-        for i, j in zip(mono_i + 1, mono_j):
-            if not self._curr + 1 <= i <= self.num_epochs:
-                continue
-            d_i = self._d_sets[i]
-            d_ij = d_i[j]
-            if d_ij is None:
-                continue
-            if len(d_ij) < self.overflow_cap:
-                d_ij.append((u, v))
-            else:
-                d_i[j] = None
-        self._update_space()
-
-    def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical)."""
-        from repro.streaming.blocks import sketch_process_block
-
-        sketch_process_block(self, edges, capacity=self.buffer_capacity)
-
-    # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:
-        if self._curr <= self.num_epochs:
-            d_curr = self._d_sets[self._curr]
-        else:
-            d_curr = [[] for _ in range(self.repetitions)]
-        k = next((j for j, d in enumerate(d_curr) if d is not None), None)
-        if k is None:
-            raise AlgorithmFailure(
-                f"all {self.repetitions} sketches of epoch {self._curr} overflowed"
-            )
-        graph = Graph(self.n)  # repro: noqa[R3] sketch contents, not the stream
-        for u, v in list(d_curr[k]) + self._buffer:
-            if not graph.has_edge(u, v):
-                graph.add_edge(u, v)
-        chi = greedy_coloring(graph)
-        if self._curr <= self.num_epochs:
-            h = self.family.function(self._coeffs[self._curr - 1, k])
-            h_curr = h.eval_array(np.arange(self.n)).tolist()
-        else:
-            h_curr = [0] * self.n
-        return {
-            y: (chi[y] - 1) * self.ell + h_curr[y] + 1 for y in range(self.n)
-        }
+        """Color ``D_{curr,k} | B`` for a surviving ``k``; output
+        ``(chi(y), h_{curr,k}(y))`` flattened to one integer."""
+        return self._color_sketch_and_buffer()
 
     # ------------------------------------------------------------------
     @property

@@ -46,7 +46,7 @@ import numpy as np
 
 from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2
-from repro.graph.coloring import first_missing_positive
+from repro.graph.coloring import first_fit_colors
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.graph import Graph
 from repro.hashing.random_oracle import RandomOracle
@@ -338,7 +338,7 @@ class RobustColoring(OnePassAlgorithm):
         pool = self._intra_block_pool(key)
         pool_key = key[pool[:, 0]]
         local = np.ones(self.n, dtype=np.int64)
-        _first_fit(pool[pool_key < p.h_range], local)
+        first_fit_colors(pool[pool_key < p.h_range], local)
         # Vertices grouped by block, ascending within each block.
         order = np.argsort(key, kind="stable")
         block_keys, starts = np.unique(key[order], return_index=True)
@@ -482,24 +482,3 @@ def _mono_events(table: np.ndarray, us: np.ndarray, vs: np.ndarray):
     """
     mono = np.take(table, us, axis=0) == np.take(table, vs, axis=0)
     return np.divmod(np.flatnonzero(mono), table.shape[1])
-
-
-def _first_fit(edges: np.ndarray, local: np.ndarray) -> None:
-    """First-fit colors, in ascending vertex order, of the graph on ``edges``.
-
-    Writes the colors into ``local``, which must hold 1 for every vertex.
-    A vertex sees only its lower neighbours, which are colored before it,
-    so one without lower neighbours keeps color 1; on a disjoint union of
-    blocks this is :func:`~repro.graph.coloring.greedy_coloring` run on
-    each block in ascending order.
-    """
-    low = np.minimum(edges[:, 0], edges[:, 1])
-    high = np.maximum(edges[:, 0], edges[:, 1])
-    by_high = np.argsort(high, kind="stable")
-    high, low = high[by_high], low[by_high].tolist()
-    first = np.flatnonzero(np.diff(high, prepend=-1))
-    last = np.append(first[1:], len(high))
-    color: dict[int, int] = {}
-    for v, lo, hi in zip(high[first].tolist(), first.tolist(), last.tolist()):
-        color[v] = first_missing_positive({color.get(w, 1) for w in low[lo:hi]})
-    local[list(color)] = list(color.values())

@@ -40,6 +40,32 @@ def greedy_coloring(graph: Graph, order=None, palette_size=None) -> dict[int, in
     return coloring
 
 
+def first_fit_colors(edges, colors) -> None:
+    """First-fit colors, in ascending vertex order, of the graph on ``edges``.
+
+    ``edges`` is an ``(m, 2)`` integer array, repeats and either
+    orientation allowed; the colors go into ``colors``, an int64 array
+    that must hold 1 for every vertex.  A vertex sees only its lower
+    neighbours, which are colored before it, so one without lower
+    neighbours keeps color 1: this is :func:`greedy_coloring` in vertex
+    order on the graph of ``edges`` (and, on a disjoint union of blocks,
+    on each block in ascending order), without building the graph.
+    """
+    import numpy as np
+
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    low = np.minimum(edges[:, 0], edges[:, 1])
+    high = np.maximum(edges[:, 0], edges[:, 1])
+    by_high = np.argsort(high, kind="stable")
+    high, low = high[by_high], low[by_high].tolist()
+    first = np.flatnonzero(np.diff(high, prepend=-1))
+    last = np.append(first[1:], len(high))
+    color: dict[int, int] = {}
+    for v, lo, hi in zip(high[first].tolist(), first.tolist(), last.tolist()):
+        color[v] = first_missing_positive({color.get(w, 1) for w in low[lo:hi]})
+    colors[list(color)] = list(color.values())
+
+
 def greedy_list_coloring(graph: Graph, lists: dict[int, set[int]], order=None):
     """Greedy list coloring: each vertex gets the smallest free color on its list.
 

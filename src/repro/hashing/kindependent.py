@@ -103,28 +103,40 @@ class PolynomialHashFamily:
         ``coeffs`` has shape ``members_shape + (k,)`` (low-to-high degree,
         as from :meth:`coeff_array`); ``xs`` is a 1-d key array.  Returns
         values in ``[0, m)`` with shape ``(len(xs),) + members_shape``,
-        using the same overflow-safe path as
-        :meth:`PolynomialFunction.eval_array`.
+        equal to :meth:`PolynomialFunction.eval_array` member by member.
 
-        The int64 paths (mod-free and per-step reduction) run through the
-        kernel-dispatch layer; the Python-int fallback for primes beyond
-        the int64 domain stays pure numpy by construction.
+        While ``k (p - 1)^2 < 2^53`` the kernel-dispatch layer evaluates
+        all members at once as one exact float64 matrix product; past
+        that bound it runs Horner in int64 (mod-free or with per-step
+        reduction), and for primes beyond the int64 domain the exact
+        Python-int fallback stays pure numpy by construction.  The range
+        reduction is a mask when ``m`` is a power of two.
         """
         coeffs = np.asarray(coeffs)
         xs = np.asarray(xs)
         members_shape = coeffs.shape[:-1]
         xmax = int(np.abs(xs).max()) if xs.size else 0
+        exact_float = self.k * (self.p - 1) ** 2 < 2**53 and xmax < 2**63
         big = (self.p - 1) * (xmax + 1) + (self.p - 1) >= 2**63
-        if not big:
+        if exact_float or not big:
             from repro.kernels import dispatch
 
             coeffs2 = np.ascontiguousarray(
                 coeffs, dtype=np.int64
             ).reshape(-1, self.k)
             xs64 = np.ascontiguousarray(xs, dtype=np.int64)
-            stepwise = not horner_fits_int64(self.k, xmax, self.p)
-            vals = dispatch("eval_coeffs", coeffs2, xs64, self.p, stepwise)
-            return (vals % self.m).reshape((len(xs),) + members_shape)
+            if exact_float:
+                mode = "float"
+            elif horner_fits_int64(self.k, xmax, self.p):
+                mode = "mod_free"
+            else:
+                mode = "stepwise"
+            vals = dispatch("eval_coeffs", coeffs2, xs64, self.p, mode)
+            if self.m & (self.m - 1):
+                vals %= self.m
+            else:
+                vals &= self.m - 1
+            return vals.reshape((len(xs),) + members_shape)
         x_col = xs.astype(object).reshape((len(xs),) + (1,) * len(members_shape))
         acc = np.zeros((len(xs),) + members_shape, dtype=object)
         for d in range(self.k - 1, -1, -1):

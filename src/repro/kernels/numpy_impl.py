@@ -5,9 +5,10 @@ out of its original call site so that every call goes through
 :func:`repro.kernels.dispatch`, which counts and (on request) times it.
 
 All kernels are array-in/array-out and state-free: no ``self``, no dict
-lookups, no Python objects beyond ints/bools.  Integer-domain guards
-(whether the arithmetic fits int64) live at the *call sites*; kernels
-assume the int64 fast path is admissible.
+lookups, no Python objects beyond ints/bools/strings.  Arithmetic-domain
+guards (whether the arithmetic fits int64, or is exact in float64) live
+at the *call sites*; kernels assume the mode they are given is
+admissible.
 """
 
 import numpy as np
@@ -36,16 +37,42 @@ def mod_horner(coeffs: np.ndarray, xs: np.ndarray, p: int,
 
 
 def eval_coeffs(coeffs2: np.ndarray, xs: np.ndarray, p: int,
-                stepwise: bool) -> np.ndarray:
+                mode: str) -> np.ndarray:
     """Evaluate ``M`` polynomial members at every key: ``(N, M)`` mod p.
 
     ``coeffs2`` is ``(M, k)`` int64 (low-to-high degree), ``xs`` 1-d
-    int64.  The same two accumulation modes as :func:`mod_horner`.
+    int64; the result is int64.  ``mode`` picks the arithmetic, whose
+    admissibility the caller checks:
+
+    - ``"mod_free"`` and ``"stepwise"``: Horner, as in :func:`mod_horner`
+      with ``stepwise`` False and True;
+    - ``"float"``: one float64 product ``V @ C`` of the ``(N, k)`` powers
+      ``V[t, d] = xs[t]^d mod p`` and the ``(k, M)`` coefficients, for
+      ``k (p - 1)^2 < 2^53``.  Every term and partial sum of a dot product
+      is then an integer below ``2^53``, so the product is exact in any
+      summation order.  It is reduced with ``q = floor(y / p)`` taken as
+      ``floor(y * (1 / p))``, which is off by at most one, so ``y - q p``
+      is exact and one ``±p`` correction lands it in ``[0, p)``.
     """
+    if mode == "float":
+        k = coeffs2.shape[1]
+        powers = np.empty((len(xs), k), dtype=np.int64)
+        powers[:, 0] = 1
+        x = xs % p
+        for d in range(1, k):
+            powers[:, d] = powers[:, d - 1] * x % p
+        y = powers.astype(np.float64) @ coeffs2.T.astype(np.float64)
+        q = y * (1.0 / p)
+        np.floor(q, out=q)
+        q *= p
+        y -= q
+        y[y < 0] += p
+        y[y >= p] -= p
+        return y.astype(np.int64)
     k = coeffs2.shape[1]
     x_col = xs.reshape(-1, 1)
     acc = np.zeros((len(xs), coeffs2.shape[0]), dtype=np.int64)
-    if stepwise:
+    if mode == "stepwise":
         for d in range(k - 1, -1, -1):
             acc = (acc * x_col + coeffs2[:, d]) % p
         return acc
@@ -68,37 +95,42 @@ def partition_class_array(a: int, b: int, p: int, s: int,
     return arr
 
 
-def sketch_event_filter(table: np.ndarray, us: np.ndarray, vs: np.ndarray):
+def sketch_event_filter(table: np.ndarray, us: np.ndarray, vs: np.ndarray,
+                        first: int):
     """Monochromatic ``(edge, epoch, repetition)`` events of a D-sketch block.
 
     ``table`` is the vertex-major ``(n, epochs, reps)`` hash table, in any
     integer dtype (uint8 or uint16 in practice); ``us`` / ``vs`` are the
     block's raw int64 endpoint ids, so edge ``t`` compares rows ``us[t]``
-    and ``vs[t]``.  Returns three int64 arrays ``(ev_e, ev_i, ev_j)`` in
-    row-major order — by edge, then epoch, then repetition — exactly the
-    order the scalar path discovers events in.
+    and ``vs[t]``.  Only epoch columns ``i >= first`` are scanned.
+    Returns three int64 arrays ``(ev_e, ev_i, ev_j)`` in row-major order
+    — by edge, then epoch, then repetition — exactly the order the
+    scalar path discovers events in.
 
-    Both endpoints' rows are gathered for edge sub-batches of about 2^18
-    table entries, which bounds the temporaries; the flat positions of
-    the equal entries then split into the three indices by ``divmod``.
+    Both endpoints' rows, from column ``first`` on, are gathered for edge
+    sub-batches of about 2^18 table entries, which bounds the
+    temporaries; the flat positions of the equal entries then split into
+    the three indices by ``divmod``.
     """
     k = len(us)
-    if k == 0 or not table.size:
+    epochs, reps = table.shape[1:]
+    if k == 0 or first >= epochs or not table.size:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), empty.copy()
-    reps = table.shape[2]
-    row_size = table.shape[1] * reps
+    rows = table.reshape(len(table), epochs * reps)
+    start_col = first * reps
+    row_size = (epochs - first) * reps
     sub = max(1, (1 << 18) // row_size)
     flat = np.concatenate([
         np.flatnonzero(
-            np.take(table, us[start:start + sub], axis=0)
-            == np.take(table, vs[start:start + sub], axis=0)
+            rows[us[start:start + sub], start_col:]
+            == rows[vs[start:start + sub], start_col:]
         ) + start * row_size
         for start in range(0, k, sub)
     ])
     ev_e, rest = np.divmod(flat, row_size)
     ev_i, ev_j = np.divmod(rest, reps)
-    return ev_e, ev_i, ev_j
+    return ev_e, ev_i + first, ev_j
 
 
 def running_degrees(deg0: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -10,13 +10,16 @@ degrees, sketch caps) in closed form so each algorithm's
 ``process_block`` stays a thin, vectorized transcription of its scalar
 ``process``.
 
-The D-sketch algorithms (Algorithm 3 and the [CGS22] baseline) keep the
-values of all their hash functions in one vertex-major ``(n, E, P)``
-table of the narrowest unsigned dtype that holds the range (uint8 at
-``Delta = 24``), filled row by row for the vertices a block touches
-(:func:`cached_hash_rows`).  A block hands the table and its two raw
-endpoint columns to the ``sketch_event_filter`` kernel, then applies the
-cap/wipe rule to every receiving sketch at once
+The D-sketch algorithms (Algorithm 3 and the [CGS22] baseline, both
+:class:`~repro.core.dsketch.DSketchColoring`) keep the values of all
+their hash functions in one vertex-major ``(n, E, P)`` table of the
+narrowest unsigned dtype that holds the range (uint8 at ``Delta = 24``),
+filled row by row for the vertices a block touches
+(:func:`cached_hash_rows`) with one exact matrix product per chunk.  A
+block hands the table, its two raw endpoint columns and the first epoch
+that can still receive an edge to the ``sketch_event_filter`` kernel,
+applies the cap/wipe rule to every receiving sketch at once, and appends
+the new rows to the sketch log with one amortised append
 (:func:`sketch_process_block`).
 """
 
@@ -26,6 +29,7 @@ from repro.kernels import dispatch
 import numpy as np
 
 __all__ = [
+    "append_rows",
     "buffer_timeline",
     "cached_hash_rows",
     "group_pairs",
@@ -34,8 +38,33 @@ __all__ = [
 ]
 
 #: Hash values computed per ``eval_coeffs`` call while filling a hash
-#: table, which keeps its int64 Horner temporaries near 512 KB each.
+#: table, which keeps the float64 product and its reduction temporaries
+#: near 512 KB each; chunks of 2^20 values filled the n = 5000, Delta = 24
+#: table about 1.4x slower.
 HASH_FILL_VALUES = 1 << 16
+
+
+def append_rows(live: np.ndarray, rows, limit=None) -> np.ndarray:
+    """The array ``live`` with ``rows`` appended after it.
+
+    ``live`` is an array of its own or the leading rows of its ``base``,
+    the store, whose rows past ``live`` are spare.  The result is the
+    leading rows of the same store, or of a new one twice the size (at
+    most ``limit`` rows) when the store is full, so appends cost
+    amortised ``O(len(rows))``.  The store keeps ``live``'s dtype and row
+    shape.
+    """
+    store = live if live.base is None else live.base
+    start = len(live)
+    end = start + len(rows)
+    if end > len(store):
+        size = max(end, 2 * len(store), 16)
+        if limit is not None:
+            size = min(size, limit)
+        store = np.empty((size,) + live.shape[1:], dtype=live.dtype)
+        store[:start] = live
+    store[start:end] = rows
+    return store[:end]
 
 
 def group_pairs(pairs: np.ndarray):
@@ -125,24 +154,27 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
 
     Shared by Algorithm 3 (:class:`~repro.core.robust_lowrandom.
     LowRandomnessRobustColoring`) and the [CGS22] baseline, whose scalar
-    ``process`` differs only in parameters: roll the buffer at
-    ``capacity``, hash both endpoints under every ``(epoch, repetition)``
-    polynomial, and append the rare monochromatic edges to the live future
-    sketches ``D_{i, j}`` (wiping any that exceed ``algo.overflow_cap``).
+    :meth:`~repro.core.dsketch.DSketchColoring.process` differs only in
+    parameters: roll the buffer at ``capacity``, hash both endpoints
+    under every ``(epoch, repetition)`` polynomial, and append the rare
+    monochromatic edges to the live future sketches ``D_{i, j}`` (wiping
+    any that exceed ``algo.overflow_cap``).
 
     The events come from one gather per endpoint in the vertex-major hash
-    table.  They are grouped by sketch with one stable sort, so an
-    event's rank among its sketch's events decides it against the room
-    ``overflow_cap - len(D_{i, j})``: a lower rank appends, an equal rank
-    wipes, a higher rank finds the sketch already wiped.  Each receiving
-    sketch gets one ``list.extend``.  A block holding a self-loop falls
-    back to the scalar loop, so the error names the same edge with the
-    same partial state.
+    table, over the epochs from the block's starting ``curr`` on (no
+    earlier epoch can receive an edge).  A stable sort by sketch gives
+    each event its rank among its sketch's events, which decides it
+    against the room ``overflow_cap - |D_{i, j}|``: a lower rank
+    appends, an equal rank wipes, a higher rank finds the sketch already
+    wiped.  The appended rows go to the sketch log in discovery order
+    with one amortised append; a wiped sketch's rows leave it.  A block
+    holding a self-loop falls back to the scalar loop, so the error names
+    the same edge with the same partial state.
 
-    The state evolution — sketch contents, buffer, epoch counter, and the
-    :class:`~repro.common.space.SpaceMeter` peak that the scalar path
-    reaches via per-edge ``_update_space`` calls — is bit-identical to the
-    equivalent ``process`` sequence.
+    The state evolution — sketch contents and log, buffer, epoch
+    counter, and the :class:`~repro.common.space.SpaceMeter` peak that
+    the scalar path reaches via per-edge ``_update_space`` calls — is
+    bit-identical to the equivalent ``process`` sequence.
     """
     edges = np.asarray(edges, dtype=np.int64)
     k = len(edges)
@@ -157,26 +189,25 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
     start_len = len(algo._buffer)
     rolls, lengths = buffer_timeline(start_len, capacity, k)
     curr0 = algo._curr
-    reps = algo._coeffs.shape[1]
-    # Size of every sketch D_{i, j} by flat id i * reps + j; -1 once wiped.
-    sizes = np.array(
-        [[-1 if d is None else len(d) for d in d_i] for d_i in algo._d_sets],
-        dtype=np.int64,
-    ).ravel()
-    stored0 = int(sizes[sizes > 0].sum())
+    reps = algo._d_sizes.shape[1]
+    # Size of every sketch D_{i + 1, j} by flat id i * reps + j; -1 once
+    # wiped.
+    sizes = algo._d_sizes.ravel()
+    stored0 = len(algo._d_edges)
     table = cached_hash_rows(algo, np.unique(edges))
-    ev_e, ev_i, ev_j = dispatch("sketch_event_filter", table, us, vs)
-    # Only the live sketches of future epochs (i > curr) take events.
-    sketch = (ev_i + 1) * reps + ev_j
+    # Column i holds epoch i + 1, which takes the edge while curr <= i.
+    ev_e, ev_i, ev_j = dispatch("sketch_event_filter", table, us, vs, curr0)
+    sketch = ev_i * reps + ev_j
     keep = (ev_i >= curr0 + rolls[ev_e]) & (sizes[sketch] >= 0)
-    # Group by sketch with one stable sort (a radix sort once the ids are
-    # narrowed); within a sketch, events stay in stream order.
     ev_e, sketch = ev_e[keep], sketch[keep]
+    # Rank of each event among its sketch's events, in stream order: one
+    # stable sort by sketch (a radix sort once the ids are narrowed).
     order = np.argsort(sketch.astype(np.min_scalar_type(len(sizes))),
                        kind="stable")
-    ev_e, sketch = ev_e[order], sketch[order]
-    starts = np.flatnonzero(np.diff(sketch, prepend=-1))
-    rank = np.arange(len(sketch)) - np.repeat(
+    grouped = sketch[order]
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))
+    rank = np.empty(len(sketch), dtype=np.int64)
+    rank[order] = np.arange(len(sketch)) - np.repeat(
         starts, np.diff(starts, append=len(sketch))
     )
     held = sizes[sketch]
@@ -188,23 +219,17 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
     stored_delta = np.bincount(ev_e[append], minlength=k) - np.bincount(
         ev_e[wipe], weights=(held + room)[wipe], minlength=k
     ).astype(np.int64)
-    pairs = list(zip(us.tolist(), vs.tolist()))
-    rows = [pairs[e] for e in ev_e[append].tolist()]
-    receivers = sketch[append]
-    first = np.flatnonzero(np.diff(receivers, prepend=-1))
-    last = np.append(first[1:], len(receivers))
-    for s, lo, hi in zip(receivers[first].tolist(), first.tolist(),
-                         last.tolist()):
-        i, j = divmod(s, reps)
-        algo._d_sets[i][j].extend(rows[lo:hi])
-    for s in sketch[wipe].tolist():
-        i, j = divmod(s, reps)
-        algo._d_sets[i][j] = None  # line 14: the sketch grew too large
+    wiped = sketch[wipe]
+    if len(wiped):
+        algo._wipe(wiped)  # line 14: the sketch grew too large
+        append &= sizes[sketch] >= 0
+    algo._store(edges[ev_e[append]], sketch[append])
     # Buffer and epoch counter.
     if rolls[-1] > 0:
-        algo._buffer = pairs[k - int(lengths[-1]):]
+        algo._buffer = append_rows(algo._buffer[:0], edges[k - int(lengths[-1]):],
+                                   capacity)
     else:
-        algo._buffer.extend(pairs)
+        algo._buffer = append_rows(algo._buffer, edges, capacity)
     algo._curr = curr0 + int(rolls[-1])
     # Space peak: the scalar path updates gauges after every edge; the
     # per-edge totals are reconstructed in closed form instead.  The

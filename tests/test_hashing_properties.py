@@ -19,11 +19,13 @@ from repro.hashing.kindependent import PolynomialHashFamily  # noqa: E402
 from repro.hashing.partitions import PartitionFamily  # noqa: E402
 from repro.hashing.universal import TwoUniversalFamily  # noqa: E402
 
-# Primes spanning the arithmetic regimes: tiny, medium, the largest
+# Primes spanning the arithmetic regimes: tiny, medium, both sides of
+# eval_coeffs' exact-float bound for k = 4 (47453111 is the largest prime
+# with 4 (p - 1)^2 < 2^53, 47453149 the next prime), the largest
 # int64-safe Mersenne, just past 2^31, past 2^32 (object fallback), and
 # 2^61 - 1 (deep object fallback).
-PRIMES = [3, 7, 61, 8191, 104729, 2**31 - 1, 2147483659, 4294967311,
-          2**61 - 1]
+PRIMES = [3, 7, 61, 8191, 104729, 47453111, 47453149, 2**31 - 1,
+          2147483659, 4294967311, 2**61 - 1]
 
 keys = st.lists(st.integers(min_value=0, max_value=2**40),
                 min_size=1, max_size=24)

@@ -66,7 +66,8 @@ def kernel_inputs(name, seed):
     if name == "eval_coeffs":
         coeffs2 = rng.integers(0, p, size=(5, 4), dtype=np.int64)
         xs = rng.integers(0, 500, size=k, dtype=np.int64)
-        return [(coeffs2, xs, p, False), (coeffs2, xs, p, True)]
+        return [(coeffs2, xs, p, mode)
+                for mode in ("mod_free", "stepwise", "float")]
     if name == "partition_class_array":
         return [(int(rng.integers(1, p)), int(rng.integers(0, p)), p, s, n)]
     if name == "sketch_event_filter":
@@ -75,8 +76,9 @@ def kernel_inputs(name, seed):
         us, vs = edges[:, 0].copy(), edges[:, 1].copy()
         tables = [rng.integers(0, 3, size=(n, 6, 4)).astype(dtype)
                   for dtype in (np.uint8, np.uint16, np.int64)]
-        return [(table, us, vs) for table in tables] + [
-            (tables[0], us[:0], vs[:0]),
+        return [(table, us, vs, first) for table in tables
+                for first in (0, 1, 6)] + [
+            (tables[0], us[:0], vs[:0], 0),
         ]
     if name == "running_degrees":
         deg0 = rng.integers(0, 9, size=n, dtype=np.int64)
@@ -190,10 +192,13 @@ def test_measure_kernels_records_calls_and_time():
 SKETCH_CLASSES = [LowRandomnessRobustColoring, SketchSwitchingQuadraticColoring]
 
 
-def reference_event_filter(table, us, vs):
-    """The 3-d ``np.nonzero`` body the numpy kernel replaced."""
+def reference_event_filter(table, us, vs, first):
+    """The 3-d ``np.nonzero`` body the numpy kernel replaced, restricted
+    to epoch columns ``i >= first``."""
     e, i, j = np.nonzero(table[us] == table[vs])
-    return e.astype(np.int64), i.astype(np.int64), j.astype(np.int64)
+    live = i >= first
+    return (e[live].astype(np.int64), i[live].astype(np.int64),
+            j[live].astype(np.int64))
 
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
@@ -206,12 +211,30 @@ def test_sketch_event_filter_matches_the_nonzero_reference(dtype):
         table = rng.integers(0, high, size=(n,) + shape).astype(dtype)
         edges = _edges(rng, n, 50)
         us, vs = edges[:, 0].copy(), edges[:, 1].copy()
-        expected = reference_event_filter(table, us, vs)
-        got = kernel(table, us, vs)
-        assert len(expected[0]) > 0
-        for ref, out in zip(expected, got):
-            assert out.dtype == np.int64
-            np.testing.assert_array_equal(out, ref)
+        epochs = shape[0]
+        for first in (0, 1, epochs - 1, epochs):
+            expected = reference_event_filter(table, us, vs, first)
+            got = kernel(table, us, vs, first)
+            assert (len(expected[0]) > 0) == (first < epochs)
+            for ref, out in zip(expected, got):
+                assert out.dtype == np.int64
+                np.testing.assert_array_equal(out, ref)
+
+
+@pytest.mark.parametrize("p", [5003, 47453111])
+def test_eval_coeffs_float_mode_equals_horner(p):
+    """The float product equals per-step Horner up to the largest prime
+    with 4 (p - 1)^2 < 2^53, keys past p and coefficients p - 1 included."""
+    kernel = NUMPY_KERNELS["eval_coeffs"]
+    rng = np.random.default_rng(p)
+    coeffs2 = rng.integers(0, p, size=(64, 4), dtype=np.int64)
+    coeffs2[0] = p - 1
+    xs = np.concatenate((
+        rng.integers(0, 4 * p, size=2000, dtype=np.int64),
+        [0, 1, p - 1, p, p + 1, 2 * p - 1],
+    ))
+    np.testing.assert_array_equal(kernel(coeffs2, xs, p, "float"),
+                                  kernel(coeffs2, xs, p, "stepwise"))
 
 
 @pytest.mark.parametrize("cls", SKETCH_CLASSES)

@@ -92,7 +92,9 @@ class TestFreezeBeforeReveal:
 
         def total_d(i):
             return sum(
-                len(d) if d is not None else -1 for d in algo._d_sets[i]
+                len(d) if d is not None else -1
+                for d in (algo.sketch_edges(i, j)
+                          for j in range(algo.repetitions))
             )
 
         def check(round_index, graph):
@@ -119,7 +121,9 @@ class TestFreezeBeforeReveal:
             curr = algo._curr
             for i in range(1, min(curr, algo.num_epochs) + 1):
                 size = sum(
-                    len(d) if d is not None else -1 for d in algo._d_sets[i]
+                    len(d) if d is not None else -1
+                    for d in (algo.sketch_edges(i, j)
+                              for j in range(algo.repetitions))
                 )
                 if i in frozen:
                     assert size == frozen[i]

@@ -4,7 +4,9 @@ Both classes replay blocks through
 :func:`repro.streaming.blocks.sketch_process_block` and read their hash
 values from one vertex-major table.  These tests pin the block path's
 outputs, drive it through sketch wipes against the scalar ``process``
-loop, and check that a self-loop is rejected at its own stream index.
+loop, check that the snapshot state does not depend on how the stream
+was cut into blocks, and check that a self-loop is rejected at its own
+stream index.
 """
 
 import hashlib
@@ -36,23 +38,35 @@ def feed_blocks(algo, edges, chunk_size):
         algo.process_block(edges[start:start + chunk_size])
 
 
+def sketches(algo):
+    """Every ``D_{i, j}`` by epoch ``i``: its edges as a list, or None."""
+    epochs, reps = algo._coeffs.shape[:2]
+    return [
+        [None if d is None else d.tolist()
+         for d in (algo.sketch_edges(i, j) for j in range(reps))]
+        for i in range(1, epochs + 1)
+    ]
+
+
 def survivors(algo):
     """How many sketches ``D_{i, j}`` of each epoch ``i`` are still valid."""
-    return [sum(d is not None for d in d_i) for d_i in algo._d_sets[1:-1]]
+    return [sum(d is not None for d in d_i) for d_i in sketches(algo)]
 
 
 def sketch_state(algo):
     """The state both paths must evolve identically."""
-    return algo._d_sets, algo._buffer, algo._curr, algo.meter.report()
+    return (sketches(algo), algo._buffer.tolist(), algo._curr,
+            algo.meter.report())
 
 
 def same_state(a, b):
-    """Equal ``state_dict()`` trees and equal arrays."""
+    """Equal ``state_dict()`` trees and equal arrays (values and dtypes)."""
     sa, sb = a.state_dict(), b.state_dict()
     assert sa["state"] == sb["state"]
     assert sa["arrays"].keys() == sb["arrays"].keys()
     for name, array in sa["arrays"].items():
-        np.testing.assert_array_equal(array, sb["arrays"][name])
+        other = sb["arrays"][name]
+        assert array.dtype == other.dtype and np.array_equal(array, other), name
 
 
 def raised(feed, chunk):
@@ -144,6 +158,7 @@ class TestWipes:
             error = raised(scalar_loop, chunk)
             assert raised(block.process_block, chunk) == error
             assert sketch_state(block) == sketch_state(scalar)
+            same_state(block, scalar)
             if error is not None:
                 break
         assert (error is None) == (loop_at is None)
@@ -162,9 +177,9 @@ class TestWipes:
             scalar.process(u, v)
         block.process_block(edges)
         assert sketch_state(block) == sketch_state(scalar)
-        sketches = [d for d_i in block._d_sets for d in d_i]
-        assert any(d is None for d in sketches)
-        assert any(d for d in sketches)
+        all_sketches = [d for d_i in sketches(block) for d in d_i]
+        assert any(d is None for d in all_sketches)
+        assert any(d for d in all_sketches)
 
     @pytest.mark.parametrize("algorithm", sorted(CLASSES))
     def test_cap_lowered_below_a_sketch_wipes_it_on_its_next_event(
@@ -178,13 +193,53 @@ class TestWipes:
             scalar.process(u, v)
         block.process_block(edges[:30])
         assert block._curr == 1
-        assert max(len(d) for d in block._d_sets[2]) > 1
+        assert max(len(d) for d in sketches(block)[1]) > 1
         scalar.overflow_cap = block.overflow_cap = 1
         for u, v in edges[30:].tolist():
             scalar.process(u, v)
         block.process_block(edges[30:])
         assert sketch_state(block) == sketch_state(scalar)
-        assert None in block._d_sets[2]
+        assert None in sketches(block)[1]
+
+
+class TestSnapshotContract:
+    @pytest.mark.parametrize("algorithm", sorted(CLASSES))
+    def test_chunk_size_does_not_change_state(self, algorithm):
+        """Equal state_dict() for chunk sizes 1, 7 and 4096 and for the
+        scalar loop, with B rolled and sketches wiped on the way; it holds
+        exactly the live rows of B and of the sketch log."""
+        n, delta = 60, 8
+        edges = random_edges(np.random.default_rng(9), n, 301)
+        cls = CLASSES[algorithm]
+        algos = []
+        for chunk_size in (1, 7, 4096, None):
+            algo = cls(n, delta, seed=9, repetitions=8)
+            algo.overflow_cap = {"cgs22": 26, "robust_lowrandom": 4}[algorithm]
+            if chunk_size is None:
+                for u, v in edges.tolist():
+                    algo.process(u, v)
+            else:
+                feed_blocks(algo, edges, chunk_size)
+            algos.append(algo)
+        algo = algos[0]
+        alive = survivors(algo)
+        assert algo._curr > 1  # B rolled
+        # Some epoch lost sketches and kept others.
+        assert any(0 < alive_i < algo.repetitions for alive_i in alive)
+        for other in algos[1:]:
+            same_state(algo, other)
+        state = algo.state_dict()
+        arrays, tree = state["arrays"], state["state"]
+        buffer = arrays[tree["_buffer"]["ref"]]
+        rolled = (algo._curr - 1) * algo.buffer_capacity
+        assert np.array_equal(buffer, edges[rolled:])
+        assert len(buffer) * algo._edge_bits == algo.meter.gauge("buffer B")
+        log = arrays[tree["_d_edges"]["ref"]]
+        assert len(log) == len(arrays[tree["_d_ids"]["ref"]])
+        assert len(log) == sum(len(d) for d_i in sketches(algo) for d in d_i
+                               if d is not None)
+        assert len(log) * algo._edge_bits == algo.meter.gauge("D sketches")
+        assert log.dtype == buffer.dtype == np.uint8
 
 
 class TestSelfLoops:
