@@ -28,7 +28,12 @@ import numpy as np
 
 from repro.common.exceptions import AlgorithmFailure, ReproError
 from repro.graph.coloring import first_fit_colors
-from repro.streaming.blocks import append_rows, cached_hash_rows, sketch_process_block
+from repro.streaming.blocks import (
+    append_rows,
+    cached_hash_rows,
+    edge_rows,
+    sketch_process_block,
+)
 from repro.streaming.model import OnePassAlgorithm
 
 
@@ -73,8 +78,8 @@ class DSketchColoring(OnePassAlgorithm):
                 self._d_sizes[i, j] = len(d)
                 rows.extend(d)
                 ids.extend([i * reps + j] * len(d))
-        self._buffer = _rows(buffer, self._buffer)
-        self._d_edges = _rows(rows, self._d_edges)
+        self._buffer = edge_rows(buffer, self._buffer)
+        self._d_edges = edge_rows(rows, self._d_edges)
         self._d_ids = np.array(ids, dtype=self._d_ids.dtype)
 
     # ------------------------------------------------------------------
@@ -171,8 +176,3 @@ class DSketchColoring(OnePassAlgorithm):
         if not 1 <= epoch <= len(self._d_sizes):
             return self._d_sizes.shape[1]
         return int((self._d_sizes[epoch - 1] >= 0).sum())
-
-
-def _rows(edges, empty: np.ndarray) -> np.ndarray:
-    """A list of edge tuples as an ``(m, 2)`` array of ``empty``'s dtype."""
-    return np.array(edges, dtype=empty.dtype).reshape(-1, 2) if edges else empty

@@ -50,7 +50,12 @@ from repro.graph.coloring import first_fit_colors
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.graph import Graph
 from repro.hashing.random_oracle import RandomOracle
-from repro.streaming.blocks import buffer_timeline, running_degrees
+from repro.streaming.blocks import (
+    append_rows,
+    buffer_timeline,
+    edge_rows,
+    running_degrees,
+)
 from repro.streaming.model import OnePassAlgorithm
 
 
@@ -130,9 +135,9 @@ class RobustColoring(OnePassAlgorithm):
         sketches as lists of edge tuples."""
         self._degree = np.array(self._degree, dtype=np.int64)
         self._buffer_degree = np.array(self._buffer_degree, dtype=np.int64)
-        self._buffer = _edge_array(self._buffer)
-        self._a_sets = [_edge_array(edges) for edges in self._a_sets]
-        self._c_sets = [_edge_array(edges) for edges in self._c_sets]
+        self._buffer = edge_rows(self._buffer, _NO_EDGES)
+        self._a_sets = [edge_rows(edges, _NO_EDGES) for edges in self._a_sets]
+        self._c_sets = [edge_rows(edges, _NO_EDGES) for edges in self._c_sets]
 
     def __init__(self, n: int, delta: int, seed: int, beta: float = 0.0):
         super().__init__()
@@ -221,7 +226,7 @@ class RobustColoring(OnePassAlgorithm):
         # Lines 10-11: roll the buffer/epoch when full.
         if len(self._buffer) == p.buffer_capacity:
             self._roll_buffer(1)
-        self._buffer = _append_rows(self._buffer, ((u, v),), p.buffer_capacity)
+        self._buffer = append_rows(self._buffer, ((u, v),), p.buffer_capacity)
         self._buffer_degree[u] += 1
         self._buffer_degree[v] += 1
         # Line 13: degree counters.
@@ -232,13 +237,13 @@ class RobustColoring(OnePassAlgorithm):
         for i in range(self._curr + 1, p.num_epochs + 1):
             h = self._h[i - 1]
             if h(u) == h(v):
-                self._a_sets[i] = _append_rows(self._a_sets[i], ((u, v),))
+                self._a_sets[i] = append_rows(self._a_sets[i], ((u, v),))
         # Lines 16-17: g_i-sketches for levels above both endpoints.
         top = self._level_of_degree(max(du, dv) + 1)
         for i in range(top + 1, p.num_levels + 1):
             g = self._g[i - 1]
             if g(u) == g(v):
-                self._c_sets[i] = _append_rows(self._c_sets[i], ((u, v),))
+                self._c_sets[i] = append_rows(self._c_sets[i], ((u, v),))
         self._update_space()
 
     # ------------------------------------------------------------------
@@ -277,7 +282,7 @@ class RobustColoring(OnePassAlgorithm):
         keep = ev_col >= self._curr + rolls[ev_e]
         a_edges, a_epochs = ev_e[keep], ev_col[keep] + 1
         for epoch, rows in _rows_by_sketch(edges, a_edges, a_epochs):
-            self._a_sets[epoch] = _append_rows(self._a_sets[epoch], rows)
+            self._a_sets[epoch] = append_rows(self._a_sets[epoch], rows)
         # Lines 16-17: g_i-monochromatic events for levels above the edge.
         top = np.maximum(
             1,
@@ -287,14 +292,14 @@ class RobustColoring(OnePassAlgorithm):
         keep = ev_col >= top[ev_e]
         c_edges, c_levels = ev_e[keep], ev_col[keep] + 1
         for level, rows in _rows_by_sketch(edges, c_edges, c_levels):
-            self._c_sets[level] = _append_rows(self._c_sets[level], rows)
+            self._c_sets[level] = append_rows(self._c_sets[level], rows)
         # Degree counters (line 13) and the buffer (lines 10-12).
         np.add.at(self._degree, edges.ravel(), 1)
         kept = edges
         if rolls[-1] > 0:
             self._roll_buffer(int(rolls[-1]))
             kept = edges[k - int(lengths[-1]):]
-        self._buffer = _append_rows(self._buffer, kept, p.buffer_capacity)
+        self._buffer = append_rows(self._buffer, kept, p.buffer_capacity)
         np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
         # Space peak: the scalar path updates gauges after every edge.
@@ -431,31 +436,6 @@ class RobustColoring(OnePassAlgorithm):
 #: The empty edge array every buffer and sketch starts from (read-only).
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
 _NO_EDGES.flags.writeable = False
-
-
-def _append_rows(live, rows, limit=None):
-    """The edge array ``live`` with ``rows`` appended after it.
-
-    ``live`` is an array of its own or the leading rows of its ``base``,
-    the store, whose rows past ``live`` are spare.  The result is the
-    leading rows of the same store, or of a new one twice the size (at
-    most ``limit`` rows) when the store is full, so appends cost
-    amortised ``O(len(rows))``.
-    """
-    store = live if live.base is None else live.base
-    start = len(live)
-    end = start + len(rows)
-    if end > len(store):
-        size = max(end, 2 * len(store), 16)
-        store = np.empty((size if limit is None else min(size, limit), 2), dtype=np.int64)
-        store[:start] = live
-    store[start:end] = rows
-    return store[:end]
-
-
-def _edge_array(edges) -> np.ndarray:
-    """A list of edge tuples as an int64 ``(m, 2)`` array."""
-    return np.array(edges, dtype=np.int64).reshape(-1, 2) if edges else _NO_EDGES
 
 
 def _rows_by_sketch(edges, ev_edges, ev_sketch):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.exceptions import ParameterError
-from repro.common.integer_math import horner_fits_int64, is_prime, mod_horner_array
+from repro.common.integer_math import is_prime, mod_horner_array
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,8 @@ class PolynomialHashFamily:
 
         While ``k (p - 1)^2 < 2^53`` the kernel-dispatch layer evaluates
         all members at once as one exact float64 matrix product; past
-        that bound it runs Horner in int64 (mod-free or with per-step
-        reduction), and for primes beyond the int64 domain the exact
+        that bound it runs Horner in int64 with per-step reduction, and
+        for primes beyond the int64 domain the exact
         Python-int fallback stays pure numpy by construction.  The range
         reduction is a mask when ``m`` is a power of two.
         """
@@ -125,12 +125,7 @@ class PolynomialHashFamily:
                 coeffs, dtype=np.int64
             ).reshape(-1, self.k)
             xs64 = np.ascontiguousarray(xs, dtype=np.int64)
-            if exact_float:
-                mode = "float"
-            elif horner_fits_int64(self.k, xmax, self.p):
-                mode = "mod_free"
-            else:
-                mode = "stepwise"
+            mode = "float" if exact_float else "stepwise"
             vals = dispatch("eval_coeffs", coeffs2, xs64, self.p, mode)
             if self.m & (self.m - 1):
                 vals %= self.m

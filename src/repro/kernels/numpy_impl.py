@@ -44,8 +44,8 @@ def eval_coeffs(coeffs2: np.ndarray, xs: np.ndarray, p: int,
     int64; the result is int64.  ``mode`` picks the arithmetic, whose
     admissibility the caller checks:
 
-    - ``"mod_free"`` and ``"stepwise"``: Horner, as in :func:`mod_horner`
-      with ``stepwise`` False and True;
+    - ``"stepwise"``: Horner reducing every step, as in :func:`mod_horner`
+      with ``stepwise=True``;
     - ``"float"``: one float64 product ``V @ C`` of the ``(N, k)`` powers
       ``V[t, d] = xs[t]^d mod p`` and the ``(k, M)`` coefficients, for
       ``k (p - 1)^2 < 2^53``.  Every term and partial sum of a dot product
@@ -72,13 +72,9 @@ def eval_coeffs(coeffs2: np.ndarray, xs: np.ndarray, p: int,
     k = coeffs2.shape[1]
     x_col = xs.reshape(-1, 1)
     acc = np.zeros((len(xs), coeffs2.shape[0]), dtype=np.int64)
-    if mode == "stepwise":
-        for d in range(k - 1, -1, -1):
-            acc = (acc * x_col + coeffs2[:, d]) % p
-        return acc
     for d in range(k - 1, -1, -1):
-        acc = acc * x_col + coeffs2[:, d]
-    return acc % p
+        acc = (acc * x_col + coeffs2[:, d]) % p
+    return acc
 
 
 def partition_class_array(a: int, b: int, p: int, s: int,

@@ -32,6 +32,7 @@ __all__ = [
     "append_rows",
     "buffer_timeline",
     "cached_hash_rows",
+    "edge_rows",
     "group_pairs",
     "running_degrees",
     "sketch_process_block",
@@ -65,6 +66,16 @@ def append_rows(live: np.ndarray, rows, limit=None) -> np.ndarray:
         store[:start] = live
     store[start:end] = rows
     return store[:end]
+
+
+def edge_rows(edges, empty: np.ndarray) -> np.ndarray:
+    """A list of edge tuples as an ``(m, 2)`` array of ``empty``'s dtype,
+    or ``empty`` itself when the list is empty.
+
+    Restoring a checkpoint written by the list-based sketch code turns
+    its buffers and sketches into edge arrays with it.
+    """
+    return np.array(edges, dtype=empty.dtype).reshape(-1, 2) if edges else empty
 
 
 def group_pairs(pairs: np.ndarray):

@@ -66,8 +66,7 @@ def kernel_inputs(name, seed):
     if name == "eval_coeffs":
         coeffs2 = rng.integers(0, p, size=(5, 4), dtype=np.int64)
         xs = rng.integers(0, 500, size=k, dtype=np.int64)
-        return [(coeffs2, xs, p, mode)
-                for mode in ("mod_free", "stepwise", "float")]
+        return [(coeffs2, xs, p, mode) for mode in ("stepwise", "float")]
     if name == "partition_class_array":
         return [(int(rng.integers(1, p)), int(rng.integers(0, p)), p, s, n)]
     if name == "sketch_event_filter":
