@@ -1,15 +1,23 @@
-"""Checkpoints of the D-sketch algorithms written by earlier code restore.
+"""Checkpoints of the sketch algorithms written by earlier code restore.
 
-The files in ``tests/data/sketch_checkpoints/`` were recorded at commit
-224be37, while Algorithm 3 (``robust_lowrandom``) and the [CGS22]
-baseline (``cgs22``) still kept buffer B and every sketch ``D_{i, j}`` as a
-Python list of edge tuples (``None`` once wiped).  Each ``<case>.ck`` is a
-``REPROCK1`` file holding one algorithm's ``state_dict()`` taken part-way
-through the stream of its case in :data:`CASES`; ``session.ck`` is a
-half-fed :class:`~repro.service.SessionManager` session snapshot.  Every
-one must restore into today's classes and finish exactly as the run that
-was never interrupted.  Never re-record them: they stand for checkpoints
-already on disk.
+The files in ``tests/data/sketch_checkpoints/`` stand for checkpoints
+already on disk, in layouts the code no longer writes:
+
+- the ``robust_lowrandom-*`` and ``cgs22-*`` cases and ``session.ck``
+  were recorded at commit 224be37, while Algorithm 3
+  (``robust_lowrandom``) and the [CGS22] baseline (``cgs22``) still kept
+  buffer B and every sketch ``D_{i, j}`` as a Python list of edge tuples
+  (``None`` once wiped);
+- the ``robust-*`` cases and ``robust-session.ck`` were recorded at
+  commit 7200edd, while Algorithm 2 (``robust``) still kept every sketch
+  ``A_i`` and ``C_l`` as an int64 edge array of its own.
+
+Each ``<case>.ck`` is a ``REPROCK1`` file holding one algorithm's
+``state_dict()`` taken part-way through the stream of its case in
+:data:`CASES`; each session file is a half-fed
+:class:`~repro.service.SessionManager` session snapshot of its spec in
+:data:`SESSIONS`.  Every one must restore into today's classes and finish
+exactly as the run that was never interrupted.  Never re-record them.
 
 ``python tests/test_sketch_checkpoints.py DIR`` writes the same files,
 from the code it runs on, into ``DIR``.
@@ -23,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
+from repro.core.robust import RobustColoring
 from repro.core.robust_lowrandom import LowRandomnessRobustColoring
 from repro.graph.generators import near_regular_edge_array
 from repro.persist import read_checkpoint, write_checkpoint
@@ -33,13 +42,15 @@ DATA = pathlib.Path(__file__).parent / "data" / "sketch_checkpoints"
 
 CLASSES = {
     "cgs22": SketchSwitchingQuadraticColoring,
+    "robust": RobustColoring,
     "robust_lowrandom": LowRandomnessRobustColoring,
 }
 
 #: name -> (algorithm, n, delta, edges fed before the checkpoint,
-#: attribute overrides).  Edges are ``near_regular_edge_array(n, delta,
-#: 3)``, fed in blocks of :data:`CHUNK` edges, to an algorithm with seed
-#: 3 and :data:`REPS` repetitions.
+#: options).  Edges are ``near_regular_edge_array(n, delta, 3)``, fed in
+#: blocks of :data:`CHUNK` edges, to an algorithm with seed 3.  A D-sketch
+#: algorithm has :data:`REPS` repetitions and its options are attribute
+#: overrides; ``robust``'s options are constructor keywords.
 CASES = {
     "robust_lowrandom-mid": ("robust_lowrandom", 40, 6, 30, {}),
     "robust_lowrandom-rolled": ("robust_lowrandom", 40, 6, 90, {}),
@@ -48,15 +59,24 @@ CASES = {
     "cgs22-mid": ("cgs22", 40, 9, 60, {}),
     "cgs22-rolled": ("cgs22", 40, 9, 130, {}),
     "cgs22-wiped": ("cgs22", 40, 9, 96, {"overflow_cap": 14}),
+    "robust-mid": ("robust", 40, 9, 30, {}),
+    "robust-rolled": ("robust", 40, 9, 100, {}),
+    "robust-beta-mid": ("robust", 40, 9, 60, {"beta": 0.5}),
+    "robust-beta-rolled": ("robust", 40, 9, 150, {"beta": 0.5}),
 }
 CHUNK = 16
 SEED = 3
 REPS = 8
 
-#: The session case: spec fields, and the edge feeds before the snapshot.
-SESSION_SPEC = {"algorithm": "robust_lowrandom", "n": 40, "delta": 6,
-                "seed": 5, "config": {"repetitions": REPS},
-                "verify": "strict"}
+#: Session file -> spec fields.  Each session is fed
+#: :data:`SESSION_FEEDS` before the snapshot.
+SESSIONS = {
+    "session.ck": {"algorithm": "robust_lowrandom", "n": 40, "delta": 6,
+                   "seed": 5, "config": {"repetitions": REPS},
+                   "verify": "strict"},
+    "robust-session.ck": {"algorithm": "robust", "n": 40, "delta": 9,
+                          "seed": 5, "verify": "strict"},
+}
 SESSION_FEEDS = (0, 30, 60)
 
 
@@ -66,9 +86,11 @@ def case_edges(name):
 
 
 def fresh(name):
-    algorithm, n, delta, _, overrides = CASES[name]
+    algorithm, n, delta, _, options = CASES[name]
+    if algorithm == "robust":
+        return RobustColoring(n, delta, seed=SEED, **options)
     algo = CLASSES[algorithm](n, delta, seed=SEED, repetitions=REPS)
-    for attr, value in overrides.items():
+    for attr, value in options.items():
         setattr(algo, attr, value)
     return algo
 
@@ -78,21 +100,18 @@ def feed_blocks(algo, edges):
         algo.process_block(edges[start:start + CHUNK])
 
 
-def session_edges():
-    return near_regular_edge_array(SESSION_SPEC["n"], SESSION_SPEC["delta"],
-                                   SESSION_SPEC["seed"])
-
-
-async def run_session(path=None, record_to=None):
-    """A session over :func:`session_edges`, fed in :data:`SESSION_FEEDS`
-    parts; restored from ``path`` after the first two when given."""
-    edges = session_edges().tolist()
+async def run_session(spec, path=None, record_to=None):
+    """A session of ``spec`` over ``near_regular_edge_array(n, delta,
+    seed)``, fed in :data:`SESSION_FEEDS` parts; restored from ``path``
+    after the first two when given."""
+    edges = near_regular_edge_array(spec["n"], spec["delta"],
+                                    spec["seed"]).tolist()
     bounds = list(SESSION_FEEDS) + [len(edges)]
     manager = SessionManager()
     try:
         sid = None
         if path is None:
-            sid = await manager.create(dict(SESSION_SPEC))
+            sid = await manager.create(dict(spec))
             for lo, hi in zip(bounds[:2], bounds[1:3]):
                 await manager.feed(sid, edges[lo:hi])
             if record_to is not None:
@@ -111,7 +130,8 @@ async def run_session(path=None, record_to=None):
 
 
 def record(directory) -> None:
-    """Write every case's checkpoint and the session snapshot to ``directory``."""
+    """Write every case's checkpoint and every session snapshot to
+    ``directory``."""
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, (_, _, _, cut, _) in CASES.items():
@@ -121,7 +141,8 @@ def record(directory) -> None:
         write_checkpoint(directory / f"{name}.ck",
                          {"class": state["class"], "state": state["state"]},
                          state["arrays"])
-    asyncio.run(run_session(record_to=str(directory / "session.ck")))
+    for file, spec in SESSIONS.items():
+        asyncio.run(run_session(spec, record_to=str(directory / file)))
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -149,7 +170,10 @@ def same_sketches(a, b) -> bool:
 
     The sketch log of a converted checkpoint lists its rows sketch by
     sketch, not in discovery order, so the logs themselves may differ.
+    ``robust`` states are compared whole.
     """
+    if isinstance(a, RobustColoring):
+        return same_state(a, b)
     epochs, reps = a._coeffs.shape[:2]
     for i in range(1, epochs + 1):
         for j in range(reps):
@@ -164,10 +188,22 @@ def same_sketches(a, b) -> bool:
             and np.array_equal(a._buffer, b._buffer))
 
 
+def same_state(a, b) -> bool:
+    """Equal ``state_dict()`` trees and equal arrays (values and dtypes)."""
+    sa, sb = a.state_dict(), b.state_dict()
+    return sa["state"] == sb["state"] and all(
+        array.dtype == sb["arrays"][name].dtype
+        and np.array_equal(array, sb["arrays"][name])
+        for name, array in sa["arrays"].items()
+    )
+
+
 def test_case_checkpoints_cover_a_roll_and_a_wipe():
-    """The files hold the list-based layout, one rolled B and one wiped
-    sketch per algorithm."""
+    """The D-sketch files hold the list-based layout, one rolled B and one
+    wiped sketch per algorithm."""
     for name, (algorithm, _, _, _, _) in CASES.items():
+        if algorithm == "robust":
+            continue
         header, _ = read_checkpoint(DATA / f"{name}.ck")
         state = header["state"]
         assert header["class"].endswith(CLASSES[algorithm].__name__)
@@ -177,10 +213,31 @@ def test_case_checkpoints_cover_a_roll_and_a_wipe():
         assert wiped == name.endswith("wiped"), name
 
 
+def test_robust_checkpoints_hold_one_array_per_sketch():
+    """The ``robust`` files hold one edge array per sketch, a rolled B
+    where the name says so, and edges in several A sketches and in a C
+    sketch."""
+    for name, (algorithm, _, _, _, _) in CASES.items():
+        if algorithm != "robust":
+            continue
+        header, arrays = read_checkpoint(DATA / f"{name}.ck")
+        state = header["state"]
+        assert header["class"].endswith(RobustColoring.__name__)
+        assert (state["_curr"] > 1) == name.endswith("rolled"), name
+
+        def sizes(nodes):
+            return [len(arrays[node["ref"]]) for node in nodes]
+
+        a_sizes, c_sizes = sizes(state["_a_sets"]), sizes(state["_c_sets"])
+        assert sum(size > 0 for size in a_sizes) > 1, name
+        assert sum(c_sizes) > 0 or name == "robust-mid", name
+
+
 def test_old_session_snapshot_restores_and_finishes_as_uninterrupted():
-    restored = asyncio.run(run_session(path=str(DATA / "session.ck")))
-    assert restored == asyncio.run(run_session())
-    assert restored["proper"]
+    for file, spec in SESSIONS.items():
+        restored = asyncio.run(run_session(spec, path=str(DATA / file)))
+        assert restored == asyncio.run(run_session(spec)), file
+        assert restored["proper"], file
 
 
 if __name__ == "__main__":
