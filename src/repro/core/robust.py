@@ -31,13 +31,22 @@ is frozen before ``h_curr`` is first revealed.  We implement
 ``A_curr | B``.
 
 State layout: the ``n`` degree counters and buffer degrees are int64
-arrays updated in place; buffer B and each sketch ``A_i``/``C_i`` is an
-int64 ``(m, 2)`` edge array, the live rows of a store that grows by
-doubling.  :meth:`RobustColoring.process_block` therefore costs
-``Theta(k (E + L))`` for a block of ``k`` edges (``E`` epochs, ``L``
-levels) plus one append per sketch that receives events, with no
-``Theta(n)`` term; only a buffer roll, once per ``n Delta^beta`` edges,
-clears the ``n`` buffer degrees.
+arrays updated in place, and buffer B is an int64 ``(|B|, 2)`` edge
+array.  The sketches are two append-only logs: ``_a_edges`` beside
+``_a_ids`` holds the rows of every ``A_i`` with its epoch ``i``, and
+``_c_edges`` beside ``_c_ids`` those of every ``C_l`` with its level
+``l``, the rows in ``np.min_scalar_type(n - 1)`` and the ids in the
+narrowest unsigned dtype that holds ``E`` or ``L``.  Rows are in
+discovery order (by edge, then epoch or level), which the scalar
+:meth:`RobustColoring.process` and the block path both follow, so the
+state does not depend on how the stream was cut into blocks;
+:meth:`RobustColoring.sketch_edges` reads one sketch back in stream
+order.  Each array is the leading rows of a store that grows by
+doubling, and snapshots hold the live rows only.
+:meth:`RobustColoring.process_block` therefore costs ``Theta(k (E + L))``
+for a block of ``k`` edges (``E`` epochs, ``L`` levels) plus one append
+per log, with no ``Theta(n)`` term; only a buffer roll, once per
+``n Delta^beta`` edges, clears the ``n`` buffer degrees.
 """
 
 from dataclasses import dataclass
@@ -55,6 +64,7 @@ from repro.streaming.blocks import (
     buffer_timeline,
     edge_rows,
     running_degrees,
+    sorted_distinct,
 )
 from repro.streaming.model import OnePassAlgorithm
 
@@ -117,27 +127,29 @@ class RobustColoring(OnePassAlgorithm):
     """Adversarially robust ``O(Delta^{5/2})``-coloring (Algorithm 2)."""
 
     supports_blocks = True
-    # The vertex-major oracle tables are derived from _h/_g on first use;
-    # snapshots carry the functions, not the tables.  Snapshots hold
-    # ``_buffer``, ``_a_sets`` and ``_c_sets`` as they are: exactly the
-    # live rows of B and of each sketch, without the stores' spare rows.
-    _snapshot_skip_ = ("_h_table", "_g_table")
+    # The vertex-major oracle table is derived from _h/_g on first use;
+    # snapshots carry the functions, not the table.  Snapshots hold
+    # ``_buffer`` and the sketch logs as they are: exactly their live
+    # rows, without the stores' spare rows.
+    _snapshot_skip_ = ("_table",)
 
     def _snapshot_init_(self) -> None:
-        self._h_table = None
-        self._g_table = None
+        self._table = None
         if isinstance(self._degree, list):
-            self._load_list_state()
-
-    def _load_list_state(self) -> None:
-        """Turn the state of a checkpoint written by the list-based code
-        into arrays: it holds the counters as lists of ints, and B and the
-        sketches as lists of edge tuples."""
-        self._degree = np.array(self._degree, dtype=np.int64)
-        self._buffer_degree = np.array(self._buffer_degree, dtype=np.int64)
-        self._buffer = edge_rows(self._buffer, _NO_EDGES)
-        self._a_sets = [edge_rows(edges, _NO_EDGES) for edges in self._a_sets]
-        self._c_sets = [edge_rows(edges, _NO_EDGES) for edges in self._c_sets]
+            # Written while the counters were lists of ints and B a list
+            # of edge tuples.
+            self._degree = np.array(self._degree, dtype=np.int64)
+            self._buffer_degree = np.array(self._buffer_degree, dtype=np.int64)
+            self._buffer = edge_rows(self._buffer, _NO_EDGES)
+        if "_a_sets" in self.__dict__:
+            # Written while each sketch A_i and C_l was an edge array or
+            # list of its own; the logs take them sketch by sketch.
+            self._a_edges, self._a_ids = _sketch_log(
+                self.__dict__.pop("_a_sets"), self._a_edges.dtype, self._a_ids.dtype
+            )
+            self._c_edges, self._c_ids = _sketch_log(
+                self.__dict__.pop("_c_sets"), self._c_edges.dtype, self._c_ids.dtype
+            )
 
     def __init__(self, n: int, delta: int, seed: int, beta: float = 0.0):
         super().__init__()
@@ -159,13 +171,15 @@ class RobustColoring(OnePassAlgorithm):
         self._degree = np.zeros(n, dtype=np.int64)
         self._buffer = _NO_EDGES
         self._buffer_degree = np.zeros(n, dtype=np.int64)
-        self._a_sets = [_NO_EDGES] * (p.num_epochs + 2)
-        self._c_sets = [_NO_EDGES] * (p.num_levels + 2)
+        vertex = np.min_scalar_type(max(0, n - 1))
+        self._a_edges = np.empty((0, 2), dtype=vertex)
+        self._a_ids = np.empty(0, dtype=np.min_scalar_type(p.num_epochs))
+        self._c_edges = np.empty((0, 2), dtype=vertex)
+        self._c_ids = np.empty(0, dtype=np.min_scalar_type(p.num_levels))
         self._curr = 1
         self._edges_seen = 0
-        # Vertex-major oracle tables for the block path, built on first use.
-        self._h_table = None
-        self._g_table = None
+        # Vertex-major oracle table for the block path, built on first use.
+        self._table = None
         log_n = ceil_log2(max(2, n))
 
         self._edge_bits = 2 * log_n
@@ -175,12 +189,8 @@ class RobustColoring(OnePassAlgorithm):
     def _update_space(self) -> None:
         p = self.params
         self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
-        self.meter.set_gauge(
-            "A sketches", sum(map(len, self._a_sets)) * self._edge_bits
-        )
-        self.meter.set_gauge(
-            "C sketches", sum(map(len, self._c_sets)) * self._edge_bits
-        )
+        self.meter.set_gauge("A sketches", len(self._a_edges) * self._edge_bits)
+        self.meter.set_gauge("C sketches", len(self._c_edges) * self._edge_bits)
         self.meter.set_gauge(
             "degree counters", self.n * ceil_log2(max(2, self.delta + 1))
         )
@@ -189,16 +199,22 @@ class RobustColoring(OnePassAlgorithm):
         """Level ``l`` such that degree is in ``((l-1) T, l T]`` (T = fast threshold)."""
         return max(1, ceil_div(d, self.params.fast_threshold))
 
-    def _oracle_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(n, E)`` table of the ``h_i`` and ``(n, L)`` table of the ``g_i``.
+    def _oracle_table(self) -> np.ndarray:
+        """The ``(n, E + L)`` table of ``h_1 .. h_E`` then ``g_1 .. g_L``.
 
         Vertex-major, so a block gathers one short row per endpoint, and
-        in the narrowest unsigned dtype that holds the function's range.
+        in the narrowest unsigned dtype that holds both ranges.
         """
-        if self._h_table is None:
-            self._h_table = _vertex_major(self._h, self.n, self.params.h_range)
-            self._g_table = _vertex_major(self._g, self.n, self.params.g_range)
-        return self._h_table, self._g_table
+        if self._table is None:
+            p = self.params
+            functions = self._h + self._g
+            self._table = np.empty(
+                (self.n, len(functions)),
+                dtype=np.min_scalar_type(max(p.h_range, p.g_range) - 1),
+            )
+            for column, function in enumerate(functions):
+                self._table[:, column] = function.table()
+        return self._table
 
     def _roll_buffer(self, rolls: int) -> None:
         """Lines 10-11: empty B and advance the epoch by ``rolls``."""
@@ -234,16 +250,22 @@ class RobustColoring(OnePassAlgorithm):
         self._degree[v] = dv + 1
         self._edges_seen += 1
         # Lines 14-15: h_i-sketches for future epochs.
-        for i in range(self._curr + 1, p.num_epochs + 1):
-            h = self._h[i - 1]
-            if h(u) == h(v):
-                self._a_sets[i] = append_rows(self._a_sets[i], ((u, v),))
+        epochs = [
+            i for i in range(self._curr + 1, p.num_epochs + 1)
+            if self._h[i - 1](u) == self._h[i - 1](v)
+        ]
+        if epochs:
+            self._a_edges = append_rows(self._a_edges, ((u, v),) * len(epochs))
+            self._a_ids = append_rows(self._a_ids, epochs)
         # Lines 16-17: g_i-sketches for levels above both endpoints.
         top = self._level_of_degree(max(du, dv) + 1)
-        for i in range(top + 1, p.num_levels + 1):
-            g = self._g[i - 1]
-            if g(u) == g(v):
-                self._c_sets[i] = append_rows(self._c_sets[i], ((u, v),))
+        levels = [
+            i for i in range(top + 1, p.num_levels + 1)
+            if self._g[i - 1](u) == self._g[i - 1](v)
+        ]
+        if levels:
+            self._c_edges = append_rows(self._c_edges, ((u, v),) * len(levels))
+            self._c_ids = append_rows(self._c_ids, levels)
         self._update_space()
 
     # ------------------------------------------------------------------
@@ -251,13 +273,14 @@ class RobustColoring(OnePassAlgorithm):
         """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical).
 
         The sequential bookkeeping is reconstructed in closed form: running
-        degrees via a stable group-rank, buffer epochs via
+        degrees via one sort of the block's endpoints, buffer epochs via
         :func:`~repro.streaming.blocks.buffer_timeline`, and the rare
         monochromatic sketch events via one row gather per endpoint from
-        the vertex-major oracle tables.  The degree counters and buffer
-        degrees are updated in place and B and the sketches appended to,
-        so with the numpy kernels a block costs ``Theta(k (E + L))`` plus
-        one append per sketch that receives events, with no ``Theta(n)``
+        the vertex-major oracle table of all ``E + L`` functions, whose
+        equal entries come out by edge, ``A`` epochs before ``C`` levels.
+        The degree counters and buffer degrees are updated in place, and
+        B and the two sketch logs take one append each, so with the numpy
+        kernels a block costs ``Theta(k (E + L))`` with no ``Theta(n)``
         term.  A block containing a self-loop or a degree-cap violation
         falls back to the scalar loop so the exception fires at the exact
         same edge with the exact same partial state.
@@ -275,24 +298,30 @@ class RobustColoring(OnePassAlgorithm):
             return
         rolls, lengths = buffer_timeline(len(self._buffer), p.buffer_capacity, k)
         stored0 = self.sketch_edge_count
-        h_table, g_table = self._oracle_tables()
+        table = self._oracle_table()
+        ev_e, ev_col = np.divmod(
+            np.flatnonzero(np.take(table, us, axis=0) == np.take(table, vs, axis=0)),
+            table.shape[1],
+        )
         # Lines 14-15: h_i-monochromatic events for epochs i > curr, i.e.
-        # table columns i - 1 >= curr.
-        ev_e, ev_col = _mono_events(h_table, us, vs)
-        keep = ev_col >= self._curr + rolls[ev_e]
-        a_edges, a_epochs = ev_e[keep], ev_col[keep] + 1
-        for epoch, rows in _rows_by_sketch(edges, a_edges, a_epochs):
-            self._a_sets[epoch] = append_rows(self._a_sets[epoch], rows)
-        # Lines 16-17: g_i-monochromatic events for levels above the edge.
+        # columns i - 1 >= curr.
+        is_a = ev_col < p.num_epochs
+        a_e, a_col = ev_e[is_a], ev_col[is_a]
+        keep = a_col >= self._curr + rolls[a_e]
+        a_e, a_epochs = a_e[keep], a_col[keep] + 1
+        # Lines 16-17: g_l-monochromatic events (column E + l - 1) for
+        # levels l above the edge's.
+        c_e, c_levels = ev_e[~is_a], ev_col[~is_a] - (p.num_epochs - 1)
         top = np.maximum(
             1,
-            -(-(deg_before.max(axis=1) + 1) // p.fast_threshold),
+            -(-(deg_before[c_e].max(axis=1) + 1) // p.fast_threshold),
         )
-        ev_e, ev_col = _mono_events(g_table, us, vs)
-        keep = ev_col >= top[ev_e]
-        c_edges, c_levels = ev_e[keep], ev_col[keep] + 1
-        for level, rows in _rows_by_sketch(edges, c_edges, c_levels):
-            self._c_sets[level] = append_rows(self._c_sets[level], rows)
+        keep = c_levels > top
+        c_e, c_levels = c_e[keep], c_levels[keep]
+        self._a_edges = append_rows(self._a_edges, edges[a_e])
+        self._a_ids = append_rows(self._a_ids, a_epochs)
+        self._c_edges = append_rows(self._c_edges, edges[c_e])
+        self._c_ids = append_rows(self._c_ids, c_levels)
         # Degree counters (line 13) and the buffer (lines 10-12).
         np.add.at(self._degree, edges.ravel(), 1)
         kept = edges
@@ -303,9 +332,7 @@ class RobustColoring(OnePassAlgorithm):
         np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
         # Space peak: the scalar path updates gauges after every edge.
-        stored_delta = np.bincount(
-            np.concatenate((a_edges, c_edges)), minlength=k
-        )
+        stored_delta = np.bincount(np.concatenate((a_e, c_e)), minlength=k)
         per_edge_total = (
             stored0 + np.cumsum(stored_delta) + lengths
         ) * self._edge_bits
@@ -335,8 +362,12 @@ class RobustColoring(OnePassAlgorithm):
         order, ascending within a block.  Slow blocks are
         ``(degree+1)``-colored by one first-fit sweep; each fast block with
         an edge is :func:`degeneracy_coloring`-ed on its pool edges in
-        pool order; a vertex without an intra-block edge takes its
-        block's first color.
+        pool order, over the endpoints of those edges only; a vertex
+        without an intra-block edge takes its block's first color.  That
+        equals coloring the whole block: the bucket queue peels its
+        isolated members first, from bucket 0, without touching the other
+        buckets, so they take color 1 and every other vertex keeps its
+        place in the order and its color.
         """
         p = self.params
         key = self._block_keys()
@@ -344,24 +375,25 @@ class RobustColoring(OnePassAlgorithm):
         pool_key = key[pool[:, 0]]
         local = np.ones(self.n, dtype=np.int64)
         first_fit_colors(pool[pool_key < p.h_range], local)
-        # Vertices grouped by block, ascending within each block.
-        order = np.argsort(key, kind="stable")
-        block_keys, starts = np.unique(key[order], return_index=True)
-        ends = np.append(starts[1:], self.n)
         # The degeneracy order depends on the order edges enter the block
         # graph, so each fast block gets its edges in pool order.
         fast = pool[pool_key >= p.h_range]
         fast = fast[np.argsort(key[fast[:, 0]], kind="stable")]
-        edge_keys, first_edge = np.unique(key[fast[:, 0]], return_index=True)
-        for block, edges in zip(
-            np.searchsorted(block_keys, edge_keys).tolist(),
-            np.split(fast, first_edge[1:]),
-        ):
-            members = order[starts[block]:ends[block]].tolist()
-            sub, index = self._induced(members, edges.tolist())
+        first_edge = np.flatnonzero(np.diff(key[fast[:, 0]], prepend=-1))
+        for edges in np.split(fast, first_edge[1:]):
+            members = sorted_distinct(edges)
+            sub, index = self._induced(members.tolist(), edges.tolist())
             colors = degeneracy_coloring(sub)
-            for original, local_id in index.items():
-                local[original] = colors[local_id]
+            local[members] = [colors[local_id] for local_id in index.values()]
+        # Vertices grouped by block, ascending within each block.  The
+        # keys fit the narrowest dtype holding h_range + L g_range - 1
+        # (uint16 at Delta = 24), where numpy's stable sort is a radix sort.
+        order = np.argsort(
+            key.astype(np.min_scalar_type(p.h_range + p.num_levels * p.g_range - 1)),
+            kind="stable",
+        )
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        ends = np.append(starts[1:], self.n)
         width = np.maximum.reduceat(local[order], starts)
         offset = np.cumsum(width) - width + 1
         colors = offset[np.repeat(np.arange(len(starts)), ends - starts)]
@@ -375,11 +407,14 @@ class RobustColoring(OnePassAlgorithm):
         level ``l`` has key ``h_range + (l - 1) g_range + g_l(v)``.
         """
         p = self.params
-        _, g_table = self._oracle_tables()
-        key = self._h[min(self._curr, p.num_epochs) - 1].table().astype(np.int64)
+        table = self._oracle_table()
+        key = table[:, min(self._curr, p.num_epochs) - 1].astype(np.int64)
         fast = np.flatnonzero(self._buffer_degree > p.fast_threshold)
         level = np.maximum(1, -(-self._degree[fast] // p.fast_threshold))
-        key[fast] = p.h_range + (level - 1) * p.g_range + g_table[fast, level - 1]
+        key[fast] = (
+            p.h_range + (level - 1) * p.g_range
+            + table[fast, p.num_epochs + level - 1]
+        )
         return key
 
     def _intra_block_pool(self, key: np.ndarray) -> np.ndarray:
@@ -391,17 +426,17 @@ class RobustColoring(OnePassAlgorithm):
         pools ``A_curr | B`` and ``C_l | B``.
         """
         p = self.params
-        a_curr = self._a_sets[self._curr] if self._curr <= p.num_epochs else _NO_EDGES
-        sketches = [a_curr] + self._c_sets[1:p.num_levels + 1]
-        family = np.repeat(np.arange(len(sketches)), [len(s) for s in sketches])
-        sketch = np.concatenate(sketches)
-        sketch_key = key[sketch[:, 0]]
-        key_family = np.where(
-            sketch_key < p.h_range, 0, (sketch_key - p.h_range) // p.g_range + 1
-        )
+        a_curr = self._a_edges[self._a_ids == self._curr]
+        a_key = key[a_curr[:, 0]]
+        c_key = key[self._c_edges[:, 0]]
+        # A slow key gives a level below 1, which no C row has.
+        c_level = (c_key - p.h_range) // p.g_range + 1
         buffer = self._buffer
         return np.concatenate((
-            sketch[(sketch_key == key[sketch[:, 1]]) & (key_family == family)],
+            a_curr[(a_key == key[a_curr[:, 1]]) & (a_key < p.h_range)],
+            self._c_edges[
+                (c_key == key[self._c_edges[:, 1]]) & (c_level == self._c_ids)
+            ],
             buffer[key[buffer[:, 0]] == key[buffer[:, 1]]],
         ))
 
@@ -427,38 +462,30 @@ class RobustColoring(OnePassAlgorithm):
         view.flags.writeable = False
         return view
 
+    def sketch_edges(self, family: str, index: int) -> np.ndarray:
+        """``A_index`` (``family="A"``) or ``C_index`` (``family="C"``) as an
+        ``(m, 2)`` edge array in stream order."""
+        edges, ids = {
+            "A": (self._a_edges, self._a_ids),
+            "C": (self._c_edges, self._c_ids),
+        }[family]
+        return edges[ids == index]
+
     @property
     def sketch_edge_count(self) -> int:
         """Total edges currently stored across all sketches (A2 ablation)."""
-        return sum(map(len, self._a_sets)) + sum(map(len, self._c_sets))
+        return len(self._a_edges) + len(self._c_edges)
 
 
-#: The empty edge array every buffer and sketch starts from (read-only).
+#: The empty edge array every buffer starts from (read-only).
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
 _NO_EDGES.flags.writeable = False
 
 
-def _rows_by_sketch(edges, ev_edges, ev_sketch):
-    """``(sketch, rows)`` pairs of the events, in stream order per sketch."""
-    order = np.argsort(ev_sketch, kind="stable")
-    sketches, first = np.unique(ev_sketch[order], return_index=True)
-    return zip(sketches.tolist(), np.split(edges[ev_edges[order]], first[1:]))
-
-
-def _vertex_major(functions, n: int, range_size: int) -> np.ndarray:
-    """Stack oracle functions column by column into an ``(n, len)`` table."""
-    table = np.empty(
-        (n, len(functions)), dtype=np.min_scalar_type(range_size - 1)
-    )
-    for column, function in enumerate(functions):
-        table[:, column] = function.table()
-    return table
-
-
-def _mono_events(table: np.ndarray, us: np.ndarray, vs: np.ndarray):
-    """``(edge, column)`` pairs where both endpoints share a table value.
-
-    Ordered by edge, then column: the scalar path's append order.
-    """
-    mono = np.take(table, us, axis=0) == np.take(table, vs, axis=0)
-    return np.divmod(np.flatnonzero(mono), table.shape[1])
+def _sketch_log(sets, vertex: np.dtype, sketch: np.dtype):
+    """One log of per-sketch edge sets, sketch by sketch: the rows of
+    ``sets[i]`` (an ``(m, 2)`` array or a list of edge tuples) with id
+    ``i``, in the dtypes ``vertex`` and ``sketch``."""
+    sets = [np.asarray(edges, dtype=np.int64).reshape(-1, 2) for edges in sets]
+    ids = np.repeat(np.arange(len(sets)), [len(edges) for edges in sets])
+    return np.concatenate(sets).astype(vertex), ids.astype(sketch)

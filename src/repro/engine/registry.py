@@ -322,7 +322,7 @@ def _stats_extras(algo) -> dict:
 
 
 def _robust_extras(algo) -> dict:
-    endpoints = np.concatenate(algo._a_sets + algo._c_sets).ravel()
+    endpoints = np.concatenate((algo._a_edges, algo._c_edges)).ravel()
     per_vertex = np.bincount(endpoints, minlength=algo.n)
     return {
         "beta": algo.params.beta,

@@ -132,22 +132,30 @@ def sketch_event_filter(table: np.ndarray, us: np.ndarray, vs: np.ndarray,
 def running_degrees(deg0: np.ndarray, edges: np.ndarray) -> np.ndarray:
     """Degrees of each edge's endpoints just *before* its own insertion.
 
-    ``deg0`` is the int64 degree array entering the block; returns a
-    ``(k, 2)`` int64 array (see ``streaming.blocks.running_degrees``).
+    ``deg0`` is the int64 degree array entering the block and ``edges``
+    the ``(k, 2)`` int64 block; returns a ``(k, 2)`` int64 array (see
+    ``streaming.blocks.running_degrees``).  One in-place ``np.sort`` of
+    the distinct int64 keys ``(vertex << s) | position``, ``s`` the bit
+    length of ``2k - 1``, puts the endpoints in their stable sorted
+    order, so an endpoint's rank in its vertex's run counts the earlier
+    occurrences of that vertex.  The keys fit while vertex ids are below
+    ``2^(63 - s)``.
     """
     flat = edges.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_vals = flat[order]
-    # Rank within each equal-value run = prior occurrences of the vertex.
-    starts = np.flatnonzero(
-        np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
-    )
-    run_ids = np.cumsum(
-        np.concatenate(([False], sorted_vals[1:] != sorted_vals[:-1]))
-    )
-    ranks = np.arange(len(flat), dtype=np.int64) - starts[run_ids]
+    shift = (len(flat) - 1).bit_length()
+    position = np.arange(len(flat), dtype=np.int64)
+    keys = flat << shift
+    keys |= position
+    keys.sort()
+    vertex = keys >> shift
+    first = np.empty(len(keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(vertex[1:], vertex[:-1], out=first[1:])
+    # The sorted position where each endpoint's run starts.
+    start = np.where(first, position, 0)
+    np.maximum.accumulate(start, out=start)
     prior = np.empty(len(flat), dtype=np.int64)
-    prior[order] = ranks
+    prior[keys & ((1 << shift) - 1)] = position - start
     return deg0[edges] + prior.reshape(-1, 2)
 
 

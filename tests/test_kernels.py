@@ -186,6 +186,46 @@ def test_measure_kernels_records_calls_and_time():
 
 
 # ----------------------------------------------------------------------
+# Algorithm 2's running degrees
+# ----------------------------------------------------------------------
+def reference_running_degrees(deg0, edges):
+    """The stable-argsort body the one-sort kernel replaced."""
+    flat = edges.ravel()
+    order = np.argsort(flat, kind="stable")
+    sorted_vals = flat[order]
+    # Rank within each equal-value run = prior occurrences of the vertex.
+    starts = np.flatnonzero(
+        np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1]))
+    )
+    run_ids = np.cumsum(
+        np.concatenate(([False], sorted_vals[1:] != sorted_vals[:-1]))
+    )
+    ranks = np.arange(len(flat), dtype=np.int64) - starts[run_ids]
+    prior = np.empty(len(flat), dtype=np.int64)
+    prior[order] = ranks
+    return deg0[edges] + prior.reshape(-1, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4096, 4097])
+def test_running_degrees_matches_the_stable_argsort_reference(k):
+    """Blocks drawn from 2k vertex ids, half of them just below 10^7, so
+    vertices repeat; the last edge repeats a vertex of the first."""
+    rng = np.random.default_rng(k)
+    top = 10**7
+    ids = np.concatenate((np.arange(k), top - 1 - np.arange(k)))
+    edges = rng.choice(ids, size=(k, 2))
+    edges[-1, 1] = edges[0, 0]
+    # np.zeros maps its pages lazily, so the untouched 80 MB cost nothing.
+    deg0 = np.zeros(top, dtype=np.int64)
+    deg0[ids] = rng.integers(0, 24, size=len(ids))
+    expected = reference_running_degrees(deg0, edges)
+    assert (expected > deg0[edges]).any()
+    got = dispatch("running_degrees", deg0, edges)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, expected)
+
+
+# ----------------------------------------------------------------------
 # the D-sketch hash table and its event kernel
 # ----------------------------------------------------------------------
 SKETCH_CLASSES = [LowRandomnessRobustColoring, SketchSwitchingQuadraticColoring]

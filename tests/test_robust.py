@@ -22,6 +22,7 @@ from repro.graph.coloring import coloring_array, greedy_coloring, num_colors_use
 from repro.graph.degeneracy import degeneracy_coloring
 from repro.graph.generators import near_regular_edge_array, random_max_degree_graph
 from repro.persist.codec import encode_value
+from repro.streaming.blocks import append_rows
 from repro.streaming.source import FileSource, write_edge_file
 from repro.streaming.stream import TokenStream
 from repro.streaming.tokens import edge_tokens
@@ -175,7 +176,9 @@ def reference_query(algo):
         if algo._buffer_degree[v] > p.fast_threshold
     }
     h_curr = algo._h[min(algo._curr, p.num_epochs) - 1]
-    a_curr = algo._a_sets[algo._curr] if algo._curr <= p.num_epochs else []
+    a_curr = (
+        algo.sketch_edges("A", algo._curr) if algo._curr <= p.num_epochs else []
+    )
     zones = [(
         greedy_coloring,
         [v for v in range(algo.n) if v not in fast],
@@ -186,7 +189,7 @@ def reference_query(algo):
         members = [v for v in fast if algo._level_of_degree(degree[v]) == level]
         zones.append((
             degeneracy_coloring, members, algo._g[level - 1],
-            algo._c_sets[level],
+            algo.sketch_edges("C", level),
         ))
     for color_block, members, function, sketch in zones:
         blocks: dict[int, list[int]] = {}
@@ -208,14 +211,43 @@ def reference_query(algo):
     return coloring
 
 
-def same_state(a, b):
-    """Equal ``state_dict()`` trees and equal arrays (values and dtypes)."""
+def same_state(a, b, skip=()):
+    """Equal ``state_dict()`` trees and equal arrays (values and dtypes),
+    apart from the state entries named in ``skip``."""
     sa, sb = a.state_dict(), b.state_dict()
-    assert sa["state"] == sb["state"]
+    skipped = {sa["state"][name]["ref"] for name in skip}
+    assert {name: node for name, node in sa["state"].items() if name not in skip} \
+        == {name: node for name, node in sb["state"].items() if name not in skip}
     assert sa["arrays"].keys() == sb["arrays"].keys()
     for name, array in sa["arrays"].items():
+        if name in skipped:
+            continue
         other = sb["arrays"][name]
         assert array.dtype == other.dtype and np.array_equal(array, other), name
+
+
+def sketches(algo):
+    """``(family, index, rows)`` of every sketch ``A_i`` and ``C_l``."""
+    p = algo.params
+    for family, count in (("A", p.num_epochs), ("C", p.num_levels)):
+        for index in range(1, count + 1):
+            yield family, index, algo.sketch_edges(family, index)
+
+
+#: The state entries of the two sketch logs.
+SKETCH_LOGS = ("_a_edges", "_a_ids", "_c_edges", "_c_ids")
+
+
+def same_sketches(a, b):
+    """:func:`same_state`, with the sketch logs compared sketch by sketch:
+    a converted checkpoint's log holds its rows sketch by sketch rather
+    than in discovery order."""
+    assert a.sketch_edge_count == b.sketch_edge_count
+    for (family, index, rows), (_, _, other) in zip(sketches(a), sketches(b)):
+        assert rows.dtype == other.dtype and np.array_equal(rows, other), (
+            family, index,
+        )
+    same_state(a, b, skip=SKETCH_LOGS)
 
 
 class TestGoldenBlockPath:
@@ -330,16 +362,22 @@ class TestQueryPools:
                         return u, v
             raise AssertionError("no same-colored pair in one block")
 
-        def add(sets, index, edge):
-            sets[index] = np.concatenate((sets[index], [edge]))
+        def plant(family, index, edge):
+            if family == "A":
+                algo._a_edges = append_rows(algo._a_edges, [edge])
+                algo._a_ids = append_rows(algo._a_ids, [index])
+            else:
+                algo._c_edges = append_rows(algo._c_edges, [edge])
+                algo._c_ids = append_rows(algo._c_ids, [index])
+            assert algo.sketch_edges(family, index).tolist()[-1] == list(edge)
 
         u, v = same_colored_pair(fast=False)
         for level in range(1, p.num_levels + 1):
-            add(algo._c_sets, level, (u, v))
+            plant("C", level, (u, v))
         u, v = same_colored_pair(fast=True)
         other = 1 + fast_level[u] % p.num_levels
-        add(algo._a_sets, algo._curr, (u, v))
-        add(algo._c_sets, other, (u, v))
+        plant("A", algo._curr, (u, v))
+        plant("C", other, (u, v))
         assert other != fast_level[u]
         after = algo.query()
         assert list(after.items()) == list(before.items())
@@ -392,33 +430,40 @@ class TestSnapshotContract:
         feed_blocks(reference, edges[:150], 64)
         assert reference._curr > 1 and reference.sketch_edge_count > 0
         restored = RobustColoring(n, delta, seed=9)
-        restored.load_state(list_state(reference.state_dict()))
-        same_state(reference, restored)
+        restored.load_state(list_state(reference))
+        same_sketches(reference, restored)
         for algo in (reference, restored):
             for u, v in edges[150:200].tolist():
                 algo.process(u, v)
             feed_blocks(algo, edges[200:], 64)
-        same_state(reference, restored)
+        same_sketches(reference, restored)
         assert list(reference.query().items()) == list(restored.query().items())
 
 
-def list_state(snapshot):
-    """``snapshot`` as the list-based code wrote it: the counters as lists
-    of ints, B and the sketches as lists of edge tuples."""
+def list_state(algo):
+    """``algo``'s snapshot as the list-based code wrote it: the counters
+    as lists of ints, B and each sketch ``A_i`` and ``C_l`` as lists of
+    edge tuples, the sketches in ``_a_sets[i]`` and ``_c_sets[l]``."""
+    snapshot = algo.state_dict()
     state, arrays = dict(snapshot["state"]), snapshot["arrays"]
 
-    def values(node):
-        return arrays[node["ref"]].tolist()
-
-    def edge_tuples(node):
+    def edge_tuples(rows):
         # Tuples of ints hold no arrays, so the codec needs no array sink.
-        return encode_value([tuple(edge) for edge in values(node)], sink=None)
+        return encode_value([tuple(edge) for edge in rows.tolist()], sink=None)
 
-    state["_degree"] = values(state["_degree"])
-    state["_buffer_degree"] = values(state["_buffer_degree"])
-    state["_buffer"] = edge_tuples(state["_buffer"])
-    state["_a_sets"] = [edge_tuples(node) for node in state["_a_sets"]]
-    state["_c_sets"] = [edge_tuples(node) for node in state["_c_sets"]]
+    p = algo.params
+    state["_degree"] = arrays[state["_degree"]["ref"]].tolist()
+    state["_buffer_degree"] = arrays[state["_buffer_degree"]["ref"]].tolist()
+    state["_buffer"] = edge_tuples(algo.buffer_edges())
+    state["_a_sets"] = [
+        edge_tuples(algo.sketch_edges("A", i)) for i in range(p.num_epochs + 2)
+    ]
+    state["_c_sets"] = [
+        edge_tuples(algo.sketch_edges("C", level))
+        for level in range(p.num_levels + 2)
+    ]
+    for name in SKETCH_LOGS:
+        del state[name]
     return {**snapshot, "state": state}
 
 
@@ -462,7 +507,7 @@ class TestRobustExtras:
         algo = RobustColoring(n, delta, seed=4)
         feed_blocks(algo, near_regular_edge_array(n, delta, 4), 256)
         per_vertex = [0] * n
-        for edge_set in algo._a_sets + algo._c_sets:
+        for _, _, edge_set in sketches(algo):
             for u, v in edge_set.tolist():
                 per_vertex[u] += 1
                 per_vertex[v] += 1

@@ -46,7 +46,7 @@ class TestFreezeBeforeReveal:
             curr = algo._curr
             for i in range(1, algo.params.num_epochs + 1):
                 if i <= curr:
-                    size = len(algo._a_sets[i])
+                    size = len(algo.sketch_edges("A", i))
                     if i in frozen_sizes:
                         assert size == frozen_sizes[i], (
                             f"A_{i} grew after epoch {i} began"
@@ -64,14 +64,15 @@ class TestFreezeBeforeReveal:
         n, delta = 40, 16
         algo = RobustColoring(n, delta, seed=303)
         adv = LevelAwareAdversary(seed=304)
-        sizes_before = [len(c) for c in algo._c_sets]
+        levels = range(1, algo.params.num_levels + 1)
+        sizes_before = [len(algo.sketch_edges("C", i)) for i in levels]
 
         def check(round_index, graph):
             nonlocal sizes_before
-            sizes_after = [len(c) for c in algo._c_sets]
-            for i, (before, after) in enumerate(zip(sizes_before, sizes_after)):
+            sizes_after = [len(algo.sketch_edges("C", i)) for i in levels]
+            for i, before, after in zip(levels, sizes_before, sizes_after):
                 if after > before:
-                    u, v = algo._c_sets[i][-1]
+                    u, v = algo.sketch_edges("C", i)[-1].tolist()
                     # Degrees were just incremented by this edge; the level
                     # *at insertion* used the post-increment counters.
                     level_u = algo._level_of_degree(algo._degree[u])
@@ -158,7 +159,10 @@ class TestLemma45Degeneracy:
             blocks: dict[int, list[int]] = {}
             for v in members:
                 blocks.setdefault(g_l(v), []).append(v)
-            pool = algo._c_sets[level].tolist() + algo.buffer_edges().tolist()
+            pool = (
+                algo.sketch_edges("C", level).tolist()
+                + algo.buffer_edges().tolist()
+            )
             for block in blocks.values():
                 sub, _ = algo._induced(block, pool)
                 assert degeneracy(sub) <= bound
@@ -179,7 +183,8 @@ class TestSlowBlockCoverage:
         p = algo.params
         h_curr = algo._h[min(algo._curr, p.num_epochs) - 1]
         a_curr = (
-            algo._a_sets[algo._curr] if algo._curr <= p.num_epochs else []
+            algo.sketch_edges("A", algo._curr).tolist()
+            if algo._curr <= p.num_epochs else []
         )
         covered = {frozenset(e) for e in a_curr}
         covered |= {frozenset(e) for e in algo.buffer_edges().tolist()}

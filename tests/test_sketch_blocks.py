@@ -6,17 +6,23 @@ values from one vertex-major table.  These tests pin the block path's
 outputs, drive it through sketch wipes against the scalar ``process``
 loop, check that the snapshot state does not depend on how the stream
 was cut into blocks, and check that a self-loop is rejected at its own
-stream index.
+stream index.  One more test checks that this block path and
+Algorithm 2's leave ``numpy.ma`` unimported.
 """
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
 from repro.common.exceptions import ReproError
 from repro.core.robust_lowrandom import LowRandomnessRobustColoring
@@ -280,3 +286,34 @@ class TestSelfLoops:
             algo.process(2, 2)
         # Rejected before any state change.
         same_state(algo, fed)
+
+
+#: Runs ``robust`` and ``robust_lowrandom`` on a block source, then
+#: prints whether ``numpy.ma`` was imported.
+NO_MA_SCRIPT = """
+import sys
+from repro.engine import RunSpec, run
+from repro.graph.generators import near_regular_edge_array
+from repro.streaming.stream import TokenStream
+from repro.streaming.tokens import edge_tokens
+
+n, delta = 200, 6
+edges = near_regular_edge_array(n, delta, 1).tolist()
+for algorithm in ("robust", "robust_lowrandom"):
+    spec = RunSpec(algorithm=algorithm, n=n, delta=delta, seed=1)
+    assert run(spec, TokenStream(edge_tokens(edges), n).as_source(64)).proper
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sketch_block_paths_leave_numpy_ma_unimported():
+    """Plain ``np.unique`` imports ``numpy.ma`` on numpy 2.x, about
+    0.7 MB in every process; the block paths use ``sorted_distinct``."""
+    src = str(pathlib.Path(repro.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else os.pathsep.join((src, path))}
+    out = subprocess.run([sys.executable, "-c", NO_MA_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.split() == ["False"]

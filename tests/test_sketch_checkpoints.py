@@ -166,14 +166,14 @@ def test_old_checkpoint_restores_and_finishes_as_uninterrupted(name):
 
 
 def same_sketches(a, b) -> bool:
-    """Equal epoch, space meter, buffer and sketches ``D_{i, j}``.
+    """Equal epoch, space meter, buffer and sketches: ``D_{i, j}``, or
+    ``robust``'s ``A_i`` and ``C_l`` and its degree counters.
 
     The sketch log of a converted checkpoint lists its rows sketch by
     sketch, not in discovery order, so the logs themselves may differ.
-    ``robust`` states are compared whole.
     """
     if isinstance(a, RobustColoring):
-        return same_state(a, b)
+        return same_robust_sketches(a, b)
     epochs, reps = a._coeffs.shape[:2]
     for i in range(1, epochs + 1):
         for j in range(reps):
@@ -188,14 +188,21 @@ def same_sketches(a, b) -> bool:
             and np.array_equal(a._buffer, b._buffer))
 
 
-def same_state(a, b) -> bool:
-    """Equal ``state_dict()`` trees and equal arrays (values and dtypes)."""
-    sa, sb = a.state_dict(), b.state_dict()
-    return sa["state"] == sb["state"] and all(
-        array.dtype == sb["arrays"][name].dtype
-        and np.array_equal(array, sb["arrays"][name])
-        for name, array in sa["arrays"].items()
-    )
+def same_robust_sketches(a, b) -> bool:
+    p = a.params
+    for family, count in (("A", p.num_epochs), ("C", p.num_levels)):
+        for index in range(1, count + 1):
+            sa, sb = a.sketch_edges(family, index), b.sketch_edges(family, index)
+            if not (sa.dtype == sb.dtype and np.array_equal(sa, sb)):
+                return False
+    return (a._curr == b._curr and a.meter.report() == b.meter.report()
+            and a.sketch_edge_count == b.sketch_edge_count
+            and a._edges_seen == b._edges_seen
+            and a._buffer.dtype == b._buffer.dtype
+            and all(np.array_equal(x, y) for x, y in (
+                (a._buffer, b._buffer), (a._degree, b._degree),
+                (a._buffer_degree, b._buffer_degree),
+            )))
 
 
 def test_case_checkpoints_cover_a_roll_and_a_wipe():
@@ -224,11 +231,10 @@ def test_robust_checkpoints_hold_one_array_per_sketch():
         state = header["state"]
         assert header["class"].endswith(RobustColoring.__name__)
         assert (state["_curr"] > 1) == name.endswith("rolled"), name
-
-        def sizes(nodes):
-            return [len(arrays[node["ref"]]) for node in nodes]
-
-        a_sizes, c_sizes = sizes(state["_a_sets"]), sizes(state["_c_sets"])
+        a_sizes, c_sizes = (
+            [len(arrays[node["ref"]]) for node in state[sets]]
+            for sets in ("_a_sets", "_c_sets")
+        )
         assert sum(size > 0 for size in a_sizes) > 1, name
         assert sum(c_sizes) > 0 or name == "robust-mid", name
 
