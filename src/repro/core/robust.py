@@ -207,13 +207,10 @@ class RobustColoring(OnePassAlgorithm):
         """
         if self._table is None:
             p = self.params
-            functions = self._h + self._g
-            self._table = np.empty(
-                (self.n, len(functions)),
+            self._table = np.array(
+                [function.table() for function in self._h + self._g],
                 dtype=np.min_scalar_type(max(p.h_range, p.g_range) - 1),
-            )
-            for column, function in enumerate(functions):
-                self._table[:, column] = function.table()
+            ).T.copy()
         return self._table
 
     def _roll_buffer(self, rolls: int) -> None:
@@ -331,18 +328,17 @@ class RobustColoring(OnePassAlgorithm):
         self._buffer = append_rows(self._buffer, kept, p.buffer_capacity)
         np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
-        # Space peak: the scalar path updates gauges after every edge.
-        stored_delta = np.bincount(np.concatenate((a_e, c_e)), minlength=k)
-        per_edge_total = (
-            stored0 + np.cumsum(stored_delta) + lengths
-        ) * self._edge_bits
+        # Space peak: the scalar path updates gauges after every edge, when
+        # B and the sketches hold this many edges.
+        held = np.cumsum(np.bincount(np.concatenate((a_e, c_e)), minlength=k))
+        held += lengths
         base = (
             self.meter.current_bits
             - self.meter.gauge("buffer B")
             - self.meter.gauge("A sketches")
             - self.meter.gauge("C sketches")
         )
-        self.meter.observe_peak(base + int(per_edge_total.max()))
+        self.meter.observe_peak(base + (stored0 + int(held.max())) * self._edge_bits)
         # Zero the varying gauges before the final update: setting one
         # gauge to its new value while another still holds the pre-block
         # value would register a transient total the scalar path never

@@ -84,7 +84,8 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 
     One ``np.sort`` and a neighbour mask.  Plain ``np.unique`` gives the
     same array, but on numpy 2.x it imports ``numpy.ma`` (about 0.7 MB
-    per process) and took 1.5 ms against 0.27 ms on an 8192-entry block.
+    per process), and on an 8192-edge block it took 1.2 ms against
+    0.19 ms (2-CPU x86_64 host, numpy 2.4).
     """
     flat = np.sort(values, axis=None)
     keep = np.empty(len(flat), dtype=bool)
@@ -126,9 +127,9 @@ def buffer_timeline(start_len: int, capacity: int, k: int):
     """
     if capacity < 1:
         raise ParameterError(f"buffer capacity must be >= 1, got {capacity}")
-    e = np.arange(k, dtype=np.int64)
-    rolls = (start_len + e) // capacity
-    lengths = (start_len + e) % capacity + 1
+    seen = np.arange(start_len, start_len + k, dtype=np.int64)
+    rolls = seen // capacity
+    lengths = seen + 1 - rolls * capacity
     return rolls, lengths
 
 

@@ -215,9 +215,12 @@ def same_state(a, b, skip=()):
     """Equal ``state_dict()`` trees and equal arrays (values and dtypes),
     apart from the state entries named in ``skip``."""
     sa, sb = a.state_dict(), b.state_dict()
+    tree_a, tree_b = (
+        {name: node for name, node in s["state"].items() if name not in skip}
+        for s in (sa, sb)
+    )
+    assert tree_a == tree_b
     skipped = {sa["state"][name]["ref"] for name in skip}
-    assert {name: node for name, node in sa["state"].items() if name not in skip} \
-        == {name: node for name, node in sb["state"].items() if name not in skip}
     assert sa["arrays"].keys() == sb["arrays"].keys()
     for name, array in sa["arrays"].items():
         if name in skipped:
@@ -386,24 +389,38 @@ class TestQueryPools:
 
 class TestSnapshotContract:
     def test_chunk_size_does_not_change_state(self):
-        """Equal state_dict() for chunk sizes 1, 7 and 4096, holding
-        exactly the live rows of B (no spare capacity, no pre-roll rows)."""
+        """Equal state_dict() for chunk sizes 1, 7 and 4096 and for the
+        scalar loop, holding exactly the live rows of B and of the sketch
+        logs (no spare capacity, no pre-roll rows)."""
         n, delta = 120, 8
         edges = near_regular_edge_array(n, delta, 3)[:301]
         algos = []
-        for chunk_size in (1, 7, 4096):
+        for chunk_size in (1, 7, 4096, None):
             algo = RobustColoring(n, delta, seed=9)
-            feed_blocks(algo, edges, chunk_size)
+            if chunk_size is None:
+                for u, v in edges.tolist():
+                    algo.process(u, v)
+            else:
+                feed_blocks(algo, edges, chunk_size)
             algos.append(algo)
         assert algos[0]._curr == 3  # B rolled twice
         for other in algos[1:]:
             same_state(algos[0], other)
         algo = algos[0]
         state = algo.state_dict()
-        buffer = state["arrays"][state["state"]["_buffer"]["ref"]]
+        arrays, tree = state["arrays"], state["state"]
+        buffer = arrays[tree["_buffer"]["ref"]]
         assert buffer.shape == (301 - 2 * n, 2)
         assert len(buffer) * algo._edge_bits == algo.meter.gauge("buffer B")
         assert np.array_equal(buffer, edges[2 * n:])
+        for family in ("A", "C"):
+            log, ids = (
+                arrays[tree[f"_{family.lower()}_{name}"]["ref"]]
+                for name in ("edges", "ids")
+            )
+            stored = sum(len(rows) for f, _, rows in sketches(algo) if f == family)
+            assert 0 < len(log) == len(ids) == stored, family
+            assert len(log) * algo._edge_bits == algo.meter.gauge(f"{family} sketches")
         view = algo.buffer_edges()
         assert not view.flags.writeable
         assert np.array_equal(view, buffer)

@@ -64,7 +64,8 @@ class TestFreezeBeforeReveal:
         n, delta = 40, 16
         algo = RobustColoring(n, delta, seed=303)
         adv = LevelAwareAdversary(seed=304)
-        levels = range(1, algo.params.num_levels + 1)
+        # Ids 0 .. L + 1: a row under id 0 fails the level check.
+        levels = range(algo.params.num_levels + 2)
         sizes_before = [len(algo.sketch_edges("C", i)) for i in levels]
 
         def check(round_index, graph):
