@@ -61,7 +61,6 @@ from repro.graph.graph import Graph
 from repro.hashing.random_oracle import RandomOracle
 from repro.streaming.blocks import (
     append_rows,
-    buffer_timeline,
     edge_rows,
     running_degrees,
     sorted_distinct,
@@ -270,8 +269,8 @@ class RobustColoring(OnePassAlgorithm):
         """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical).
 
         The sequential bookkeeping is reconstructed in closed form: running
-        degrees via one sort of the block's endpoints, buffer epochs via
-        :func:`~repro.streaming.blocks.buffer_timeline`, and the rare
+        degrees via one sort of the block's endpoints, buffer epochs and
+        the space peak from the buffer's fill, and the rare
         monochromatic sketch events via one row gather per endpoint from
         the vertex-major oracle table of all ``E + L`` functions, whose
         equal entries come out by edge, ``A`` epochs before ``C`` levels.
@@ -293,7 +292,7 @@ class RobustColoring(OnePassAlgorithm):
             for u, v in edges.tolist():
                 self.process(u, v)
             return
-        rolls, lengths = buffer_timeline(len(self._buffer), p.buffer_capacity, k)
+        cap, start = p.buffer_capacity, len(self._buffer)
         stored0 = self.sketch_edge_count
         table = self._oracle_table()
         ev_e, ev_col = np.divmod(
@@ -301,37 +300,41 @@ class RobustColoring(OnePassAlgorithm):
             table.shape[1],
         )
         # Lines 14-15: h_i-monochromatic events for epochs i > curr, i.e.
-        # columns i - 1 >= curr.
+        # columns i - 1 >= curr; edge e sees (start + e) // cap rolls.
         is_a = ev_col < p.num_epochs
         a_e, a_col = ev_e[is_a], ev_col[is_a]
-        keep = a_col >= self._curr + rolls[a_e]
+        keep = a_col >= self._curr + (start + a_e) // cap
         a_e, a_epochs = a_e[keep], a_col[keep] + 1
         # Lines 16-17: g_l-monochromatic events (column E + l - 1) for
-        # levels l above the edge's.
-        c_e, c_levels = ev_e[~is_a], ev_col[~is_a] - (p.num_epochs - 1)
-        top = np.maximum(
-            1,
-            -(-(deg_before[c_e].max(axis=1) + 1) // p.fast_threshold),
-        )
-        keep = c_levels > top
-        c_e, c_levels = c_e[keep], c_levels[keep]
+        # levels l above top = ceil((d + 1) / T), d the larger endpoint
+        # degree before the edge: (l - 1) T > d.
+        c_e, c_above = ev_e[~is_a], ev_col[~is_a] - p.num_epochs
+        keep = c_above * p.fast_threshold > deg_before[c_e].max(axis=1)
+        c_e, c_levels = c_e[keep], c_above[keep] + 1
         self._a_edges = append_rows(self._a_edges, edges[a_e])
         self._a_ids = append_rows(self._a_ids, a_epochs)
         self._c_edges = append_rows(self._c_edges, edges[c_e])
         self._c_ids = append_rows(self._c_ids, c_levels)
         # Degree counters (line 13) and the buffer (lines 10-12).
         np.add.at(self._degree, edges.ravel(), 1)
+        # B ends the block holding its last (start + k - 1) % cap + 1 edges.
+        rolls, last = divmod(start + k - 1, cap)
         kept = edges
-        if rolls[-1] > 0:
-            self._roll_buffer(int(rolls[-1]))
-            kept = edges[k - int(lengths[-1]):]
-        self._buffer = append_rows(self._buffer, kept, p.buffer_capacity)
+        if rolls:
+            self._roll_buffer(rolls)
+            kept = edges[k - last - 1:]
+        self._buffer = append_rows(self._buffer, kept, cap)
         np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
-        # Space peak: the scalar path updates gauges after every edge, when
-        # B and the sketches hold this many edges.
-        held = np.cumsum(np.bincount(np.concatenate((a_e, c_e)), minlength=k))
-        held += lengths
+        # Space peak: the scalar path updates gauges after every edge.
+        # Between two rolls B and the sketches only grow, so the largest
+        # total comes after an edge that fills B or after the last edge.
+        ends = np.append(np.arange((cap - 1 - start) % cap, k - 1, cap), k - 1)
+        held = (
+            np.searchsorted(a_e, ends, side="right")
+            + np.searchsorted(c_e, ends, side="right")
+            + (start + ends) % cap + 1
+        )
         base = (
             self.meter.current_bits
             - self.meter.gauge("buffer B")

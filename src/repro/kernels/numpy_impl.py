@@ -138,8 +138,9 @@ def running_degrees(deg0: np.ndarray, edges: np.ndarray) -> np.ndarray:
     the distinct int64 keys ``(vertex << s) | position``, ``s`` the bit
     length of ``2k - 1``, puts the endpoints in their stable sorted
     order, so an endpoint's rank in its vertex's run counts the earlier
-    occurrences of that vertex.  The keys fit while vertex ids are below
-    ``2^(63 - s)``.
+    occurrences of that vertex; the degrees are read in sorted order and
+    the sums scattered back once.  The keys fit while vertex ids are
+    below ``2^(63 - s)``.
     """
     flat = edges.ravel()
     shift = (len(flat) - 1).bit_length()
@@ -154,9 +155,11 @@ def running_degrees(deg0: np.ndarray, edges: np.ndarray) -> np.ndarray:
     # The sorted position where each endpoint's run starts.
     start = np.where(first, position, 0)
     np.maximum.accumulate(start, out=start)
-    prior = np.empty(len(flat), dtype=np.int64)
-    prior[keys & ((1 << shift) - 1)] = position - start
-    return deg0[edges] + prior.reshape(-1, 2)
+    before = deg0[vertex] + position
+    before -= start
+    out = np.empty(len(flat), dtype=np.int64)
+    out[keys & ((1 << shift) - 1)] = before
+    return out.reshape(-1, 2)
 
 
 def group_pairs(pairs: np.ndarray):

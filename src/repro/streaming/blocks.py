@@ -127,9 +127,9 @@ def buffer_timeline(start_len: int, capacity: int, k: int):
     """
     if capacity < 1:
         raise ParameterError(f"buffer capacity must be >= 1, got {capacity}")
-    seen = np.arange(start_len, start_len + k, dtype=np.int64)
-    rolls = seen // capacity
-    lengths = seen + 1 - rolls * capacity
+    e = np.arange(k, dtype=np.int64)
+    rolls = (start_len + e) // capacity
+    lengths = (start_len + e) % capacity + 1
     return rolls, lengths
 
 
