@@ -5,12 +5,13 @@ deterministic algorithm at n=1024, the robust algorithm under adaptive
 pressure at n=2048).  The throughput sweep then runs EVERY registered
 algorithm on the ``tokens`` plane and on its block backend over the
 *same* stream, recording edges/sec over the streaming passes; the
-colorings must be identical pairwise.  A one-pass algorithm's token leg
-is its scalar ``process`` loop, and those cases carry a speedup floor:
-≥3x for ``robust``, ≥4x for ``naive``, and looser floors for the
-event-bound sketch algorithms.  A multipass algorithm's token leg runs
-the same pass machine at one edge per block, so its ratio only measures
-chunking overhead and is recorded without a floor.
+colorings must be identical pairwise.  Every algorithm has one path, so
+a token leg runs the same code at one edge per block.  The one-pass
+cases carry a speedup floor — ≥3x for ``robust``, ≥4x for ``naive``,
+and looser floors for the event-bound sketch algorithms — which guards
+how well their ``process_block`` amortises its per-block overhead over
+a large block.  A multipass algorithm's ratio measures the same
+chunking overhead of its pass machine and is recorded without a floor.
 
 Each sweep case additionally records the per-kernel dispatch totals
 (calls + seconds, via ``measure_kernels``).  ``BENCH_S1_SMOKE=1`` shrinks
@@ -49,8 +50,9 @@ THROUGHPUT_DELTA = 24
 
 #: One throughput case per registered algorithm:
 #: (algorithm, n, delta, config, block backend, graph family, speedup floor).
-#: Floors are ~half the locally measured speedups over the scalar
-#: ``process`` loop; None = record only (every multipass case).
+#: A floor bounds the block backend's edges/sec over the one-edge blocks
+#: of the token leg, i.e. how far ``process_block`` amortises its
+#: per-call overhead; None = record only (every multipass case).
 THROUGHPUT_CASES = [
     ("deterministic", THROUGHPUT_N, THROUGHPUT_DELTA,
      {"selection": "greedy_slack"}, "materialized", "random_max_degree",
@@ -270,7 +272,6 @@ def run_scale():
             "speedup": speedup,
             "speedup_floor": None if SMOKE else floor,
             "colorings_identical": identical,
-            "block_native": block.extras.get("block_native", False),
             "kernels": {
                 name: {"calls": calls, "seconds": seconds}
                 for name, (calls, seconds) in sorted(kernel_timings.items())
@@ -314,7 +315,6 @@ def test_s1_scale(benchmark, record_table, record_json):
     )
     for algo, record in payload["algorithms"].items():
         assert record["colorings_identical"], algo
-        assert record["block_native"], algo
         assert all(
             rec["calls"] > 0 and rec["seconds"] >= 0.0
             for rec in record["kernels"].values()

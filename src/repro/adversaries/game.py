@@ -6,15 +6,14 @@ far.  The algorithm "errs" (paper terminology) if any intermediate output is
 improper; the loop records every error instead of stopping, so experiments
 can report error *rates*.
 
-Adversary-chosen edges are fed to the algorithm in *batches* through
-``process_block``: insertions between two queries are accumulated and
-handed over as one ``(k, 2)`` array, which block-native algorithms consume
-vectorized.  This changes nothing observable — the adversary still
-proposes edges one at a time against the live graph, its view of the
-algorithm (the last queried coloring) only refreshes at query rounds
-anyway, and ``process_block`` is state-equivalent to the ``process`` loop
-— but it removes the per-edge Python dispatch between queries.
-``batch_size=1`` forces the legacy scalar path.
+Adversary-chosen edges reach the algorithm through ``process_block``, its
+only way in: insertions between two queries are accumulated and handed
+over as one ``(k, 2)`` array (one edge per call when ``query_every=1``).
+This changes nothing observable — the adversary still proposes edges one
+at a time against the live graph, its view of the algorithm (the last
+queried coloring) only refreshes at query rounds anyway, and the
+algorithm's state does not depend on how the insertions were cut into
+blocks — but it removes the per-edge Python dispatch between queries.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +52,6 @@ def run_adversarial_game(
     delta: int,
     rounds: int,
     query_every: int = 1,
-    batch_size: int | None = None,
 ) -> GameResult:
     """Play ``rounds`` insertions of the adaptive game and validate outputs.
 
@@ -69,29 +67,18 @@ def run_adversarial_game(
         Maximum number of insertions (the adversary may stop earlier).
     query_every:
         Query/validate the algorithm after every this-many insertions
-        (1 = the paper's per-update output model).
-    batch_size:
-        Feed up to this many consecutive insertions to
+        (1 = the paper's per-update output model).  The insertions
+        between two queries reach
         :meth:`~repro.streaming.model.OnePassAlgorithm.process_block` as
-        one array (default ``None`` = batch up to the next query
-        boundary).  ``1`` forces the legacy per-edge ``process`` path;
-        outcomes are identical either way.
+        one array.
     """
-    if batch_size is not None and batch_size < 1:
-        raise AdversaryError(f"batch_size must be >= 1, got {batch_size}")
     graph = Graph(n)
     coloring = algorithm.query()
     result = GameResult(rounds=0, errors=0)
     pending: list[tuple[int, int]] = []
 
     def flush() -> None:
-        # Single edges take the scalar call directly: process_block is
-        # state-equivalent but pays per-call vectorization overhead (e.g.
-        # O(n) degree snapshots), which the per-update model
-        # (query_every=1) would hit every round.
-        if len(pending) == 1:
-            algorithm.process(*pending[0])
-        elif pending:
+        if pending:
             algorithm.process_block(np.asarray(pending, dtype=np.int64))
         pending.clear()
 
@@ -107,10 +94,8 @@ def run_adversarial_game(
         graph.add_edge(u, v)
         pending.append((u, v))
         result.rounds = round_index
-        at_query = round_index % query_every == 0
-        if at_query or len(pending) >= (batch_size or query_every):
+        if round_index % query_every == 0:
             flush()
-        if at_query:
             try:
                 coloring = algorithm.query()
             except AlgorithmFailure:

@@ -14,17 +14,11 @@
   trichotomy contrasts with).
 - :class:`OneShotRandomColoring` — a natural non-robust one-pass algorithm
   that an adaptive adversary demonstrably breaks (experiment T6).
-- :class:`StoreEverythingColoring`, :class:`TrivialColoring` — the trivial
-  endpoints discussed in Section 1.2.
 """
 
 from repro.baselines.acs22 import ColorReductionColoring, TwoPassQuadraticColoring
 from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
-from repro.baselines.naive import (
-    OneShotRandomColoring,
-    StoreEverythingColoring,
-    TrivialColoring,
-)
+from repro.baselines.naive import OneShotRandomColoring
 from repro.baselines.palette_sparsification import PaletteSparsificationColoring
 
 __all__ = [
@@ -32,7 +26,5 @@ __all__ = [
     "OneShotRandomColoring",
     "PaletteSparsificationColoring",
     "SketchSwitchingQuadraticColoring",
-    "StoreEverythingColoring",
-    "TrivialColoring",
     "TwoPassQuadraticColoring",
 ]

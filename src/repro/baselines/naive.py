@@ -1,19 +1,14 @@
-"""Trivial endpoints and the adversary-breakable one-pass baseline.
+"""The adversary-breakable one-pass baseline.
 
-- :class:`TrivialColoring` — ``n`` colors, zero passes; the
-  "color the graph trivially with n colors" endpoint of [ACS22]'s lower
-  bound discussion (Section 1.2).
-- :class:`StoreEverythingColoring` — store the graph, color offline; the
-  other trivial endpoint (``Theta(n Delta)`` space).
-- :class:`OneShotRandomColoring` — the natural randomized one-pass
-  algorithm: commit to a uniformly random base coloring up front, store the
-  monochromatic edges (capacity-bounded), and repair their endpoints at
-  query time.  On *oblivious* streams each edge is monochromatic with
-  probability ``1/range``, so the store stays small and every query is
-  proper w.h.p.  An *adaptive* adversary, however, sees the base colors in
-  the outputs and floods monochromatic pairs until the store overflows;
-  dropped edges are improperly colored and the algorithm errs — exactly the
-  non-robustness the paper's Section 4 is about (experiment T6).
+:class:`OneShotRandomColoring` is the natural randomized one-pass
+algorithm: commit to a uniformly random base coloring up front, store the
+monochromatic edges (capacity-bounded), and repair their endpoints at
+query time.  On *oblivious* streams each edge is monochromatic with
+probability ``1/range``, so the store stays small and every query is
+proper w.h.p.  An *adaptive* adversary, however, sees the base colors in
+the outputs and floods monochromatic pairs until the store overflows;
+dropped edges are improperly colored and the algorithm errs — exactly the
+non-robustness the paper's Section 4 is about (experiment T6).
 """
 
 
@@ -22,57 +17,7 @@ import numpy as np
 from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2
 from repro.common.rng import SeededRng
-from repro.graph.coloring import greedy_coloring
-from repro.streaming.model import (
-    MultipassStreamingAlgorithm,
-    OnePassAlgorithm,
-    block_source,
-)
-
-
-class TrivialColoring(MultipassStreamingAlgorithm):
-    """``n`` distinct colors without reading the stream."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-        self.palette_size = n
-
-    def run(self, stream) -> dict[int, int]:
-        return {v: v + 1 for v in range(self.n)}
-
-
-class StoreEverythingColoring(MultipassStreamingAlgorithm):
-    """Store the whole graph in one pass, then color it greedily offline."""
-
-    def __init__(self, n: int):
-        super().__init__()
-        self.n = n
-
-    def run(self, stream) -> dict[int, int]:
-        graph = self._collect_graph_blocks(block_source(stream))
-        self.meter.set_gauge(
-            "whole graph", graph.m * 2 * ceil_log2(max(2, self.n))
-        )
-        return greedy_coloring(graph)
-
-    def _collect_graph_blocks(self, stream):
-        """The collection pass: every edge block, then one CSR build.
-
-        :class:`~repro.graph.csr.CSRGraph` deduplicates exactly as
-        ``Graph.add_edge`` does and exposes the same ``n``/``m``/
-        ``neighbors`` surface, so the greedy offline coloring is the same.
-        """
-        from repro.graph.csr import CSRGraph
-
-        chunks = [
-            item for item in stream.new_pass() if isinstance(item, np.ndarray)
-        ]
-        if chunks:
-            return CSRGraph.from_edge_array(self.n, np.concatenate(chunks))
-        return CSRGraph.from_edge_array(
-            self.n, np.empty((0, 2), dtype=np.int64)
-        )
+from repro.streaming.model import OnePassAlgorithm
 
 
 class OneShotRandomColoring(OnePassAlgorithm):
@@ -94,8 +39,6 @@ class OneShotRandomColoring(OnePassAlgorithm):
     improper — the separation the paper's Omega(Delta^2)-colors robust
     lower bound formalizes.
     """
-
-    supports_blocks = True
 
     def __init__(self, n: int, delta: int, seed: int, range_multiplier: int = 1,
                  capacity=None):
@@ -120,19 +63,12 @@ class OneShotRandomColoring(OnePassAlgorithm):
         self.dropped_edges = 0
         self._edge_bits = 2 * ceil_log2(max(2, n))
 
-    def process(self, u: int, v: int) -> None:
-        if self._chi[u] == self._chi[v]:
-            if len(self._stored) < self.capacity:
-                self._store(u, v)
-            else:
-                self.dropped_edges += 1  # silently improper from here on
-
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process`: one conflict mask per block.
+        """Store the block's monochromatic edges: one conflict mask.
 
-        The store evolves exactly as the scalar loop's: the first
-        ``capacity - len(stored)`` monochromatic edges (in stream order)
-        are kept, the rest are dropped.
+        The first ``capacity - len(stored)`` monochromatic edges (in
+        stream order) are kept; the rest are dropped, and the output is
+        silently improper from then on.
         """
         mono = edges[self._chi[edges[:, 0]] == self._chi[edges[:, 1]]]
         room = max(0, self.capacity - len(self._stored))

@@ -14,33 +14,26 @@ State layout: B is an ``(|B|, 2)`` edge array, and all the sketches share
 one append-only log of rows, ``_d_edges`` (``(L, 2)``) beside
 ``_d_ids`` (``(L,)``, sketch ``i, j`` has id ``(i - 1) P + j``), in the
 narrowest unsigned dtypes that hold ``n - 1`` and ``E P - 1``.  Rows are
-in discovery order — by edge, then epoch, then repetition — which both
-the scalar :meth:`DSketchColoring.process` and the block path
-(:func:`~repro.streaming.blocks.sketch_process_block`) follow, so the
-state does not depend on how the stream was cut into blocks.  A wipe
-drops the sketch's rows from the log, so the log holds exactly the
-stored edges; ``_d_sizes`` holds each sketch's size, ``-1`` once wiped.
-Each array is the leading rows of a store that doubles when full, and
-snapshots hold the live rows only.
+in discovery order — by edge, then epoch, then repetition — as the block
+path (:func:`~repro.streaming.blocks.sketch_process_block`) appends
+them, so the state does not depend on how the stream was cut into
+blocks.  A wipe drops the sketch's rows from the log, so the log holds
+exactly the stored edges; ``_d_sizes`` holds each sketch's size, ``-1``
+once wiped.  Each array is the leading rows of a store that doubles when
+full, and snapshots hold the live rows only.
 """
 
 import numpy as np
 
-from repro.common.exceptions import AlgorithmFailure, ReproError
+from repro.common.exceptions import AlgorithmFailure
 from repro.graph.coloring import first_fit_colors
-from repro.streaming.blocks import (
-    append_rows,
-    cached_hash_rows,
-    edge_rows,
-    sketch_process_block,
-)
+from repro.streaming.blocks import append_rows, edge_rows, sketch_process_block
 from repro.streaming.model import OnePassAlgorithm
 
 
 class DSketchColoring(OnePassAlgorithm):
     """Buffer B, sketches ``D_{i, j}``, and the query over ``D_{curr, k} | B``."""
 
-    supports_blocks = True
     # The vertex-major hash table is a simulation speedup re-derived from
     # the stored coefficients; snapshots drop it.
     _snapshot_skip_ = ("_hash_table", "_hash_filled")
@@ -83,10 +76,6 @@ class DSketchColoring(OnePassAlgorithm):
         self._d_ids = np.array(ids, dtype=self._d_ids.dtype)
 
     # ------------------------------------------------------------------
-    def _hash_all(self, x: int) -> np.ndarray:
-        """Values ``h_{i,j}(x)`` for all (i, j): row ``x`` of the hash table."""
-        return cached_hash_rows(self, np.array([x], dtype=np.int64))[x]
-
     def _update_space(self) -> None:
         self.meter.set_gauge("D sketches", len(self._d_edges) * self._edge_bits)
         self.meter.set_gauge("buffer B", len(self._buffer) * self._edge_bits)
@@ -105,39 +94,13 @@ class DSketchColoring(OnePassAlgorithm):
         self._d_ids = self._d_ids[keep]
 
     # ------------------------------------------------------------------
-    def process(self, u: int, v: int) -> None:
-        """Lines 6-14 for one insertion.
-
-        A self-loop raises :class:`ReproError` before any state changes.
-        """
-        capacity = self.buffer_capacity
-        if u == v:
-            index = (self._curr - 1) * capacity + len(self._buffer)
-            raise ReproError(f"self-loop ({u},{v}) at stream index {index}")
-        # Lines 6-8: buffer roll.
-        if len(self._buffer) == capacity:
-            self._buffer = self._buffer[:0]
-            self._curr += 1
-        self._buffer = append_rows(self._buffer, ((u, v),), capacity)
-        # Lines 9-14: future epochs' sketches.  Monochromatic (i, j) pairs
-        # are rare, so find them vectorized and only touch those sketches;
-        # column i holds epoch i + 1, which takes the edge while curr <= i.
-        mono_i, mono_j = np.nonzero(self._hash_all(u) == self._hash_all(v))
-        reps = self._d_sizes.shape[1]
-        grow, wipe = [], []
-        for i, j in zip(mono_i.tolist(), mono_j.tolist()):
-            size = self._d_sizes[i, j]
-            if i < self._curr or size < 0:
-                continue
-            (grow if size < self.overflow_cap else wipe).append(i * reps + j)
-        if grow:
-            self._store(((u, v),) * len(grow), grow)
-        if wipe:
-            self._wipe(wipe)  # it grew too large (line 14)
-        self._update_space()
-
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical)."""
+        """Lines 6-14 over a ``(k, 2)`` block of insertions, in order.
+
+        A self-loop raises :class:`ReproError`, naming the edge and its
+        stream index, after the edges before it and before any change for
+        it.
+        """
         sketch_process_block(self, edges, capacity=self.buffer_capacity)
 
     # ------------------------------------------------------------------

@@ -37,9 +37,8 @@ array.  The sketches are two append-only logs: ``_a_edges`` beside
 ``_c_edges`` beside ``_c_ids`` those of every ``C_l`` with its level
 ``l``, the rows in ``np.min_scalar_type(n - 1)`` and the ids in the
 narrowest unsigned dtype that holds ``E`` or ``L``.  Rows are in
-discovery order (by edge, then epoch or level), which the scalar
-:meth:`RobustColoring.process` and the block path both follow, so the
-state does not depend on how the stream was cut into blocks;
+discovery order (by edge, then epoch or level), so the state does not
+depend on how the stream was cut into blocks;
 :meth:`RobustColoring.sketch_edges` reads one sketch back in stream
 order.  Each array is the leading rows of a store that grows by
 doubling, and snapshots hold the live rows only.
@@ -125,7 +124,6 @@ class RobustParameters:
 class RobustColoring(OnePassAlgorithm):
     """Adversarially robust ``O(Delta^{5/2})``-coloring (Algorithm 2)."""
 
-    supports_blocks = True
     # The vertex-major oracle table is derived from _h/_g on first use;
     # snapshots carry the functions, not the table.  Snapshots hold
     # ``_buffer`` and the sketch logs as they are: exactly their live
@@ -194,10 +192,6 @@ class RobustColoring(OnePassAlgorithm):
             "degree counters", self.n * ceil_log2(max(2, self.delta + 1))
         )
 
-    def _level_of_degree(self, d: int) -> int:
-        """Level ``l`` such that degree is in ``((l-1) T, l T]`` (T = fast threshold)."""
-        return max(1, ceil_div(d, self.params.fast_threshold))
-
     def _oracle_table(self) -> np.ndarray:
         """The ``(n, E + L)`` table of ``h_1 .. h_E`` then ``g_1 .. g_L``.
 
@@ -219,56 +213,10 @@ class RobustColoring(OnePassAlgorithm):
         self._curr += rolls
 
     # ------------------------------------------------------------------
-    def process(self, u: int, v: int) -> None:
-        """Lines 10-17 for one insertion.
-
-        A self-loop or an edge past the degree promise raises
-        :class:`ReproError` before any state changes.
-        """
-        p = self.params
-        if u == v:
-            raise ReproError(
-                f"self-loop ({u},{v}) at stream index {self._edges_seen}"
-            )
-        du, dv = self._degree.item(u), self._degree.item(v)
-        if du >= self.delta or dv >= self.delta:
-            raise ReproError(
-                f"edge ({u},{v}) exceeds the promised max degree {self.delta}"
-            )
-        # Lines 10-11: roll the buffer/epoch when full.
-        if len(self._buffer) == p.buffer_capacity:
-            self._roll_buffer(1)
-        self._buffer = append_rows(self._buffer, ((u, v),), p.buffer_capacity)
-        self._buffer_degree[u] += 1
-        self._buffer_degree[v] += 1
-        # Line 13: degree counters.
-        self._degree[u] = du + 1
-        self._degree[v] = dv + 1
-        self._edges_seen += 1
-        # Lines 14-15: h_i-sketches for future epochs.
-        epochs = [
-            i for i in range(self._curr + 1, p.num_epochs + 1)
-            if self._h[i - 1](u) == self._h[i - 1](v)
-        ]
-        if epochs:
-            self._a_edges = append_rows(self._a_edges, ((u, v),) * len(epochs))
-            self._a_ids = append_rows(self._a_ids, epochs)
-        # Lines 16-17: g_i-sketches for levels above both endpoints.
-        top = self._level_of_degree(max(du, dv) + 1)
-        levels = [
-            i for i in range(top + 1, p.num_levels + 1)
-            if self._g[i - 1](u) == self._g[i - 1](v)
-        ]
-        if levels:
-            self._c_edges = append_rows(self._c_edges, ((u, v),) * len(levels))
-            self._c_ids = append_rows(self._c_ids, levels)
-        self._update_space()
-
-    # ------------------------------------------------------------------
     def process_block(self, edges: np.ndarray) -> None:
-        """Vectorized :meth:`process` over a ``(k, 2)`` block (bit-identical).
+        """Lines 10-17 over a ``(k, 2)`` block of insertions, in order.
 
-        The sequential bookkeeping is reconstructed in closed form: running
+        The per-edge bookkeeping is reconstructed in closed form: running
         degrees via one sort of the block's endpoints, buffer epochs and
         the space peak from the buffer's fill, and the rare
         monochromatic sketch events via one row gather per endpoint from
@@ -277,9 +225,9 @@ class RobustColoring(OnePassAlgorithm):
         The degree counters and buffer degrees are updated in place, and
         B and the two sketch logs take one append each, so with the numpy
         kernels a block costs ``Theta(k (E + L))`` with no ``Theta(n)``
-        term.  A block containing a self-loop or a degree-cap violation
-        falls back to the scalar loop so the exception fires at the exact
-        same edge with the exact same partial state.
+        term.  A self-loop or an edge past the degree promise raises
+        :class:`ReproError`, naming the edge and its stream index, after
+        the edges before it and before any change for it.
         """
         p = self.params
         edges = np.asarray(edges, dtype=np.int64)
@@ -289,9 +237,7 @@ class RobustColoring(OnePassAlgorithm):
         us, vs = edges[:, 0], edges[:, 1]
         deg_before = running_degrees(self._degree, edges)
         if (deg_before >= self.delta).any() or (us == vs).any():
-            for u, v in edges.tolist():
-                self.process(u, v)
-            return
+            raise self._violation(edges, deg_before)
         cap, start = p.buffer_capacity, len(self._buffer)
         stored0 = self.sketch_edge_count
         table = self._oracle_table()
@@ -326,7 +272,7 @@ class RobustColoring(OnePassAlgorithm):
         self._buffer = append_rows(self._buffer, kept, cap)
         np.add.at(self._buffer_degree, kept.ravel(), 1)
         self._edges_seen += k
-        # Space peak: the scalar path updates gauges after every edge.
+        # Space peak, as if the gauges were updated after every edge.
         # Between two rolls B and the sketches only grow, so the largest
         # total comes after an edge that fills B or after the last edge.
         ends = np.append(np.arange((cap - 1 - start) % cap, k - 1, cap), k - 1)
@@ -344,12 +290,26 @@ class RobustColoring(OnePassAlgorithm):
         self.meter.observe_peak(base + (stored0 + int(held.max())) * self._edge_bits)
         # Zero the varying gauges before the final update: setting one
         # gauge to its new value while another still holds the pre-block
-        # value would register a transient total the scalar path never
-        # reaches.
+        # value would register a transient total no edge reaches.
         self.meter.set_gauge("buffer B", 0)
         self.meter.set_gauge("A sketches", 0)
         self.meter.set_gauge("C sketches", 0)
         self._update_space()
+
+    def _violation(self, edges: np.ndarray, deg_before: np.ndarray) -> ReproError:
+        """Feed the block's edges before its first self-loop or degree-cap
+        violation; the error that names that edge."""
+        loop = edges[:, 0] == edges[:, 1]
+        bad = int(np.argmax(loop | (deg_before >= self.delta).any(axis=1)))
+        self.process_block(edges[:bad])
+        u, v = edges[bad].tolist()
+        index = self._edges_seen
+        if loop[bad]:
+            return ReproError(f"self-loop ({u},{v}) at stream index {index}")
+        return ReproError(
+            f"edge ({u},{v}) at stream index {index} exceeds the promised "
+            f"max degree {self.delta}"
+        )
 
     # ------------------------------------------------------------------
     def query(self) -> dict[int, int]:

@@ -5,10 +5,10 @@ baselines) satisfies this structural protocol: it owns a
 :class:`~repro.common.space.SpaceMeter`, it can consume a
 :class:`~repro.streaming.stream.TokenStream` and return a total coloring,
 and it declares its palette bound (or ``None`` when the guarantee is only
-asymptotic).  The concrete method implementations live on the two abstract
+asymptotic).  The concrete method implementations live on the abstract
 bases in :mod:`repro.streaming.model`; one-pass (adversarially robust)
-algorithms additionally expose ``process``/``query`` for the adaptive game,
-which :func:`repro.engine.run_game` drives.
+algorithms additionally expose ``process_block``/``query`` for the
+adaptive game, which :func:`repro.engine.run_game` drives.
 
 The engine — :func:`repro.engine.run`, the :class:`AlgorithmRegistry`, and
 the :class:`GridRunner` — talks to algorithms *only* through this protocol,

@@ -55,9 +55,8 @@ __all__ = [
 ]
 
 #: Valid ``RunSpec.stream_backend`` values.  ``tokens`` builds a
-#: :class:`TokenStream`, which multipass algorithms read as one-edge blocks
-#: and one-pass algorithms feed to ``process`` edge by edge; the others
-#: construct block sources
+#: :class:`TokenStream`, which every algorithm reads as one-edge blocks;
+#: the others construct block sources
 #: (``materialized`` in-memory, ``generator`` lazily regenerated each pass,
 #: ``file`` memory-mapped from a binary edge file written on the fly,
 #: ``sharded_file`` streamed from a multi-shard ``REPROED2`` container —
@@ -191,10 +190,9 @@ def run_spec_from_dict(fields: dict) -> RunSpec:
 class GameSpec:
     """One adaptive-game run (Section 2 insert/query model).
 
-    ``batch_size`` groups consecutive adversary insertions into one
-    ``process_block`` call (``None`` = up to the next query boundary,
-    ``1`` = the legacy per-edge ``process`` path); outcomes are identical
-    either way.
+    The adversary's insertions between two queries (every
+    ``query_every`` rounds) reach the algorithm's ``process_block`` as
+    one array.
     """
 
     algorithm: str
@@ -205,7 +203,6 @@ class GameSpec:
     adversary: str = "conflict"
     adversary_seed: int | None = None
     query_every: int = 1
-    batch_size: int | None = None
     config: dict = field(default_factory=dict)
     tags: dict = field(default_factory=dict)
 
@@ -628,9 +625,6 @@ def _package_result(
         extras["kernel_hits"] = kernel_hits
     if isinstance(stream, StreamSource):
         extras["chunk_size"] = stream.chunk_size
-        # True iff the algorithm consumed blocks natively (no token
-        # adapter): every registered algorithm does.
-        extras["block_native"] = bool(getattr(algo, "supports_blocks", False))
     pass_times = list(stream.pass_seconds[timings_before:])
     if pass_times:
         extras["pass_wall_times"] = [round(t, 6) for t in pass_times]
@@ -685,7 +679,7 @@ def run_game(
     if entry.kind != "onepass":
         raise ReproError(
             f"algorithm {entry.name!r} is {entry.kind}; the adaptive game "
-            "needs a onepass algorithm (process/query interface)"
+            "needs a onepass algorithm (process_block/query interface)"
         )
     config = entry.make_config(spec.config)
     adversary_seed = (
@@ -698,13 +692,12 @@ def run_game(
     start = perf_now()
     outcome = run_adversarial_game(
         algo, adversary, n=spec.n, delta=spec.delta, rounds=spec.rounds,
-        query_every=spec.query_every, batch_size=spec.batch_size,
+        query_every=spec.query_every,
     )
     wall_time = perf_now() - start
     hits = _kernel_hits_since(hits_before)
 
     extras = {
-        "batch_size": spec.batch_size,
         "rounds": outcome.rounds,
         "errors": outcome.errors,
         "failures": outcome.failures,

@@ -100,8 +100,8 @@ def sketch_event_filter(table: np.ndarray, us: np.ndarray, vs: np.ndarray,
     block's raw int64 endpoint ids, so edge ``t`` compares rows ``us[t]``
     and ``vs[t]``.  Only epoch columns ``i >= first`` are scanned.
     Returns three int64 arrays ``(ev_e, ev_i, ev_j)`` in row-major order
-    — by edge, then epoch, then repetition — exactly the order the
-    scalar path discovers events in.
+    — by edge, then epoch, then repetition — the order of the
+    pseudocode's per-edge loop.
 
     Both endpoints' rows, from column ``first`` on, are gathered for edge
     sub-batches of about 2^18 table entries, which bounds the

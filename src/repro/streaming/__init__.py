@@ -7,7 +7,7 @@ The paper's two settings are represented directly:
   as many times as its pass machine needs, and the stream counts the
   passes.
 - **Adversarial single-pass** (Section 4): a :class:`OnePassAlgorithm`
-  exposes ``process(u, v)`` / ``query()``, and the game loop in
+  exposes ``process_block(edges)`` / ``query()``, and the game loop in
   :mod:`repro.adversaries` drives it against an adaptive adversary.
 
 The data plane has two interchangeable views (see DESIGN.md, "Data
@@ -16,7 +16,7 @@ chunked :class:`StreamSource` (:class:`MaterializedSource`,
 :class:`GeneratorSource`, :class:`FileSource`,
 :class:`ShardedFileSource`), whose passes yield ``(k, 2)`` numpy edge
 blocks.  Pass counting and space accounting are identical on both;
-multipass algorithms read a token stream as one-edge blocks.
+every algorithm reads a token stream as one-edge blocks.
 Inputs too large for one file live in the sharded ``REPROED2`` container
 (see DESIGN.md, "Sharded edge container").
 """

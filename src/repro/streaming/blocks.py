@@ -1,14 +1,14 @@
-"""Shared helpers for vectorized ``process_block`` implementations.
+"""Shared helpers for the one-pass algorithms' ``process_block``.
 
 The sketch-based one-pass algorithms (Algorithms 2 and 3, the [CGS22]
 baseline, the one-shot strawman) all follow the same shape: a buffer that
 rolls when it reaches capacity, rare "monochromatic" sketch events found
 by comparing hash values of the two endpoints, and per-edge space-gauge
-updates.  Their block paths replay a whole ``(k, 2)`` edge array at once;
-these helpers compute the sequential bookkeeping (buffer epochs, running
-degrees, sketch caps) in closed form so each algorithm's
-``process_block`` stays a thin, vectorized transcription of its scalar
-``process``.
+updates.  ``process_block`` is their only way in: it takes a whole
+``(k, 2)`` edge array at once, one edge or many, and these helpers
+compute the per-edge bookkeeping of the paper's pseudocode (buffer
+epochs, running degrees, sketch caps) in closed form, so the state after
+a block equals the state after its edges one at a time.
 
 The D-sketch algorithms (Algorithm 3 and the [CGS22] baseline, both
 :class:`~repro.core.dsketch.DSketchColoring`) keep the values of all
@@ -24,7 +24,7 @@ the new rows to the sketch log with one amortised append
 """
 
 
-from repro.common.exceptions import ParameterError
+from repro.common.exceptions import ParameterError, ReproError
 from repro.kernels import dispatch
 import numpy as np
 
@@ -138,8 +138,8 @@ def running_degrees(deg0: np.ndarray, edges: np.ndarray):
 
     ``deg0`` is the degree array entering the block.  Returns a ``(k, 2)``
     int64 array where row ``e`` holds the degrees of ``edges[e]`` after
-    the first ``e`` insertions of the block — the value the scalar path's
-    degree-cap check reads.  Degrees *after* edge ``e`` are this plus 1.
+    the first ``e`` insertions of the block — the value the degree-cap
+    check reads.  Degrees *after* edge ``e`` are this plus 1.
     The count of earlier occurrences comes from one sort of the ``2k``
     endpoints keyed by ``(vertex, position)``, in the kernel-dispatch
     layer; vertex ids must be below ``2^(63 - s)``, ``s`` the bit length
@@ -180,15 +180,14 @@ def cached_hash_rows(algo, keys: np.ndarray) -> np.ndarray:
 
 
 def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
-    """Vectorized ``process_block`` for the D-sketch algorithms.
+    """``process_block`` for the D-sketch algorithms.
 
     Shared by Algorithm 3 (:class:`~repro.core.robust_lowrandom.
-    LowRandomnessRobustColoring`) and the [CGS22] baseline, whose scalar
-    :meth:`~repro.core.dsketch.DSketchColoring.process` differs only in
-    parameters: roll the buffer at ``capacity``, hash both endpoints
-    under every ``(epoch, repetition)`` polynomial, and append the rare
-    monochromatic edges to the live future sketches ``D_{i, j}`` (wiping
-    any that exceed ``algo.overflow_cap``).
+    LowRandomnessRobustColoring`) and the [CGS22] baseline, whose lines
+    6-14 differ only in parameters: roll the buffer at ``capacity``, hash
+    both endpoints under every ``(epoch, repetition)`` polynomial, and
+    append the rare monochromatic edges to the live future sketches
+    ``D_{i, j}`` (wiping any that exceed ``algo.overflow_cap``).
 
     The events come from one gather per endpoint in the vertex-major hash
     table, over the epochs from the block's starting ``curr`` on (no
@@ -198,13 +197,13 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
     appends, an equal rank wipes, a higher rank finds the sketch already
     wiped.  The appended rows go to the sketch log in discovery order
     with one amortised append; a wiped sketch's rows leave it.  A block
-    holding a self-loop falls back to the scalar loop, so the error names
-    the same edge with the same partial state.
+    holding a self-loop feeds the edges before it, then raises
+    :class:`ReproError` naming the loop and its stream index.
 
     The state evolution — sketch contents and log, buffer, epoch
     counter, and the :class:`~repro.common.space.SpaceMeter` peak that
-    the scalar path reaches via per-edge ``_update_space`` calls — is
-    bit-identical to the equivalent ``process`` sequence.
+    per-edge ``_update_space`` calls would reach — does not depend on how
+    the stream was cut into blocks.
     """
     edges = np.asarray(edges, dtype=np.int64)
     k = len(edges)
@@ -212,10 +211,13 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
         return
     us = np.ascontiguousarray(edges[:, 0])
     vs = np.ascontiguousarray(edges[:, 1])
-    if (us == vs).any():
-        for u, v in edges.tolist():
-            algo.process(u, v)
-        return
+    loop = us == vs
+    if loop.any():
+        bad = int(np.argmax(loop))
+        sketch_process_block(algo, edges[:bad], capacity=capacity)
+        index = (algo._curr - 1) * capacity + len(algo._buffer)
+        u, v = edges[bad].tolist()
+        raise ReproError(f"self-loop ({u},{v}) at stream index {index}")
     start_len = len(algo._buffer)
     rolls, lengths = buffer_timeline(start_len, capacity, k)
     curr0 = algo._curr
@@ -261,12 +263,11 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
     else:
         algo._buffer = append_rows(algo._buffer, edges, capacity)
     algo._curr = curr0 + int(rolls[-1])
-    # Space peak: the scalar path updates gauges after every edge; the
-    # per-edge totals are reconstructed in closed form instead.  The
-    # scalar ``_update_space`` sets the D gauge before the buffer gauge,
-    # so at a roll its transient total pairs the new sketch size with the
-    # *pre-roll* buffer — reproduced here via the running maximum of the
-    # adjacent buffer lengths.
+    # Space peak of per-edge gauge updates, in closed form.
+    # ``_update_space`` sets the D gauge before the buffer gauge, so at a
+    # roll a per-edge update's transient total pairs the new sketch size
+    # with the *pre-roll* buffer — reproduced here via the running maximum
+    # of the adjacent buffer lengths.
     prev_lengths = np.concatenate(([start_len], lengths[:-1]))
     eff_lengths = np.maximum(lengths, prev_lengths)
     per_edge_total = (
@@ -280,7 +281,7 @@ def sketch_process_block(algo, edges: np.ndarray, *, capacity: int) -> None:
     algo.meter.observe_peak(base + int(per_edge_total.max()))
     # Zero the varying gauges before the final update: setting one gauge
     # to its new value while the other still holds the pre-block value
-    # would register a transient total the scalar path never reaches.
+    # would register a transient total no edge reaches.
     algo.meter.set_gauge("D sketches", 0)
     algo.meter.set_gauge("buffer B", 0)
     algo._update_space()

@@ -2,12 +2,11 @@
 
 Every registered algorithm must produce identical colorings, pass
 counts, space charges, and randomness draws on the token plane and on
-every block backend at every chunk size.  Multipass algorithms read the
-token plane as one-edge blocks and one-pass algorithms feed it to
-``process`` edge by edge, so the check pins chunking invariance of the
-pass consumers and the scalar/vectorized agreement of the one-pass
-algorithms.  This module runs one verification cell on the token plane
-and on each requested chunk size, and reports any field-level
+every block backend at every chunk size.  Every algorithm reads the
+token plane as one-edge blocks, so the check pins the chunking
+invariance of the pass consumers and of the one-pass algorithms'
+``process_block``.  This module runs one verification cell on the token
+plane and on each requested chunk size, and reports any field-level
 divergence.
 """
 

@@ -1,5 +1,6 @@
 """Unit tests for adversary strategies and the game loop."""
 
+import numpy as np
 import pytest
 
 from repro.adversaries.game import GameResult, run_adversarial_game
@@ -21,8 +22,9 @@ class PerfectOfflineAlgorithm(OnePassAlgorithm):
         super().__init__()
         self._graph = Graph(n)
 
-    def process(self, u, v):
-        self._graph.add_edge(u, v)
+    def process_block(self, edges):
+        for u, v in np.asarray(edges).tolist():
+            self._graph.add_edge(u, v)
 
     def query(self):
         from repro.graph.coloring import greedy_coloring
@@ -38,7 +40,7 @@ class ConstantAlgorithm(OnePassAlgorithm):
         super().__init__()
         self._n = n
 
-    def process(self, u, v):
+    def process_block(self, edges):
         pass
 
     def query(self):

@@ -18,11 +18,7 @@ from repro.baselines.acs22 import (
     _MemberCountsConsumer,
     _PartCountsConsumer,
 )
-from repro.baselines.naive import (
-    OneShotRandomColoring,
-    StoreEverythingColoring,
-    TrivialColoring,
-)
+from repro.baselines.naive import OneShotRandomColoring
 from repro.baselines.palette_sparsification import PaletteSparsificationColoring
 from repro.graph.coloring import validate_coloring
 from repro.graph.generators import (
@@ -31,24 +27,6 @@ from repro.graph.generators import (
     random_max_degree_graph,
 )
 from repro.streaming.stream import stream_from_graph
-
-
-class TestTrivial:
-    def test_trivial_n_colors_zero_passes(self):
-        g = complete_graph(6)
-        stream = stream_from_graph(g)
-        coloring = TrivialColoring(6).run(stream)
-        validate_coloring(g, coloring, palette_size=6)
-        assert stream.passes_used == 0
-
-    def test_store_everything(self):
-        g = random_max_degree_graph(30, 5, seed=71)
-        stream = stream_from_graph(g)
-        algo = StoreEverythingColoring(30)
-        coloring = algo.run(stream)
-        validate_coloring(g, coloring, palette_size=6)
-        assert stream.passes_used == 1
-        assert algo.peak_space_bits > 0
 
 
 class TestQuadratic:
@@ -253,7 +231,7 @@ class TestOneShotNonRobust:
                 break
         if pair is None:
             pytest.skip("no color collision at this seed")
-        algo.process(*pair)
+        algo.process_block(np.array([pair]))
         coloring = algo.query()
         assert coloring[pair[0]] != coloring[pair[1]]
 
@@ -267,5 +245,5 @@ class TestOneShotNonRobust:
         )
         if pair is None:
             pytest.skip("no color collision at this seed")
-        algo.process(*pair)
+        algo.process_block(np.array([pair]))
         assert algo.dropped_edges == 1

@@ -2,19 +2,21 @@
 
 The block data plane is only admissible if it changes *nothing* observable
 about a run: same coloring, same pass count, same peak space charge, same
-palette usage.  Multipass algorithms read the token plane as one-edge
-blocks and one-pass algorithms feed it to ``process``, so the comparison
-pins chunking invariance and scalar/vectorized agreement.  This suite
-drives a seeded grid through ``repro.engine`` once per stream backend and
-compares the results field by field.
+palette usage.  Every algorithm reads the token plane as one-edge blocks,
+so the comparison pins chunking invariance.  This suite drives a seeded
+grid through ``repro.engine`` once per stream backend and compares the
+results field by field; the adaptive game is also played against the
+per-edge reference of ``tests/onepass_reference.py``.
 """
 
+import onepass_reference as reference
 import pytest
 
+from repro.adversaries import run_adversarial_game
 from repro.common.exceptions import ReproError
 from repro.engine import REGISTRY, GameSpec, RunSpec, run, run_game
+from repro.engine.runner import make_adversary
 from repro.kernels import kernel_total_hits
-from repro.streaming.model import OnePassAlgorithm
 
 # (n, delta) kept modest per algorithm so the whole matrix stays fast; the
 # deterministic algorithm additionally covers both selection modes and a
@@ -81,25 +83,6 @@ class TestTokenBlockEquivalence:
 
     def test_all_registered_algorithms_are_covered(self):
         assert {c[0] for c in CASES} == set(REGISTRY.names())
-
-    def test_every_registered_algorithm_is_block_native(self):
-        # Not just output-equivalent: multipass algorithms consume blocks
-        # on the pass machine (supports_blocks); onepass algorithms must
-        # additionally override the default scalar process_block loop.
-        for entry in REGISTRY:
-            algo = entry.create(n=16, delta=3, seed=0)
-            assert getattr(algo, "supports_blocks", False), entry.name
-            if entry.kind == "onepass":
-                assert (
-                    type(algo).process_block is not OnePassAlgorithm.process_block
-                ), f"{entry.name} uses the default scalar process_block"
-
-    def test_block_runs_report_block_native(self):
-        r = run_backend(
-            "deterministic", 64, 6, {"selection": "greedy_slack"}, 3,
-            "materialized",
-        )
-        assert r.extras["block_native"] is True
 
     def test_block_runs_record_kernel_hits(self):
         r = run_backend(
@@ -238,7 +221,6 @@ class TestDefaultDataPlane:
         ))
         after = kernel_total_hits()
         assert result.extras["stream_backend"] == "materialized"
-        assert result.extras["block_native"] is True
         assert result.extras.get("kernel_hits", {}) == hits_between(
             before, after
         )
@@ -247,22 +229,25 @@ class TestDefaultDataPlane:
 
 
 class TestAdversarialGameBatching:
-    """Batched ``process_block`` games must match the per-edge path exactly."""
+    """A game whose insertions reach ``process_block`` between queries
+    plays exactly as the same game fed edge by edge through the per-edge
+    reference."""
 
-    def game_fingerprint(self, result):
-        extras = dict(result.extras)
-        extras.pop("batch_size")
-        # Kernel-dispatch observability: the scalar (batch_size=1) path
-        # never reaches the block kernels, so hit counts legitimately
-        # differ while every algorithmic field stays identical.
-        extras.pop("kernel_hits", None)
-        return (
-            result.colors_used,
-            result.proper,
-            result.peak_space_bits,
-            result.random_bits,
-            extras,
+    FIELDS = (
+        "rounds", "errors", "failures", "error_rounds", "final_colors_used",
+        "max_colors_used", "final_max_degree",
+    )
+
+    def reference_game(self, algorithm, n, delta, adversary, query_every):
+        """The game of :meth:`test_batched_matches_reference_under_fixed_seed`,
+        fed through the reference: its outcome and its extras."""
+        entry = REGISTRY.get(algorithm)
+        algo = entry.create(n, delta, 5)
+        outcome = run_adversarial_game(
+            reference.ReferenceFed(algo), make_adversary(adversary, 5),
+            n=n, delta=delta, rounds=2 * n, query_every=query_every,
         )
+        return outcome, entry.collect_extras(algo)
 
     @pytest.mark.parametrize("algorithm,n,delta", [
         ("robust", 48, 6),
@@ -270,34 +255,33 @@ class TestAdversarialGameBatching:
         ("cgs22", 32, 4),
         ("naive", 48, 6),
     ])
-    def test_batched_matches_scalar_under_fixed_seed(self, algorithm, n, delta):
+    def test_batched_matches_reference_under_fixed_seed(self, algorithm, n,
+                                                        delta):
         for adversary in ("conflict", "random"):
-            outcomes = []
-            for batch_size in (1, None, 3):
+            for query_every in (1, 8):
                 result = run_game(GameSpec(
                     algorithm=algorithm, n=n, delta=delta, rounds=2 * n,
-                    seed=5, adversary=adversary, query_every=8,
-                    batch_size=batch_size,
+                    seed=5, adversary=adversary, query_every=query_every,
                 ))
-                outcomes.append(self.game_fingerprint(result))
-            assert outcomes[0] == outcomes[1] == outcomes[2], (
-                algorithm, adversary
-            )
+                outcome, extras = self.reference_game(
+                    algorithm, n, delta, adversary, query_every,
+                )
+                case = (algorithm, adversary, query_every)
+                for name in self.FIELDS:
+                    assert result.extras[name] == getattr(outcome, name), case
+                for name, value in extras.items():
+                    assert result.extras[name] == value, case
+                assert result.proper == outcome.clean, case
+                assert result.peak_space_bits == outcome.peak_space_bits, case
+                assert result.random_bits == outcome.random_bits, case
 
     def test_batched_game_reports_its_own_kernel_hits(self):
         before = kernel_total_hits()
         result = run_game(GameSpec(
             algorithm="robust_lowrandom", n=48, delta=6, rounds=96, seed=5,
-            adversary="conflict", query_every=8, batch_size=None,
+            adversary="conflict", query_every=8,
         ))
         after = kernel_total_hits()
         hits = result.extras["kernel_hits"]
         assert hits and all(count > 0 for count in hits.values())
         assert hits == hits_between(before, after)
-
-    def test_bad_batch_size_rejected(self):
-        from repro.common.exceptions import AdversaryError
-
-        with pytest.raises(AdversaryError):
-            run_game(GameSpec(algorithm="robust", n=8, delta=2, rounds=4,
-                              batch_size=0))

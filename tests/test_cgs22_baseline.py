@@ -1,5 +1,6 @@
 """Tests for the CGS22-style robust O(Delta^2) @ n*sqrt(Delta) baseline."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,8 +49,7 @@ class TestColorings:
         n, delta = 30, 6
         g = random_max_degree_graph(n, delta, seed=103)
         algo = SketchSwitchingQuadraticColoring(n, delta, seed=104)
-        for u, v in g.edge_list():
-            algo.process(u, v)
+        algo.process_block(np.asarray(g.edge_list()))
         coloring = algo.query()
         assert all(1 <= c <= algo.palette_size for c in coloring.values())
 
@@ -88,8 +88,7 @@ class TestSpaceProfile:
         n, delta = 60, 16
         g = random_max_degree_graph(n, delta, seed=107)
         algo = SketchSwitchingQuadraticColoring(n, delta, seed=108)
-        for u, v in g.edge_list():
-            algo.process(u, v)
+        algo.process_block(np.asarray(g.edge_list()))
         edge_bits = 2 * math.ceil(math.log2(n))
         budget = 4 * n * math.sqrt(delta) * math.log2(n) * edge_bits
         assert 0 < algo.peak_space_bits <= budget

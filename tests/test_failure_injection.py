@@ -7,6 +7,7 @@ anomalies (duplicate tokens, foreign token types, empty inputs) must be
 absorbed without harming correctness.
 """
 
+import numpy as np
 import pytest
 
 from repro.common.exceptions import AdversaryError, ReproError
@@ -42,9 +43,9 @@ class TestUnderstatedDelta:
 
     def test_robust_rejects_over_degree_edge(self):
         algo = RobustColoring(4, 1, seed=1)
-        algo.process(0, 1)
+        algo.process_block(np.array([[0, 1]]))
         with pytest.raises(ReproError):
-            algo.process(1, 2)
+            algo.process_block(np.array([[1, 2]]))
 
 
 LOOP_EDGES = [(0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]
@@ -139,7 +140,7 @@ class TestBenignAnomalies:
 
     def test_lowrandom_repeated_queries_consistent_state(self):
         algo = LowRandomnessRobustColoring(10, 3, seed=3)
-        algo.process(0, 1)
+        algo.process_block(np.array([[0, 1]]))
         c1 = algo.query()
         c2 = algo.query()
         assert c1 == c2  # queries are read-only for Algorithm 3

@@ -11,8 +11,6 @@ from repro.baselines import (
     ColorReductionColoring,
     PaletteSparsificationColoring,
     SketchSwitchingQuadraticColoring,
-    StoreEverythingColoring,
-    TrivialColoring,
     TwoPassQuadraticColoring,
 )
 from repro.core import (
@@ -90,13 +88,6 @@ class TestMultipassAlgorithms:
     def test_palette_sparsification_baseline(self, graph, delta):
         algo = PaletteSparsificationColoring(graph.n, delta, seed=204)
         coloring = algo.run(stream_from_graph(graph))
-        validate_coloring(graph, coloring, palette_size=delta + 1)
-
-    @pytest.mark.parametrize("graph,delta", family_cases())
-    def test_trivial_baselines(self, graph, delta):
-        coloring = TrivialColoring(graph.n).run(stream_from_graph(graph))
-        validate_coloring(graph, coloring, palette_size=graph.n)
-        coloring = StoreEverythingColoring(graph.n).run(stream_from_graph(graph))
         validate_coloring(graph, coloring, palette_size=delta + 1)
 
 

@@ -323,7 +323,6 @@ def test_hash_table_rows_equal_the_polynomial_members(cls):
             for i in range(epochs)
         ]
         np.testing.assert_array_equal(table[x], expected)
-        np.testing.assert_array_equal(algo._hash_all(x), expected)
 
 
 @pytest.mark.parametrize("cls", SKETCH_CLASSES)

@@ -4,6 +4,7 @@ import hashlib
 import json
 
 import numpy as np
+import onepass_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,9 +74,10 @@ class TestStaticStreams:
 
     def test_degree_promise_enforced(self):
         algo = RobustColoring(5, 1, seed=1)
-        algo.process(0, 1)
+        algo.process_block(np.array([[0, 1]]))
         with pytest.raises(ReproError):
-            algo.process(0, 2)  # vertex 0 already at degree Delta=1
+            # vertex 0 already at degree Delta=1
+            algo.process_block(np.array([[0, 2]]))
 
     def test_query_before_any_edge(self):
         algo = RobustColoring(10, 3, seed=2)
@@ -138,15 +140,14 @@ class TestAccounting:
     def test_space_grows_with_buffer(self):
         algo = RobustColoring(50, 9, seed=50)
         before = algo.meter.current_bits
-        algo.process(0, 1)
+        algo.process_block(np.array([[0, 1]]))
         assert algo.meter.current_bits > before
 
     def test_sketch_edge_count(self):
         n, delta = 40, 8
         g = random_max_degree_graph(n, delta, seed=51)
         algo = RobustColoring(n, delta, seed=52)
-        for u, v in g.edge_list():
-            algo.process(u, v)
+        algo.process_block(np.asarray(g.edge_list()))
         assert algo.sketch_edge_count >= 0  # smoke: accessor works
 
 
@@ -186,7 +187,10 @@ def reference_query(algo):
         a_curr,
     )]
     for level in range(1, p.num_levels + 1):
-        members = [v for v in fast if algo._level_of_degree(degree[v]) == level]
+        members = [
+            v for v in fast
+            if reference.level_of_degree(algo, degree[v]) == level
+        ]
         zones.append((
             degeneracy_coloring, members, algo._g[level - 1],
             algo.sketch_edges("C", level),
@@ -297,7 +301,7 @@ class TestBlockMatchesScalar:
     )
     @settings(deadline=None)
     def test_random_block_splits(self, beta, seed, cuts, violation):
-        """process_block over any split == the scalar process loop, with
+        """process_block over any split == the per-edge reference, with
         query() between blocks; a violation mid-block raises the same
         error and leaves the same partial state."""
         n = 24
@@ -317,8 +321,7 @@ class TestBlockMatchesScalar:
         block = RobustColoring(n, delta, seed=seed, beta=beta)
 
         def scalar_loop(chunk):
-            for u, v in chunk.tolist():
-                scalar.process(u, v)
+            reference.feed(scalar, chunk)
 
         start, error = 0, None
         for size in cuts * (len(edges) // sum(cuts) + 1):
@@ -390,16 +393,15 @@ class TestQueryPools:
 class TestSnapshotContract:
     def test_chunk_size_does_not_change_state(self):
         """Equal state_dict() for chunk sizes 1, 7 and 4096 and for the
-        scalar loop, holding exactly the live rows of B and of the sketch
-        logs (no spare capacity, no pre-roll rows)."""
+        per-edge reference, holding exactly the live rows of B and of the
+        sketch logs (no spare capacity, no pre-roll rows)."""
         n, delta = 120, 8
         edges = near_regular_edge_array(n, delta, 3)[:301]
         algos = []
         for chunk_size in (1, 7, 4096, None):
             algo = RobustColoring(n, delta, seed=9)
             if chunk_size is None:
-                for u, v in edges.tolist():
-                    algo.process(u, v)
+                reference.feed(algo, edges)
             else:
                 feed_blocks(algo, edges, chunk_size)
             algos.append(algo)
@@ -443,18 +445,17 @@ class TestSnapshotContract:
         to the same arrays and then feeds like the uninterrupted run."""
         n, delta = 120, 8
         edges = near_regular_edge_array(n, delta, 3)
-        reference = RobustColoring(n, delta, seed=9)
-        feed_blocks(reference, edges[:150], 64)
-        assert reference._curr > 1 and reference.sketch_edge_count > 0
+        uninterrupted = RobustColoring(n, delta, seed=9)
+        feed_blocks(uninterrupted, edges[:150], 64)
+        assert uninterrupted._curr > 1 and uninterrupted.sketch_edge_count > 0
         restored = RobustColoring(n, delta, seed=9)
-        restored.load_state(list_state(reference))
-        same_sketches(reference, restored)
-        for algo in (reference, restored):
-            for u, v in edges[150:200].tolist():
-                algo.process(u, v)
+        restored.load_state(list_state(uninterrupted))
+        same_sketches(uninterrupted, restored)
+        for algo in (uninterrupted, restored):
+            reference.feed(algo, edges[150:200])
             feed_blocks(algo, edges[200:], 64)
-        same_sketches(reference, restored)
-        assert list(reference.query().items()) == list(restored.query().items())
+        same_sketches(uninterrupted, restored)
+        assert list(uninterrupted.query().items()) == list(restored.query().items())
 
 
 def list_state(algo):
@@ -484,15 +485,29 @@ def list_state(algo):
     return {**snapshot, "state": state}
 
 
+#: The bad edge inserted at stream index 4 of a path, the degree cap, and
+#: the error it must raise.  The self-loop's delta leaves room for the
+#: loop's two endpoint counts, so the loop is the first violation; at
+#: delta 2 vertex 2 is full after (1, 2) and (2, 3).
+VIOLATIONS = {
+    "loop": ((3, 3), 4, r"self-loop \(3,3\) at stream index 4$"),
+    "degree": (
+        (2, 5), 2,
+        r"edge \(2,5\) at stream index 4 exceeds the promised max degree 2$",
+    ),
+}
+
+
 class TestSelfLoops:
+    @pytest.mark.parametrize("violation", sorted(VIOLATIONS))
     @pytest.mark.parametrize("backend", ["tokens", "materialized", "file"])
     @pytest.mark.parametrize("chunk_size", [1, 3, 4096])
-    def test_loop_named_at_its_stream_index(self, backend, chunk_size, tmp_path):
-        # delta leaves room for the loop's two endpoint counts, so the
-        # block path cannot fall back on the degree cap instead.
-        n, delta = 8, 4
+    def test_loop_named_at_its_stream_index(self, backend, chunk_size,
+                                            violation, tmp_path):
+        bad, delta, message = VIOLATIONS[violation]
+        n = 8
         edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
-        stream_edges = edges[:4] + [(3, 3)] + edges[4:]
+        stream_edges = edges[:4] + [bad] + edges[4:]
         tokens = TokenStream(edge_tokens(stream_edges), n)
         if backend == "tokens":
             stream = tokens
@@ -503,18 +518,18 @@ class TestSelfLoops:
             write_edge_file(path, n, np.asarray(stream_edges, dtype=np.int64))
             stream = FileSource(path, chunk_size=chunk_size)
         spec = RunSpec(algorithm="robust", n=n, delta=delta, seed=1)
-        with pytest.raises(ReproError, match=r"self-loop \(3,3\) at stream index 4$"):
+        with pytest.raises(ReproError, match=message):
             run(spec, stream)
         if backend == "file":
             stream.close()
 
-    def test_scalar_process_rejects_before_any_state_change(self):
+    def test_one_edge_block_rejects_before_any_state_change(self):
         algo = RobustColoring(5, 2, seed=1)
-        algo.process(0, 1)
+        algo.process_block(np.array([[0, 1]]))
         with pytest.raises(ReproError, match=r"self-loop \(2,2\) at stream index 1"):
-            algo.process(2, 2)
+            algo.process_block(np.array([[2, 2]]))
         fed_once = RobustColoring(5, 2, seed=1)
-        fed_once.process(0, 1)
+        fed_once.process_block(np.array([[0, 1]]))
         same_state(algo, fed_once)
 
 

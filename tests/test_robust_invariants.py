@@ -8,6 +8,9 @@ black-box invariants of the implementations, plus the Lemma 4.5
 degeneracy bound on fast blocks.
 """
 
+import numpy as np
+import onepass_reference as reference
+
 from repro.adversaries import ConflictSeekingAdversary, LevelAwareAdversary
 from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
 from repro.core.robust import RobustColoring
@@ -25,7 +28,7 @@ def drive(algo, n, delta, rounds, adversary, query_every=1, on_step=None):
         if edge is None:
             break
         graph.add_edge(*edge)
-        algo.process(*edge)
+        algo.process_block(np.array([edge]))
         if on_step is not None:
             on_step(round_index, graph)
         if round_index % query_every == 0:
@@ -76,8 +79,8 @@ class TestFreezeBeforeReveal:
                     u, v = algo.sketch_edges("C", i)[-1].tolist()
                     # Degrees were just incremented by this edge; the level
                     # *at insertion* used the post-increment counters.
-                    level_u = algo._level_of_degree(algo._degree[u])
-                    level_v = algo._level_of_degree(algo._degree[v])
+                    level_u = reference.level_of_degree(algo, algo._degree[u])
+                    level_v = reference.level_of_degree(algo, algo._degree[v])
                     assert max(level_u, level_v) < i, (
                         f"C_{i} accepted an edge at level {max(level_u, level_v)}"
                     )
@@ -155,7 +158,7 @@ class TestLemma45Degeneracy:
             g_l = algo._g[level - 1]
             members = [
                 v for v in fast
-                if algo._level_of_degree(algo._degree[v]) == level
+                if reference.level_of_degree(algo, algo._degree[v]) == level
             ]
             blocks: dict[int, list[int]] = {}
             for v in members:

@@ -1,5 +1,6 @@
 """Integration tests for Algorithm 3 (Theorem 4)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,8 +59,7 @@ class TestColorings:
         n, delta = 30, 5
         g = random_max_degree_graph(n, delta, seed=63)
         algo = LowRandomnessRobustColoring(n, delta, seed=64)
-        for u, v in g.edge_list():
-            algo.process(u, v)
+        algo.process_block(np.asarray(g.edge_list()))
         coloring = algo.query()
         assert all(1 <= c <= algo.palette_size for c in coloring.values())
 
@@ -96,8 +96,7 @@ class TestOverflowHandling:
         extra = [(i, (i + 2) % n) for i in range(n)]
         mono_seen = False
         failed = False
-        for u, v in edges + extra:
-            algo.process(u, v)
+        algo.process_block(np.array(edges + extra))
         if algo.surviving_sketches() == 0:
             mono_seen = True
             with pytest.raises(AlgorithmFailure):

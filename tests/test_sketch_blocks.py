@@ -3,11 +3,11 @@
 Both classes replay blocks through
 :func:`repro.streaming.blocks.sketch_process_block` and read their hash
 values from one vertex-major table.  These tests pin the block path's
-outputs, drive it through sketch wipes against the scalar ``process``
-loop, check that the snapshot state does not depend on how the stream
-was cut into blocks, and check that a self-loop is rejected at its own
-stream index.  One more test checks that this block path and
-Algorithm 2's leave ``numpy.ma`` unimported.
+outputs, drive it through sketch wipes against the per-edge reference
+(``tests/onepass_reference.py``), check that the snapshot state does not
+depend on how the stream was cut into blocks, and check that a self-loop
+is rejected at its own stream index.  One more test checks that this
+block path and Algorithm 2's leave ``numpy.ma`` unimported.
 """
 
 import hashlib
@@ -18,6 +18,7 @@ import subprocess
 import sys
 
 import numpy as np
+import onepass_reference as reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -141,7 +142,7 @@ class TestWipes:
     @settings(deadline=None)
     def test_random_block_splits(self, algorithm, seed, delta, cap, cuts,
                                  loop_at):
-        """process_block over any split == the scalar process loop, with
+        """process_block over any split == the per-edge reference, with
         sketches wiping mid-block; a self-loop raises the same error and
         leaves the same partial state."""
         n = 12
@@ -154,8 +155,7 @@ class TestWipes:
         scalar.overflow_cap = block.overflow_cap = cap
 
         def scalar_loop(chunk):
-            for u, v in chunk.tolist():
-                scalar.process(u, v)
+            reference.feed(scalar, chunk)
 
         start, error = 0, None
         for size in cuts * (len(edges) // sum(cuts) + 1):
@@ -172,15 +172,14 @@ class TestWipes:
     @pytest.mark.parametrize("algorithm", sorted(CLASSES))
     def test_one_block_appends_and_wipes(self, algorithm):
         """A single block fills some sketches past the cap and leaves
-        others alive, exactly as the scalar loop does."""
+        others alive, exactly as the per-edge reference does."""
         n, delta = 12, 4
         edges = random_edges(np.random.default_rng(7), n, 60)
         cls = CLASSES[algorithm]
         scalar = cls(n, delta, seed=7, repetitions=4)
         block = cls(n, delta, seed=7, repetitions=4)
         scalar.overflow_cap = block.overflow_cap = 2
-        for u, v in edges.tolist():
-            scalar.process(u, v)
+        reference.feed(scalar, edges)
         block.process_block(edges)
         assert sketch_state(block) == sketch_state(scalar)
         all_sketches = [d for d_i in sketches(block) for d in d_i]
@@ -195,14 +194,12 @@ class TestWipes:
         cls = CLASSES[algorithm]
         scalar = cls(n, delta, seed=8, repetitions=4)
         block = cls(n, delta, seed=8, repetitions=4)
-        for u, v in edges[:30].tolist():
-            scalar.process(u, v)
+        reference.feed(scalar, edges[:30])
         block.process_block(edges[:30])
         assert block._curr == 1
         assert max(len(d) for d in sketches(block)[1]) > 1
         scalar.overflow_cap = block.overflow_cap = 1
-        for u, v in edges[30:].tolist():
-            scalar.process(u, v)
+        reference.feed(scalar, edges[30:])
         block.process_block(edges[30:])
         assert sketch_state(block) == sketch_state(scalar)
         assert None in sketches(block)[1]
@@ -212,8 +209,8 @@ class TestSnapshotContract:
     @pytest.mark.parametrize("algorithm", sorted(CLASSES))
     def test_chunk_size_does_not_change_state(self, algorithm):
         """Equal state_dict() for chunk sizes 1, 7 and 4096 and for the
-        scalar loop, with B rolled and sketches wiped on the way; it holds
-        exactly the live rows of B and of the sketch log."""
+        per-edge reference, with B rolled and sketches wiped on the way; it
+        holds exactly the live rows of B and of the sketch log."""
         n, delta = 60, 8
         edges = random_edges(np.random.default_rng(9), n, 301)
         cls = CLASSES[algorithm]
@@ -222,8 +219,7 @@ class TestSnapshotContract:
             algo = cls(n, delta, seed=9, repetitions=8)
             algo.overflow_cap = {"cgs22": 26, "robust_lowrandom": 4}[algorithm]
             if chunk_size is None:
-                for u, v in edges.tolist():
-                    algo.process(u, v)
+                reference.feed(algo, edges)
             else:
                 feed_blocks(algo, edges, chunk_size)
             algos.append(algo)
@@ -275,15 +271,14 @@ class TestSelfLoops:
     @pytest.mark.parametrize("algorithm", sorted(CLASSES))
     def test_index_counts_across_buffer_rolls(self, algorithm):
         n, delta = 6, 4
-        edges = random_edges(np.random.default_rng(3), n, 41).tolist()
+        edges = random_edges(np.random.default_rng(3), n, 41)
         algo = CLASSES[algorithm](n, delta, seed=1)
         fed = CLASSES[algorithm](n, delta, seed=1)
-        for u, v in edges:
-            algo.process(u, v)
-            fed.process(u, v)
+        feed_blocks(algo, edges, 1)
+        feed_blocks(fed, edges, 1)
         assert algo._curr > 2  # the buffer rolled more than once
         with pytest.raises(ReproError, match=r"self-loop \(2,2\) at stream index 41$"):
-            algo.process(2, 2)
+            algo.process_block(np.array([[2, 2]]))
         # Rejected before any state change.
         same_state(algo, fed)
 

@@ -28,6 +28,7 @@ import pathlib
 import sys
 
 import numpy as np
+import onepass_reference as reference
 import pytest
 
 from repro.baselines.cgs22 import SketchSwitchingQuadraticColoring
@@ -152,17 +153,16 @@ def test_old_checkpoint_restores_and_finishes_as_uninterrupted(name):
     header, arrays = read_checkpoint(DATA / f"{name}.ck")
     restored = fresh(name)
     restored.load_state(header, arrays)
-    reference = fresh(name)
-    feed_blocks(reference, edges[:cut])
-    assert same_sketches(restored, reference)
-    # The rest of the stream, through both writers: a few scalar
-    # insertions, then blocks.
-    for algo in (reference, restored):
-        for u, v in edges[cut:cut + 5].tolist():
-            algo.process(u, v)
+    uninterrupted = fresh(name)
+    feed_blocks(uninterrupted, edges[:cut])
+    assert same_sketches(restored, uninterrupted)
+    # The rest of the stream, through both writers: a few insertions
+    # through the per-edge reference, then blocks.
+    for algo in (uninterrupted, restored):
+        reference.feed(algo, edges[cut:cut + 5])
         feed_blocks(algo, edges[cut + 5:])
-    assert same_sketches(restored, reference)
-    assert list(restored.query().items()) == list(reference.query().items())
+    assert same_sketches(restored, uninterrupted)
+    assert list(restored.query().items()) == list(uninterrupted.query().items())
 
 
 def same_sketches(a, b) -> bool:

@@ -161,12 +161,14 @@ class TestDifferential:
 
     def test_divergence_is_reported(self):
         # Inject a data-plane divergence: an algorithm whose palette
-        # claim depends on whether it saw blocks or tokens.
+        # claim depends on whether it saw blocks of more than one edge
+        # (the token plane feeds one-edge blocks).
         from repro.baselines import OneShotRandomColoring
 
         class PlaneSensitive(OneShotRandomColoring):
             def process_block(self, edges):
-                self.palette_size = self.range_size + 1  # diverge
+                if len(edges) > 1:
+                    self.palette_size = self.range_size + 1  # diverge
                 super().process_block(edges)
 
         def make(n, delta, seed, cfg):
