@@ -47,6 +47,18 @@ class ConstantAlgorithm(OnePassAlgorithm):
         return {v: 1 for v in range(self._n)}
 
 
+class RecordingAlgorithm(PerfectOfflineAlgorithm):
+    """The perfect reference, also keeping every block it is fed."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.blocks = []
+
+    def process_block(self, edges):
+        self.blocks.append(np.array(edges))
+        super().process_block(edges)
+
+
 class TestStrategies:
     def test_static_adversary_replays(self):
         adv = StaticStreamAdversary([(0, 1), (1, 2)])
@@ -133,6 +145,26 @@ class TestGameLoop:
         adv = RandomAdversary(seed=7)
         result = run_adversarial_game(algo, adv, n=10, delta=3, rounds=9, query_every=3)
         assert result.clean
+
+    @pytest.mark.parametrize("query_every,sizes", [
+        (1, [1] * 10),
+        (3, [3, 3, 3, 1]),  # the last edge is flushed after the final query
+    ], ids=["every-1", "every-3"])
+    def test_insertions_reach_process_block_between_queries(self, query_every,
+                                                            sizes):
+        edges = [(v, v + 1) for v in range(10)]
+        algo = RecordingAlgorithm(12)
+        result = run_adversarial_game(
+            algo, StaticStreamAdversary(edges), n=12, delta=2, rounds=10,
+            query_every=query_every,
+        )
+        assert result.rounds == 10 and result.clean
+        assert [len(block) for block in algo.blocks] == sizes
+        assert all(
+            block.dtype == np.int64 and block.shape[1] == 2
+            for block in algo.blocks
+        )
+        assert np.concatenate(algo.blocks).tolist() == [list(e) for e in edges]
 
     def test_result_dataclass(self):
         r = GameResult(rounds=5, errors=0)

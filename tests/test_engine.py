@@ -298,6 +298,24 @@ class TestGrid:
         pooled = [strip(r) for r in GridRunner(workers=2).run(grid)]
         assert serial == pooled
 
+    def test_game_process_pool_matches_serial(self):
+        grid = GridSpec(
+            mode="game",
+            axes={"algorithm": ["robust", "naive"], "adversary": ["conflict"]},
+            constants={"n": 24, "delta": 4, "rounds": 30, "seed": 2},
+        )
+
+        def strip(r):
+            # Drop the measured wall time (nondeterministic across processes).
+            return r.to_dict() | {"wall_time_s": 0.0}
+
+        serial = [strip(r) for r in GridRunner(workers=1).run(grid)]
+        pooled = [strip(r) for r in GridRunner(workers=2).run(grid)]
+        assert [r["mode"] for r in serial] == ["game", "game"]
+        # The conflict seeker breaks the one-shot strawman, not robust.
+        assert [r["proper"] for r in serial] == [True, False]
+        assert serial == pooled
+
     def test_results_table_derived_columns(self):
         grid = GridSpec(
             axes={"delta": [2, 3]},

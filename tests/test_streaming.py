@@ -1,9 +1,11 @@
 """Unit tests for the streaming substrate (tokens, streams, interfaces)."""
 
+import numpy as np
 import pytest
 
 from repro.common.exceptions import StreamProtocolError
 from repro.graph.generators import cycle_graph, gnp_random_graph
+from repro.streaming.model import MultipassStreamingAlgorithm, OnePassAlgorithm
 from repro.streaming.stream import TokenStream, stream_from_graph
 from repro.streaming.tokens import EdgeToken, ListToken, edge_tokens
 
@@ -59,6 +61,45 @@ class TestTokenStream:
 
     def test_len(self):
         assert len(TokenStream(edge_tokens([(0, 1)]), n=2)) == 1
+
+
+class BlockRecorder(OnePassAlgorithm):
+    """Keeps every block it is fed; colors vertex ``v`` with ``v + 1``."""
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+        self.blocks = []
+
+    def process_block(self, edges):
+        self.blocks.append(np.array(edges))
+
+    def query(self):
+        return {v: v + 1 for v in range(self.n)}
+
+
+class TestOnePassInterface:
+    def test_process_block_is_abstract(self):
+        class QueryOnly(OnePassAlgorithm):
+            def query(self):
+                return {}
+
+        with pytest.raises(TypeError, match="process_block"):
+            QueryOnly()
+
+    def test_token_stream_arrives_as_one_edge_blocks(self):
+        edges = [(0, 1), (1, 2), (0, 2)]
+        stream = TokenStream(edge_tokens(edges), n=3)
+        algo = BlockRecorder(3)
+        assert algo.color_stream(stream) == {0: 1, 1: 2, 2: 3}
+        assert [block.tolist() for block in algo.blocks] == [
+            [list(e)] for e in edges
+        ]
+        assert all(block.dtype == np.int64 for block in algo.blocks)
+        assert stream.passes_used == 1
+        # The same driver reads token streams for multipass algorithms.
+        assert (OnePassAlgorithm.color_stream
+                is MultipassStreamingAlgorithm.color_stream)
 
 
 class TestStreamFromGraph:
