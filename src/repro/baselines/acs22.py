@@ -180,8 +180,6 @@ class _RepairAdjacencyConsumer(PassConsumer):
 class TwoPassQuadraticColoring(MultipassStreamingAlgorithm):
     """Deterministic ``O(Delta^2)``-coloring in four streaming passes."""
 
-    supports_checkpoint = True
-
     def __init__(self, n: int, delta: int, range_multiplier: int = 4):
         super().__init__()
         if delta < 1:
@@ -302,8 +300,6 @@ class _ReductionPassConsumer(PassConsumer):
 
 class ColorReductionColoring(MultipassStreamingAlgorithm):
     """Deterministic ``O(Delta)``-coloring via iterated palette halving."""
-
-    supports_checkpoint = True
 
     def __init__(self, n: int, delta: int, space_budget_edges=None):
         super().__init__()

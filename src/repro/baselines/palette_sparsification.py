@@ -64,8 +64,6 @@ class _ConflictCollectConsumer(PassConsumer):
 class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
     """Single-pass randomized ``(Delta+1)``-coloring for oblivious streams."""
 
-    supports_checkpoint = True
-
     def __init__(
         self,
         n: int,

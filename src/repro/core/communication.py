@@ -44,7 +44,8 @@ def two_party_coloring_protocol(algorithm, alice_tokens, bob_tokens, n: int) -> 
     alice_tokens = list(alice_tokens)
     bob_tokens = list(bob_tokens)
     boundary = len(alice_tokens)
-    stream = TokenStream(alice_tokens + bob_tokens, n)
+    tokens = alice_tokens + bob_tokens
+    source = TokenStream(tokens, n).as_source(1)
     messages: list[int] = []
 
     def observer(pass_index: int, token_index: int) -> None:
@@ -56,17 +57,17 @@ def two_party_coloring_protocol(algorithm, alice_tokens, bob_tokens, n: int) -> 
         if token_index == 0 and pass_index > 1:
             messages.append(algorithm.meter.current_bits)
 
-    stream.set_observer(observer)
-    coloring = algorithm.run(stream)
+    source.set_observer(observer)
+    coloring = algorithm.run(source)
     # Bob's final message delivering the answer/state after the last pass.
     messages.append(algorithm.meter.current_bits)
-    if boundary == 0 or boundary == len(stream.tokens):
+    if boundary == 0 or boundary == len(tokens):
         # Degenerate splits: one player holds everything; a single message
         # of the final state suffices.
         messages = [algorithm.meter.current_bits]
     return ProtocolResult(
         coloring=coloring,
-        passes=stream.passes_used,
+        passes=source.passes_used,
         rounds=len(messages),
         total_bits=sum(messages),
         message_bits=messages,

@@ -261,8 +261,6 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
     stream is read as one-edge blocks.
     """
 
-    supports_checkpoint = True
-
     def __init__(
         self,
         n: int,

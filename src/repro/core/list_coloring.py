@@ -385,8 +385,6 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
     table.
     """
 
-    supports_checkpoint = True
-
     def __init__(
         self,
         n: int,

@@ -3,7 +3,7 @@
 Every algorithm in this repository (the four paper algorithms and the four
 baselines) satisfies this structural protocol: it owns a
 :class:`~repro.common.space.SpaceMeter`, it can consume a
-:class:`~repro.streaming.stream.TokenStream` and return a total coloring,
+:class:`~repro.streaming.source.StreamSource` and return a total coloring,
 and it declares its palette bound (or ``None`` when the guarantee is only
 asymptotic).  The concrete method implementations live on the abstract
 bases in :mod:`repro.streaming.model`; one-pass (adversarially robust)
@@ -19,7 +19,7 @@ at exactly one seam.
 from typing import Protocol, runtime_checkable
 
 from repro.common.space import SpaceMeter
-from repro.streaming.stream import TokenStream
+from repro.streaming.source import StreamSource
 
 __all__ = ["StreamingColorer"]
 
@@ -31,7 +31,7 @@ class StreamingColorer(Protocol):
     n: int
     meter: SpaceMeter
 
-    def color_stream(self, stream: TokenStream) -> dict[int, int]:
+    def color_stream(self, stream: StreamSource) -> dict[int, int]:
         """Consume the stream and return a total coloring ``vertex -> color``."""
         ...
 

@@ -2,10 +2,11 @@
 
 A :class:`RunSpec` names an algorithm from the registry, the instance size,
 the seeds, and the algorithm's config options — nothing else.  The runner
-builds (or accepts) the stream, drives the algorithm through the
-:class:`~repro.engine.protocol.StreamingColorer` protocol, validates the
-output coloring against the graph reconstructed from the stream itself,
-and packs everything into the uniform :class:`ColoringResult` schema.
+builds (or accepts) the stream and reads it as a block source, drives
+the algorithm through the :class:`~repro.engine.protocol.StreamingColorer`
+protocol, validates the output coloring in one sweep of the stream's own
+items, and packs everything into the uniform :class:`ColoringResult`
+schema.
 
 :class:`GameSpec` / :func:`run_game` is the adaptive-adversary twin: the
 same schema, but the algorithm plays the Section 2 insert/query game
@@ -17,26 +18,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.exceptions import ImproperColoringError, ReproError
+from repro.common.exceptions import (
+    ImproperColoringError,
+    ListViolationError,
+    ReproError,
+)
 from repro.engine.registry import REGISTRY, AlgorithmRegistry
 from repro.engine.result import ColoringResult
-from repro.graph.coloring import (
-    monochromatic_edges,
-    num_colors_used,
-    validate_coloring,
-    validate_coloring_blocks,
-)
+from repro.graph.coloring import num_colors_used, validate_coloring_blocks
 from repro.graph.graph import Graph
 from repro.kernels import kernel_total_hits
+from repro.streaming.model import block_source
 from repro.streaming.source import (
     DEFAULT_CHUNK_SIZE,
     FileSource,
     GeneratorSource,
-    StreamSource,
     write_edge_file,
 )
 from repro.streaming.stream import TokenStream
-from repro.streaming.tokens import EdgeToken, ListToken
+from repro.streaming.tokens import ListToken
 import repro.obs as obs
 from repro.obs.clock import perf_now
 
@@ -54,9 +54,9 @@ __all__ = [
     "set_default_stream",
 ]
 
-#: Valid ``RunSpec.stream_backend`` values.  ``tokens`` builds a
-#: :class:`TokenStream`, which every algorithm reads as one-edge blocks;
-#: the others construct block sources
+#: Valid ``RunSpec.stream_backend`` values.  Every run reads a block
+#: source: ``tokens`` builds a :class:`TokenStream` that :func:`run` reads
+#: as one-edge ``materialized`` blocks, and the others construct sources
 #: (``materialized`` in-memory, ``generator`` lazily regenerated each pass,
 #: ``file`` memory-mapped from a binary edge file written on the fly,
 #: ``sharded_file`` streamed from a multi-shard ``REPROED2`` container —
@@ -136,9 +136,9 @@ class RunSpec:
     whose registry entry sets ``needs_lists`` additionally get a random
     list assignment (``list_seed``) interleaved via ``stream_seed``.
 
-    ``stream_backend`` selects the data-plane view (see
+    ``stream_backend`` selects the data plane (see
     :data:`STREAM_BACKENDS`): ``tokens`` is the token-at-a-time stream,
-    which multipass algorithms read as one-edge blocks;
+    read as one-edge blocks;
     ``materialized`` / ``generator`` / ``file`` construct chunked block
     sources (``chunk_size`` edges per block) carrying the identical edge
     sequence, so results are bit-for-bit equal across backends.  Leaving
@@ -337,35 +337,12 @@ def _build_stream(spec: RunSpec, entry, config):
     return stream
 
 
-def _graph_and_lists(stream) -> tuple[Graph, dict | None]:
-    """Reconstruct the validation graph (and lists) from the stream itself.
-
-    Reads a block source's items (edge blocks and list tokens) or a token
-    stream's tokens without counting a pass.
-    """
-    graph = Graph(stream.n)
-    lists: dict[int, frozenset] = {}
-    items = (
-        stream.iter_items() if isinstance(stream, StreamSource)
-        else stream.tokens
-    )
-    for item in items:
-        if isinstance(item, ListToken):
-            lists[item.x] = item.colors
-        elif isinstance(item, EdgeToken):
-            graph.add_edge(item.u, item.v)
-        else:
-            for u, v in item.tolist():
-                graph.add_edge(u, v)
-    return graph, (lists or None)
-
-
 def _backend_label(stream) -> str:
-    """The data plane actually driven, from the stream's type.
+    """The data plane actually driven, from the source's type.
 
     ``run`` accepts prebuilt streams, so the spec's ``stream_backend``
     field may not describe what really ran; result rows record this
-    instead.
+    instead (a token stream runs as ``materialized`` one-edge blocks).
     """
     from repro.streaming.sharded import ShardedFileSource
     from repro.streaming.source import MaterializedSource
@@ -378,76 +355,65 @@ def _backend_label(stream) -> str:
         return "generator"
     if isinstance(stream, MaterializedSource):
         return "materialized"
-    if isinstance(stream, StreamSource):
-        return type(stream).__name__
-    return "tokens"
+    return type(stream).__name__
 
 
-def _first_conflict(stream, colors):
-    """Sweep a block source's edges: the first monochromatic edge, or None.
-
-    A self-loop raises as ``Graph.add_edge`` does, wherever it sits in
-    the stream, so the token plane's reconstructed-graph check and this
-    sweep fail the same way.  The sweep sees every edge, so it hands the
-    edge count to the source and spares lazy sources a re-scan.
-    """
-    from repro.graph.coloring import first_monochromatic
-
-    witness = None
-    edge_total = 0
-    for item in stream.iter_items():
-        if not isinstance(item, np.ndarray):
-            continue
-        edge_total += len(item)
-        loops = np.flatnonzero(item[:, 0] == item[:, 1])
-        if len(loops):
-            raise ReproError(
-                f"self-loop at vertex {int(item[loops[0], 0])} is not allowed"
-            )
-        if witness is None:
-            witness = first_monochromatic(colors, item)
-    stream.note_edge_count(edge_total)
-    return witness
+def _reject_bad_edge(n: int, edges) -> None:
+    """Raise, as ``Graph.add_edge`` does, on the block's first bad edge."""
+    for u, v in edges.tolist():
+        for x in (u, v):
+            if not 0 <= x < n:
+                raise ReproError(f"vertex {x} out of range [0, {n})")
+        if u == v:
+            raise ReproError(f"self-loop at vertex {u} is not allowed")
 
 
 def _check_output(spec: RunSpec, stream, coloring, palette_bound, entry) -> bool:
-    """Validate (or measure) the output coloring against the stream's graph.
+    """Validate (or measure) the output coloring against the stream's items.
 
-    Edge-only block sources validate vectorized, one block at a time
-    (O(chunk_size) memory — the full edge array is never concatenated);
-    token streams and list-coloring inputs go through the reconstructed
-    :class:`Graph`.  Returns measured properness when ``spec.validate``
-    is false.
+    One sweep of ``stream.iter_items()`` (O(chunk_size) memory: the edges
+    are never concatenated) raises on an endpoint outside ``[0, n)`` or a
+    self-loop as ``Graph.add_edge`` does, finds the first monochromatic
+    edge in stream order and collects the list tokens; it also hands the
+    edge count to the source, sparing lazy sources a re-scan.  Validation
+    then checks totality and the palette, raises the monochromatic
+    witness, and checks list membership for ``needs_lists`` entries.
+    Returns measured properness when ``spec.validate`` is false.
     """
-    from repro.graph.coloring import coloring_array
+    from repro.graph.coloring import coloring_array, first_monochromatic
 
-    palette = palette_bound if entry.enforce_palette else None
-    if isinstance(stream, StreamSource) and not entry.needs_lists:
-        colors = coloring_array(stream.n, coloring)
-        witness = _first_conflict(stream, colors)
-        if spec.validate:
-            validate_coloring_blocks(
-                stream.n,
-                np.empty((0, 2), dtype=np.int64),
-                coloring,
-                palette_size=palette,
-            )  # totality + palette; the sweep above checked the edges
-            if witness is not None:
-                raise ImproperColoringError(*witness)
-            return True
+    colors = coloring_array(stream.n, coloring)
+    witness = None
+    edge_total = 0
+    lists: dict[int, frozenset] = {}
+    for item in stream.iter_items():
+        if isinstance(item, ListToken):
+            lists[item.x] = item.colors
+            continue
+        edge_total += len(item)
+        if len(item) and (
+            item.min() < 0 or item.max() >= stream.n
+            or (item[:, 0] == item[:, 1]).any()
+        ):
+            _reject_bad_edge(stream.n, item)
+        if witness is None:
+            witness = first_monochromatic(colors, item)
+    stream.note_edge_count(edge_total)
+    if not spec.validate:
         return witness is None and bool((colors != 0).all())
-    graph, lists = _graph_and_lists(stream)
-    if spec.validate:
-        validate_coloring(
-            graph,
-            coloring,
-            palette_size=palette,
-            lists=lists if entry.needs_lists else None,
-        )
-        return True
-    return all(
-        coloring.get(v) is not None for v in range(graph.n)
-    ) and not monochromatic_edges(graph, coloring)
+    validate_coloring_blocks(
+        stream.n,
+        np.empty((0, 2), dtype=np.int64),
+        coloring,
+        palette_size=palette_bound if entry.enforce_palette else None,
+    )  # totality + palette; the sweep above checked the edges
+    if witness is not None:
+        raise ImproperColoringError(*witness)
+    if entry.needs_lists and lists:
+        for v, c in coloring.items():
+            if c is not None and c not in lists[v]:
+                raise ListViolationError(v, c)
+    return True
 
 
 def run(
@@ -466,12 +432,16 @@ def run(
     which case the result's ``proper`` field reports measured properness
     instead of raising.
 
+    A :class:`TokenStream` (built for ``stream_backend="tokens"`` or
+    handed in) is turned into a block source once, here
+    (``as_source(1)``, one edge per block); everything after reads that
+    source.
+
     With ``checkpoint_every=k`` the run executes on the resumable driver
     (:class:`repro.persist.driver.ResumableRun`), writing a ``REPROCK1``
     snapshot to ``checkpoint_path`` every ``k`` blocks (and at every pass
     boundary); :func:`resume` continues such a run to an identical
-    result.  Requires a block-source data plane (``stream_backend`` of
-    ``materialized`` / ``generator`` / ``file``).
+    result, on every data plane.
     """
     registry = registry if registry is not None else REGISTRY
     entry = registry.get(spec.algorithm)
@@ -509,6 +479,7 @@ def run(
                 f"stream is over {stream.n} vertices but the spec "
                 f"says n={spec.n}"
             )
+        stream = block_source(stream)
         try:
             return _note_run_result(
                 run_span, _run_on_stream(spec, entry, config, stream)
@@ -623,8 +594,7 @@ def _package_result(
     }
     if kernel_hits:
         extras["kernel_hits"] = kernel_hits
-    if isinstance(stream, StreamSource):
-        extras["chunk_size"] = stream.chunk_size
+    extras["chunk_size"] = stream.chunk_size
     pass_times = list(stream.pass_seconds[timings_before:])
     if pass_times:
         extras["pass_wall_times"] = [round(t, 6) for t in pass_times]

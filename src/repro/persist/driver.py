@@ -2,7 +2,10 @@
 
 The driver owns what ``color_stream`` does inline — iterate the stream's
 passes and feed the algorithm's pass machine — but one pass at a time,
-with a snapshot opportunity at every block boundary:
+with a snapshot opportunity at every block boundary.  Like
+:func:`~repro.engine.runner.run` it reads a block source on every data
+plane (a token stream as one-edge blocks, so the ``tokens`` plane
+checkpoints at every edge boundary):
 
 - **One-pass algorithms** (resumable consumers): the snapshot is the
   live algorithm state plus the block offset; restore seeks the stream
@@ -25,7 +28,7 @@ from dataclasses import asdict
 from repro.common.exceptions import CheckpointError, ReproError
 from repro.kernels import kernel_total_hits
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
-from repro.streaming.source import StreamSource
+from repro.streaming.model import block_source
 import repro.obs as obs
 from repro.obs.clock import perf_now
 
@@ -83,22 +86,11 @@ class ResumableRun:
                 f"stream is over {stream.n} vertices but the spec says "
                 f"n={spec.n}"
             )
-        if not isinstance(stream, StreamSource):
-            raise CheckpointError(
-                "checkpointable runs need a block source; set "
-                "stream_backend to materialized | generator | file "
-                "(the tokens plane has no block boundaries)"
-            )
-        self.stream = stream
+        self.stream = block_source(stream)
         self.algo = self.entry.create(spec.n, spec.delta, spec.seed, self.config)
-        if not getattr(self.algo, "supports_checkpoint", False):
-            raise CheckpointError(
-                f"algorithm {self.entry.name!r} does not support "
-                "suspend/restore (no pass machine)"
-            )
         self.algo.blocks_start()
-        self._passes_before = stream.passes_used
-        self._timings_before = len(stream.pass_seconds)
+        self._passes_before = self.stream.passes_used
+        self._timings_before = len(self.stream.pass_seconds)
         self._wall = 0.0
         self._pending_offset = None
         self._resumed = False
@@ -167,6 +159,7 @@ class ResumableRun:
                     wall=self._wall + (perf_now() - start),
                 )
         result = consumer.finish()
+        self.stream.note_pass_time(perf_now() - start)
         self.algo.blocks_deliver(result, self.stream)
         self._wall += perf_now() - start
         return True

@@ -10,13 +10,13 @@ The paper's two settings are represented directly:
   exposes ``process_block(edges)`` / ``query()``, and the game loop in
   :mod:`repro.adversaries` drives it against an adaptive adversary.
 
-The data plane has two interchangeable views (see DESIGN.md, "Data
-plane"): the token-at-a-time :class:`TokenStream` and the array-backed,
-chunked :class:`StreamSource` (:class:`MaterializedSource`,
+One stream type has passes (see DESIGN.md, "Data plane"): the
+array-backed, chunked :class:`StreamSource` (:class:`MaterializedSource`,
 :class:`GeneratorSource`, :class:`FileSource`,
 :class:`ShardedFileSource`), whose passes yield ``(k, 2)`` numpy edge
-blocks.  Pass counting and space accounting are identical on both;
-every algorithm reads a token stream as one-edge blocks.
+blocks.  A :class:`TokenStream` is only the token list; runs read it
+through ``as_source(1)``, one edge per block, so pass counting and space
+accounting are those of the token-at-a-time model.
 Inputs too large for one file live in the sharded ``REPROED2`` container
 (see DESIGN.md, "Sharded edge container").
 """

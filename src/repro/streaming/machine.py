@@ -36,6 +36,7 @@ ResumableRun` is the checkpointing twin, snapshotting between
 import numpy as np
 
 from repro.common.exceptions import CheckpointError
+from repro.obs.clock import perf_now
 
 __all__ = ["OnePassStreamConsumer", "PassConsumer", "drive_blocks"]
 
@@ -81,14 +82,20 @@ def require_machine(algo) -> dict:
 
 
 def drive_blocks(algo, stream) -> dict:
-    """Run an algorithm's pass machine over a block source to completion."""
+    """Run an algorithm's pass machine over a block source to completion.
+
+    Each pass is timed from its first feed through the consumer's
+    ``finish()`` and recorded with ``stream.note_pass_time``.
+    """
     algo.blocks_start()
     while True:
         consumer = algo.blocks_consumer()
         if consumer is None:
             break
+        start = perf_now()
         for item in stream.new_pass():
             consumer.feed(item)
         result = consumer.finish()
+        stream.note_pass_time(perf_now() - start)
         algo.blocks_deliver(result, stream)
     return algo.blocks_result()

@@ -5,20 +5,19 @@ interfaces exist so the experiment harness, the adversarial game loop, and
 the communication-protocol reduction can treat algorithms uniformly.
 
 Both base classes implement the :class:`repro.engine.StreamingColorer`
-protocol: :meth:`color_stream` consumes a :class:`TokenStream` or a
-:class:`~repro.streaming.source.StreamSource` and returns a total
-coloring, and :attr:`palette_bound` exposes the declared palette size
-(``None`` when the algorithm only guarantees an asymptotic shape).
-The engine's :func:`repro.engine.run` entry point drives algorithms only
-through that protocol.  Every algorithm has one execution path, its pass
-machine, which reads a :class:`TokenStream` as one-edge blocks.
+protocol: :meth:`color_stream` consumes a
+:class:`~repro.streaming.source.StreamSource` (a :class:`TokenStream` is
+read as one-edge blocks) and returns a total coloring, and
+:attr:`palette_bound` exposes the declared palette size (``None`` when
+the algorithm only guarantees an asymptotic shape).  The engine's
+:func:`repro.engine.run` entry point drives algorithms only through that
+protocol.  Every algorithm has one execution path, its pass machine.
 """
 
 import abc
 
 import numpy as np
 
-from repro.common.exceptions import CheckpointError
 from repro.common.space import SpaceMeter
 from repro.streaming.machine import OnePassStreamConsumer, drive_blocks, require_machine
 from repro.streaming.source import StreamSource
@@ -46,10 +45,6 @@ class SnapshotableAlgorithm:
 
     #: Attribute names excluded from snapshots (derived caches).
     _snapshot_skip_: tuple = ()
-
-    #: True once the class's block path runs on the resumable pass
-    #: machine, i.e. suspend/restore at block boundaries is supported.
-    supports_checkpoint = False
 
     def __init__(self):
         self.meter = SpaceMeter()
@@ -79,9 +74,8 @@ class SnapshotableAlgorithm:
         A :class:`~repro.streaming.source.StreamSource` (numpy ``(k, 2)``
         edge blocks, list tokens interleaved in place) goes straight to
         :func:`~repro.streaming.machine.drive_blocks`, and a
-        :class:`TokenStream` is read as one-edge blocks through
-        ``stream.as_source(1)``, which shares the stream's pass counter and
-        fires its per-token observer.
+        :class:`TokenStream` is read as one-edge blocks through a fresh
+        ``stream.as_source(1)`` (:func:`block_source`).
         """
         return drive_blocks(self, block_source(stream))
 
@@ -101,36 +95,30 @@ class SnapshotableAlgorithm:
         return self.meter.random_bits
 
 
-class MultipassStreamingAlgorithm(SnapshotableAlgorithm):
+class MultipassStreamingAlgorithm(SnapshotableAlgorithm, abc.ABC):
     """A (possibly multipass) algorithm over a fixed input stream.
 
-    Subclasses implement the pass-machine protocol below, reading the
-    stream only through the passes :meth:`color_stream` drives and
-    charging ``self.meter`` for state.
+    Subclasses implement the pass-machine protocol below
+    (:mod:`repro.streaming.machine`), reading the stream only through the
+    passes :meth:`color_stream` drives and charging ``self.meter`` for
+    state.
     """
 
     def run(self, stream) -> dict[int, int]:
         """Process the stream and return a total coloring ``vertex -> color``."""
         return self.color_stream(stream)
 
-    # -- pass-machine protocol (repro.streaming.machine) ----------------
-    # Multipass algorithms implement these to run as a resumable state
-    # machine; the default raises so that only audited classes claim
-    # checkpoint support.
+    @abc.abstractmethod
     def blocks_start(self) -> None:
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
+        """Initialize the pass machine."""
 
+    @abc.abstractmethod
     def blocks_consumer(self):
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
+        """The consumer for the pass the machine needs next, or ``None``."""
 
+    @abc.abstractmethod
     def blocks_deliver(self, result, stream) -> None:
-        raise CheckpointError(
-            f"{type(self).__name__} does not implement the pass machine"
-        )
+        """Fold a finished pass's result into the machine state."""
 
 
 class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
@@ -154,8 +142,6 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
         """Return a coloring of every vertex, proper for the edges so far."""
 
     # -- pass-machine protocol: one streaming pass, then query ----------
-    supports_checkpoint = True
-
     def blocks_start(self) -> None:
         self._mach = {"phase": "stream"}
 

@@ -1,24 +1,24 @@
 """Array-backed, chunked stream sources: the block data plane.
 
-A :class:`StreamSource` is the high-throughput complement to
-:class:`~repro.streaming.stream.TokenStream`: one streaming pass yields
-numpy edge *blocks* — ``(k, 2)`` int64 arrays of up to ``chunk_size`` edges
-— instead of one Python object per edge.  List-coloring inputs interleave
-:class:`ListToken` items between blocks, preserving the Theorem 2 "any
-order" contract exactly.
+A :class:`StreamSource` is the one stream type with passes: every run
+reads one.  A streaming pass yields numpy edge *blocks* — ``(k, 2)`` int64
+arrays of up to ``chunk_size`` edges — instead of one Python object per
+edge.  List-coloring inputs interleave :class:`ListToken` items between
+blocks, preserving the Theorem 2 "any order" contract exactly.
 
-The pass/space model is untouched by the representation change: a source
-counts passes exactly like a token stream (one ``new_pass()`` = one pass,
-whatever the chunk size), and algorithms charge their :class:`SpaceMeter`
-identically on both paths.  See DESIGN.md, section "Data plane", for the
+The pass/space model does not depend on the chunk size: one
+``new_pass()`` is one pass, and algorithms charge their
+:class:`SpaceMeter` identically whatever the blocks' length (a
+:class:`~repro.streaming.stream.TokenStream` read as one-edge blocks is
+the token-at-a-time model).  See DESIGN.md, section "Data plane", for the
 faithfulness argument.
 
 Three concrete sources:
 
 - :class:`MaterializedSource` — chunked view over an in-memory
-  :class:`TokenStream`; shares its pass counter and supports the per-token
-  observer hook (communication protocol) by degrading to single-token
-  items when an observer is installed.
+  :class:`TokenStream`'s tokens; supports the per-token observer hook
+  (communication protocol) by degrading to single-token items when an
+  observer is installed.
 - :class:`GeneratorSource` — lazy: re-generates the edge sequence from a
   deterministic factory on every pass; O(chunk_size) memory, nothing is
   ever materialized across passes.
@@ -43,7 +43,6 @@ from repro.common.exceptions import EdgeFileError, StreamProtocolError
 from repro.streaming.stream import TokenStream
 from repro.streaming.tokens import EdgeToken, ListToken
 import repro.obs as obs
-from repro.obs.clock import perf_now
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
@@ -132,8 +131,8 @@ class StreamSource(abc.ABC):
 
     Subclasses implement :meth:`_pass_items`, yielding ``(k, 2)`` int64
     arrays and/or :class:`ListToken` items for one sweep of the input.  The
-    base class handles pass counting, per-pass wall-time recording, and
-    cached degree statistics.
+    base class handles pass counting, the per-pass wall times the driver
+    reports (:meth:`note_pass_time`), and cached degree statistics.
     """
 
     def __init__(self, n: int, chunk_size: int = DEFAULT_CHUNK_SIZE):
@@ -145,42 +144,18 @@ class StreamSource(abc.ABC):
             )
         self.n = n
         self.chunk_size = chunk_size
-        self._passes = 0
-        self._pass_seconds: list[float] = []
+        #: Passes taken so far (the Theorem 1 statistic).
+        self.passes_used = 0
+        #: Wall time of each driven pass, its consumer's ``finish()``
+        #: included (see :meth:`note_pass_time`).
+        self.pass_seconds: list[float] = []
         self._edge_count = None
         self._max_degree = None
 
-    # -- pass accounting (overridden by MaterializedSource to share the
-    #    wrapped stream's counters) --------------------------------------
-    @property
-    def passes_used(self) -> int:
-        """Passes taken so far (the Theorem 1 statistic)."""
-        return self._passes
-
-    @property
-    def pass_seconds(self) -> list[float]:
-        """Wall time of each completed pass: first item to exhaustion.
-
-        Each entry is the duration of that pass's ``stream.pass`` span.
-        """
-        return self._pass_seconds
-
-    def _count_pass(self) -> None:
-        self._passes += 1
-
-    def _record_pass_time(self, seconds: float) -> None:
-        self._pass_seconds.append(seconds)
-        obs.emit_span("stream.pass", seconds,
-                      backend=type(self).__name__,
-                      pass_index=self.passes_used)
-
-    # -------------------------------------------------------------------
     def new_pass(self):
         """Begin a pass; yields edge blocks (and list tokens) in order."""
-        self._count_pass()
-        start = perf_now()
+        self.passes_used += 1
         yield from self._pass_items()
-        self._record_pass_time(perf_now() - start)
 
     @abc.abstractmethod
     def _pass_items(self):
@@ -205,10 +180,7 @@ class StreamSource(abc.ABC):
         passes = int(cursor["passes"])
         if passes < 0:
             raise StreamProtocolError(f"cursor passes must be >= 0, got {passes}")
-        self._seek_passes(passes)
-
-    def _seek_passes(self, passes: int) -> None:
-        self._passes = passes
+        self.passes_used = passes
 
     def resume_pass(self, offset: int = 0):
         """Re-enter a pass mid-flight: count it and yield items from ``offset``.
@@ -221,10 +193,8 @@ class StreamSource(abc.ABC):
         """
         if offset < 0:
             raise StreamProtocolError(f"resume offset must be >= 0, got {offset}")
-        self._count_pass()
-        start = perf_now()
+        self.passes_used += 1
         yield from self._pass_items_from(offset)
-        self._record_pass_time(perf_now() - start)
 
     def _pass_items_from(self, offset: int):
         """One sweep starting at item ``offset`` (generic skip loop)."""
@@ -268,6 +238,18 @@ class StreamSource(abc.ABC):
         if self._edge_count is None:
             self._edge_count = count
 
+    def note_pass_time(self, seconds: float) -> None:
+        """Record the wall time of the pass just driven over this source.
+
+        The driver times the feeds and the consumer's ``finish()``
+        reduction together; the entry goes to :attr:`pass_seconds` and
+        becomes that pass's ``stream.pass`` span.
+        """
+        self.pass_seconds.append(seconds)
+        obs.emit_span("stream.pass", seconds,
+                      backend=type(self).__name__,
+                      pass_index=self.passes_used)
+
     def max_degree(self) -> int:
         """Max degree of the streamed graph (cached after one scan)."""
         if self._max_degree is None:
@@ -290,19 +272,17 @@ class StreamSource(abc.ABC):
         """Per-token observers require a materialized stream."""
         raise StreamProtocolError(
             f"{type(self).__name__} does not support per-token observers; "
-            "use a TokenStream / MaterializedSource"
+            "use a MaterializedSource (TokenStream.as_source)"
         )
 
 
 class MaterializedSource(StreamSource):
-    """Chunked block view over an in-memory :class:`TokenStream`.
+    """Chunked block view over an in-memory :class:`TokenStream`'s tokens.
 
-    Shares the wrapped stream's pass counter and timing list, so code
-    holding either view sees consistent accounting.  ``ListToken``
-    interleaving is preserved: edge runs are chunked into blocks, list
-    tokens are yielded in place.  If the wrapped stream has a per-token
-    observer installed (the communication-protocol hook), passes degrade
-    to single-token items so the observer fires at exactly the original
+    ``ListToken`` interleaving is preserved: edge runs are chunked into
+    blocks, list tokens are yielded in place.  With a per-token observer
+    installed (the communication-protocol hook), passes degrade to
+    single-token items so the observer fires at exactly the original
     token granularity.
     """
 
@@ -310,29 +290,8 @@ class MaterializedSource(StreamSource):
         super().__init__(stream.n, chunk_size)
         self.stream = stream
         self._segments = None
+        self._observer = None
 
-    # pass accounting lives on the wrapped stream
-    @property
-    def passes_used(self) -> int:
-        return self.stream.passes_used
-
-    @property
-    def pass_seconds(self) -> list[float]:
-        return self.stream.pass_seconds
-
-    def _count_pass(self) -> None:
-        self.stream.passes_used += 1
-
-    def _seek_passes(self, passes: int) -> None:
-        self.stream.passes_used = passes
-
-    def _record_pass_time(self, seconds: float) -> None:
-        self.stream.pass_seconds.append(seconds)
-        obs.emit_span("stream.pass", seconds,
-                      backend=type(self).__name__,
-                      pass_index=self.passes_used)
-
-    # -------------------------------------------------------------------
     def _build_segments(self) -> list:
         segments: list = []
         buf: list = []
@@ -364,24 +323,25 @@ class MaterializedSource(StreamSource):
         return iter(self._segments)
 
     def new_pass(self):
-        self._count_pass()
-        start = perf_now()
-        observer = self.stream._observer
-        if observer is None:
+        # Counts its own pass instead of calling StreamSource.new_pass:
+        # the layer profiler wraps both by name, and a delegating call
+        # would trace every pass twice.
+        self.passes_used += 1
+        if self._observer is None:
             yield from self._pass_items()
-        else:
-            # Token-fidelity fallback: the observer contract is per-token.
-            pass_index = self.stream.passes_used
-            for i, token in enumerate(self.stream.tokens):
-                observer(pass_index, i)
-                if isinstance(token, EdgeToken):
-                    yield np.array([[token.u, token.v]], dtype=np.int64)
-                else:
-                    yield token
-        self._record_pass_time(perf_now() - start)
+            return
+        # Token-fidelity fallback: the observer contract is per-token.
+        pass_index = self.passes_used
+        for i, token in enumerate(self.stream.tokens):
+            self._observer(pass_index, i)
+            if isinstance(token, EdgeToken):
+                yield np.array([[token.u, token.v]], dtype=np.int64)
+            else:
+                yield token
 
     def set_observer(self, callback) -> None:
-        self.stream.set_observer(callback)
+        """Install ``callback(pass_index, token_index)`` fired before each token."""
+        self._observer = callback
 
 
 class GeneratorSource(StreamSource):

@@ -1,26 +1,19 @@
-"""A replayable token stream that counts passes.
+"""The token list: a stream of edge and list tokens, fixed in advance.
 
-Multipass algorithms consume the stream only through ``new_pass()``; the
-stream records how many passes were taken, which is the statistic
-Theorem 1's ``O(log Delta * log log Delta)`` bound constrains.  An optional
-per-token observer supports the communication-protocol simulation
-(Corollary 3.11), which needs to know when the read position crosses the
-Alice/Bob boundary.
-
-``TokenStream`` is the token-at-a-time view of the data plane; the
-array-backed, chunked view lives in :mod:`repro.streaming.source`
-(:class:`StreamSource` and friends).  ``stream.as_source()`` wraps a token
-stream in a block source sharing its pass counter; multipass algorithms
-read a token stream through ``stream.as_source(1)``, one edge per block.
-The token list is treated as immutable once the stream is constructed
-(``edge_count``/``max_degree`` are cached on first use).
+A :class:`TokenStream` is the paper's input written out token by token
+(an adversarial order is just a permuted list).  It has no passes: every
+run reads it as a :class:`~repro.streaming.source.StreamSource`, the one
+stream type that counts passes (the Theorem 1 statistic) and times them.
+``stream.as_source(k)`` wraps the tokens in a
+:class:`~repro.streaming.source.MaterializedSource` of ``k``-edge blocks;
+the engine reads a token stream through ``as_source(1)``, one edge per
+block.  The token list is treated as immutable once the stream is
+constructed.
 """
 
 
 from repro.common.exceptions import StreamProtocolError
 from repro.streaming.tokens import EdgeToken, ListToken
-import repro.obs as obs
-from repro.obs.clock import perf_now
 
 __all__ = [
     "TokenStream",
@@ -32,7 +25,7 @@ __all__ = [
 
 
 class TokenStream:
-    """An in-memory stream of :class:`EdgeToken` / :class:`ListToken`.
+    """An in-memory list of :class:`EdgeToken` / :class:`ListToken`.
 
     Parameters
     ----------
@@ -45,11 +38,6 @@ class TokenStream:
     def __init__(self, tokens, n: int):
         self.tokens = list(tokens)
         self.n = n
-        self.passes_used = 0
-        self.pass_seconds: list[float] = []
-        self._observer = None
-        self._edge_count = None
-        self._max_degree = None
         for t in self.tokens:
             if not isinstance(t, (EdgeToken, ListToken)):
                 raise StreamProtocolError(f"bad token {t!r}")
@@ -57,60 +45,17 @@ class TokenStream:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def set_observer(self, callback) -> None:
-        """Install ``callback(pass_index, token_index)`` fired before each token."""
-        self._observer = callback
-
-    def new_pass(self):
-        """Begin a pass; yields every token in order and counts the pass.
-
-        The wall time from the first token to exhaustion (including the
-        consumer's per-token work) is appended to :attr:`pass_seconds`.
-        """
-        self.passes_used += 1
-        pass_index = self.passes_used
-        start = perf_now()
-        if self._observer is None:
-            yield from self.tokens
-        else:
-            for i, token in enumerate(self.tokens):
-                self._observer(pass_index, i)
-                yield token
-        elapsed = perf_now() - start
-        self.pass_seconds.append(elapsed)
-        obs.emit_span("stream.pass", elapsed, backend="tokens",
-                      pass_index=pass_index)
-
     def as_source(self, chunk_size=None):
-        """A chunked :class:`~repro.streaming.source.MaterializedSource` view.
+        """The tokens as a :class:`~repro.streaming.source.MaterializedSource`.
 
-        The view shares this stream's pass counter and timings, so passes
-        taken through either interface count once, consistently.
+        Each call builds a fresh source with its own pass counter; edge
+        runs are cut into blocks of at most ``chunk_size`` edges.
         """
         from repro.streaming.source import DEFAULT_CHUNK_SIZE, MaterializedSource
 
         if chunk_size is None:
             chunk_size = DEFAULT_CHUNK_SIZE
         return MaterializedSource(self, chunk_size=chunk_size)
-
-    def edge_count(self) -> int:
-        """Number of edge tokens in the stream (cached after first scan)."""
-        if self._edge_count is None:
-            self._edge_count = sum(
-                1 for t in self.tokens if isinstance(t, EdgeToken)
-            )
-        return self._edge_count
-
-    def max_degree(self) -> int:
-        """Max degree of the streamed graph (cached; harnesses call this a lot)."""
-        if self._max_degree is None:
-            deg = [0] * self.n
-            for t in self.tokens:
-                if isinstance(t, EdgeToken):
-                    deg[t.u] += 1
-                    deg[t.v] += 1
-            self._max_degree = max(deg, default=0)
-        return self._max_degree
 
 
 def order_edges(edges: list, seed=None, order="insertion") -> list:

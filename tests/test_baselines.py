@@ -33,7 +33,7 @@ class TestQuadratic:
     def test_proper_within_quadratic_palette(self):
         n, delta = 60, 6
         g = random_max_degree_graph(n, delta, seed=72)
-        stream = stream_from_graph(g)
+        stream = stream_from_graph(g).as_source(1)
         algo = TwoPassQuadraticColoring(n, delta)
         coloring = algo.run(stream)
         validate_coloring(g, coloring, palette_size=algo.palette_size)
@@ -169,7 +169,7 @@ class TestPaletteSparsification:
     def test_delta_plus_one_on_random_graphs(self):
         n, delta = 50, 7
         g = random_max_degree_graph(n, delta, seed=76)
-        stream = stream_from_graph(g)
+        stream = stream_from_graph(g).as_source(1)
         algo = PaletteSparsificationColoring(n, delta, seed=77)
         coloring = algo.run(stream)
         validate_coloring(g, coloring, palette_size=delta + 1)

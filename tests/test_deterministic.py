@@ -37,7 +37,7 @@ from repro.streaming.stream import stream_from_graph
 
 
 def run_and_validate(graph, delta, **kwargs):
-    stream = stream_from_graph(graph)
+    stream = stream_from_graph(graph).as_source(1)
     algo = DeterministicColoring(graph.n, delta, **kwargs)
     coloring = algo.run(stream)
     validate_coloring(graph, coloring, palette_size=delta + 1)

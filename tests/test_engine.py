@@ -1,11 +1,16 @@
 """Tests for the repro.engine API: registry round-trips, the uniform
 run/result schema, grid execution, and the deprecation shims."""
 
+import time
 import warnings
 
 import pytest
 
-from repro.common.exceptions import ImproperColoringError, ReproError
+from repro.common.exceptions import (
+    ImproperColoringError,
+    PaletteExceededError,
+    ReproError,
+)
 from repro.engine import (
     REGISTRY,
     AlgorithmEntry,
@@ -22,6 +27,8 @@ from repro.engine import (
     run_game,
     validate_result_dict,
 )
+from repro.streaming.machine import PassConsumer
+from repro.streaming.model import MultipassStreamingAlgorithm
 
 ALL_ALGORITHMS = (
     "acs22", "cgs22", "deterministic", "list_coloring", "naive",
@@ -150,20 +157,62 @@ class TestRun:
                      stream=stream, registry=registry)
         assert result.proper is False
 
-    def test_validation_catches_improper_output(self):
-        from repro.streaming.stream import TokenStream
-        from repro.streaming.tokens import EdgeToken
+    @pytest.mark.parametrize(
+        "plane", ["given", "tokens", "materialized", "generator", "file"]
+    )
+    def test_validation_catches_improper_output(self, plane):
+        # A bad output fails the same way on every plane: the palette is
+        # checked before properness, and the improper witness is the
+        # first monochromatic edge in stream order.  "given" hands run()
+        # the token stream the tokens plane would build.
+        from repro.graph.generators import random_max_degree_graph
+        from repro.streaming.stream import stream_from_graph
+
+        graph = random_max_degree_graph(12, 3, seed=1, fill=0.9)
+
+        def failure(color):
+            entry = AlgorithmEntry(
+                name="broken", summary="always monochromatic",
+                kind="multipass", reference="-",
+                config_cls=DeterministicConfig,
+                factory=lambda n, d, s, c: _Monochrome(n, color, palette=2),
+            )
+            given = plane == "given"
+            spec = RunSpec(algorithm="broken", n=12, delta=3, graph_seed=1,
+                           stream_backend=None if given else plane,
+                           chunk_size=4)
+            with pytest.raises(ReproError) as info:
+                run(spec, stream=stream_from_graph(graph) if given else None,
+                    registry=AlgorithmRegistry([entry]))
+            return type(info.value), str(info.value)
+
+        u, v = graph.edge_list()[0]
+        assert failure(color=1) == (
+            ImproperColoringError,
+            f"improper coloring: adjacent vertices {u} and {v} share color 1",
+        )
+        assert failure(color=3) == (
+            PaletteExceededError,
+            "vertex 0 received color 3 outside palette of size 2",
+        )
+
+    @pytest.mark.parametrize("checkpointed", [False, True])
+    def test_pass_time_includes_finish(self, checkpointed):
+        from repro.persist.driver import ResumableRun
 
         entry = AlgorithmEntry(
-            name="broken", summary="always monochromatic", kind="multipass",
+            name="slow", summary="one pass, slow reduction", kind="multipass",
             reference="-", config_cls=DeterministicConfig,
-            factory=lambda n, d, s, c: _Monochrome(n),
+            factory=lambda n, d, s, c: _SlowFinish(n),
         )
         registry = AlgorithmRegistry([entry])
-        stream = TokenStream([EdgeToken(0, 1)], 4)
-        with pytest.raises(ImproperColoringError):
-            run(RunSpec(algorithm="broken", n=4, delta=1), stream=stream,
-                registry=registry)
+        spec = RunSpec(algorithm="slow", n=8, delta=2, graph_seed=1)
+        if checkpointed:
+            result = ResumableRun(spec, registry=registry).run_to_completion()
+        else:
+            result = run(spec, registry=registry)
+        assert result.passes == 1
+        assert result.extras["pass_wall_times"][0] >= _SlowFinish.SLEEP_S
 
 
     def test_default_stream_is_validated_and_restorable(self):
@@ -191,20 +240,49 @@ class TestRun:
 class _Monochrome:
     """Deliberately improper colorer for the validation test."""
 
-    def __init__(self, n):
+    def __init__(self, n, color=1, palette=None):
         from repro.common.space import SpaceMeter
 
         self.n = n
+        self.color = color
+        self.palette_bound = palette
         self.meter = SpaceMeter()
 
     def color_stream(self, stream):
         for _ in stream.new_pass():
             pass
-        return {v: 1 for v in range(self.n)}
+        return {v: self.color for v in range(self.n)}
 
-    palette_bound = None
     peak_space_bits = 0
     random_bits_used = 0
+
+
+class _SleepyFinish(PassConsumer):
+    def feed(self, item):
+        pass
+
+    def finish(self):
+        time.sleep(_SlowFinish.SLEEP_S)
+
+
+class _SlowFinish(MultipassStreamingAlgorithm):
+    """One pass whose consumer's ``finish()`` sleeps; colors ``v`` as ``v + 1``."""
+
+    SLEEP_S = 0.05
+
+    def __init__(self, n):
+        super().__init__()
+        self.n = n
+
+    def blocks_start(self):
+        self._mach = {"phase": "pass"}
+
+    def blocks_consumer(self):
+        return _SleepyFinish() if self._mach["phase"] == "pass" else None
+
+    def blocks_deliver(self, result, stream):
+        self._mach = {"phase": "done",
+                      "coloring": {v: v + 1 for v in range(self.n)}}
 
 
 class TestRunGame:

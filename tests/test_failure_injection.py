@@ -49,11 +49,13 @@ class TestUnderstatedDelta:
 
 
 LOOP_EDGES = [(0, 1), (1, 2), (2, 2), (2, 3), (3, 0)]
+NEGATIVE_EDGES = [(0, 1), (1, 2), (2, -1), (2, 3), (3, 0)]
 
 
-def loop_outcome(name, plane, validate, tmp_path):
-    """``(type, message)`` of what a run over LOOP_EDGES raises, or None."""
-    tokens = [EdgeToken(u, v) for u, v in LOOP_EDGES]
+def loop_outcome(name, plane, validate, tmp_path, edges=LOOP_EDGES,
+                 catch=ReproError):
+    """``(type, message)`` of what a run over ``edges`` raises, or None."""
+    tokens = [EdgeToken(u, v) for u, v in edges]
     if REGISTRY.get(name).needs_lists:
         tokens = [ListToken(x, frozenset(range(1, 5))) for x in range(4)] + tokens
     stream = TokenStream(tokens, 4)
@@ -66,7 +68,7 @@ def loop_outcome(name, plane, validate, tmp_path):
     spec = RunSpec(algorithm=name, n=4, delta=3, seed=1, validate=validate)
     try:
         run(spec, stream)
-    except ReproError as error:
+    except catch as error:
         return type(error), str(error)
     finally:
         if plane == "file":
@@ -87,6 +89,20 @@ class TestSelfLoop:
         }
         assert outcomes["tokens"] is not None
         assert all(o == outcomes["tokens"] for o in outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("name", REGISTRY.names())
+    def test_negative_endpoint_fails_alike(self, name, tmp_path):
+        # numpy reads vertex -1 as vertex n - 1, so an algorithm may run
+        # through it; validation must still refuse the edge on every plane
+        # (the edge-file writer already refuses it).  The sketch algorithms
+        # fail earlier, with an IndexError, alike on both planes.
+        outcomes = {
+            plane: loop_outcome(name, plane, True, tmp_path, NEGATIVE_EDGES,
+                                catch=(ReproError, IndexError))
+            for plane in ("tokens", "materialized")
+        }
+        assert outcomes["tokens"] is not None
+        assert outcomes["materialized"] == outcomes["tokens"], outcomes
 
 
 class TestBenignAnomalies:

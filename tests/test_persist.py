@@ -274,11 +274,6 @@ class TestSuspendRestoreDifferential:
             )
             assert restored.extras["resumed"] is True
 
-    def test_all_registered_algorithms_support_checkpoint(self):
-        for entry in REGISTRY:
-            algo = entry.create(n=16, delta=3, seed=0)
-            assert getattr(algo, "supports_checkpoint", False), entry.name
-
     def test_list_coloring_with_lists_stream_restores(self, tmp_path):
         # needs_lists uses the materialized (token-backed) plane; the
         # checkpoint must rebuild the identical list assignment from the
@@ -363,11 +358,30 @@ class TestCrashAtEveryBoundary:
 
 
 class TestDriverValidation:
-    def test_tokens_backend_rejected(self):
-        spec = RunSpec(algorithm="naive", n=16, delta=3,
-                       stream_backend="tokens")
-        with pytest.raises(CheckpointError, match="block source"):
-            ResumableRun(spec)
+    @pytest.mark.parametrize(
+        "algorithm", ["deterministic", "robust", "list_coloring", "cgs22"]
+    )
+    def test_tokens_backend_round_trip(self, algorithm, tmp_path,
+                                       monkeypatch):
+        # The tokens plane is one-edge blocks, so it checkpoints at edge
+        # boundaries like any other plane.
+        spec = RunSpec(algorithm=algorithm, n=40, delta=4, seed=2,
+                       graph_seed=2, stream_backend="tokens",
+                       keep_coloring=True, verify=True)
+        reference = run(spec)
+        path = str(tmp_path / "tokens.ck")
+        checkpointed, copies = checkpoint_copies(
+            spec, path, checkpoint_every=25, monkeypatch=monkeypatch
+        )
+        assert strip_volatile(checkpointed) == strip_volatile(reference)
+        assert copies, "run wrote no checkpoints"
+        for index in sorted({0, len(copies) // 2, len(copies) - 1}):
+            with open(path, "wb") as fh:
+                fh.write(copies[index])
+            restored = resume(path)
+            assert strip_volatile(restored) == strip_volatile(reference), (
+                algorithm, index,
+            )
 
     def test_run_entry_point_validates_checkpoint_args(self, tmp_path):
         from repro.common.exceptions import ReproError

@@ -28,7 +28,7 @@ class TestTokens:
 
 class TestTokenStream:
     def test_pass_counting(self):
-        s = TokenStream(edge_tokens([(0, 1)]), n=2)
+        s = TokenStream(edge_tokens([(0, 1)]), n=2).as_source(1)
         assert s.passes_used == 0
         list(s.new_pass())
         list(s.new_pass())
@@ -36,9 +36,10 @@ class TestTokenStream:
 
     def test_pass_replays_same_order(self):
         tokens = edge_tokens([(0, 1), (1, 2), (0, 2)])
-        s = TokenStream(tokens, n=3)
-        assert list(s.new_pass()) == tokens
-        assert list(s.new_pass()) == tokens
+        s = TokenStream(tokens, n=3).as_source(1)
+        one_edge_blocks = [[[t.u, t.v]] for t in tokens]
+        assert [b.tolist() for b in s.new_pass()] == one_edge_blocks
+        assert [b.tolist() for b in s.new_pass()] == one_edge_blocks
 
     def test_rejects_bad_tokens(self):
         with pytest.raises(StreamProtocolError):
@@ -47,12 +48,12 @@ class TestTokenStream:
     def test_edge_count_and_max_degree(self):
         tokens = edge_tokens([(0, 1), (0, 2), (0, 3)])
         tokens.append(ListToken(1, frozenset({1})))
-        s = TokenStream(tokens, n=4)
+        s = TokenStream(tokens, n=4).as_source(1)
         assert s.edge_count() == 3
         assert s.max_degree() == 3
 
     def test_observer_sees_every_token(self):
-        s = TokenStream(edge_tokens([(0, 1), (1, 2)]), n=3)
+        s = TokenStream(edge_tokens([(0, 1), (1, 2)]), n=3).as_source(1)
         seen = []
         s.set_observer(lambda pi, ti: seen.append((pi, ti)))
         list(s.new_pass())
@@ -89,17 +90,39 @@ class TestOnePassInterface:
 
     def test_token_stream_arrives_as_one_edge_blocks(self):
         edges = [(0, 1), (1, 2), (0, 2)]
-        stream = TokenStream(edge_tokens(edges), n=3)
+        source = TokenStream(edge_tokens(edges), n=3).as_source(1)
         algo = BlockRecorder(3)
-        assert algo.color_stream(stream) == {0: 1, 1: 2, 2: 3}
+        assert algo.color_stream(source) == {0: 1, 1: 2, 2: 3}
         assert [block.tolist() for block in algo.blocks] == [
             [list(e)] for e in edges
         ]
         assert all(block.dtype == np.int64 for block in algo.blocks)
-        assert stream.passes_used == 1
+        assert source.passes_used == 1
+        # A token stream handed to color_stream is read the same way.
+        again = BlockRecorder(3)
+        again.color_stream(TokenStream(edge_tokens(edges), n=3))
+        assert [b.tolist() for b in again.blocks] == [
+            b.tolist() for b in algo.blocks
+        ]
         # The same driver reads token streams for multipass algorithms.
         assert (OnePassAlgorithm.color_stream
                 is MultipassStreamingAlgorithm.color_stream)
+
+
+class TestMultipassInterface:
+    @pytest.mark.parametrize(
+        "missing", ["blocks_start", "blocks_consumer", "blocks_deliver"]
+    )
+    def test_pass_machine_is_abstract(self, missing):
+        body = {
+            "blocks_start": lambda self: None,
+            "blocks_consumer": lambda self: None,
+            "blocks_deliver": lambda self, result, stream: None,
+        }
+        del body[missing]
+        partial = type("Partial", (MultipassStreamingAlgorithm,), body)
+        with pytest.raises(TypeError, match=missing):
+            partial()
 
 
 class TestStreamFromGraph:

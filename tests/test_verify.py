@@ -127,7 +127,9 @@ class TestRunCell:
                               seed=2), keep_coloring=True)
         block = run_cell(Cell(algorithm="cgs22", family="bipartite", n=24,
                               seed=2, chunk_size=16), keep_coloring=True)
-        assert token.extras["stream_backend"] == "tokens"
+        # A token stream runs as one-edge materialized blocks.
+        assert token.extras["stream_backend"] == "materialized"
+        assert token.extras["chunk_size"] == 1
         assert block.extras["stream_backend"] == "generator"
         assert token.coloring == block.coloring
 
