@@ -303,3 +303,47 @@ class TestTieBreakGolden:
             json.dumps(record, sort_keys=True).encode()
         ).hexdigest()
         assert digest == self.GOLDEN[seed]
+
+
+class TestPastFirstEpochGolden:
+    """Theorems 1 and 2 pinned past their first epoch, through the engine.
+
+    Each cell runs at n = 256, Δ = 24 under strict verify and needs a
+    second epoch: ``deterministic`` at seed 1 takes 2 epochs and 24 passes
+    (5 epochs under ``greedy_slack``), ``list_coloring`` at seed 3 takes 2
+    epochs and 53 passes.  The digest covers the coloring in vertex order,
+    ``passes``, ``colors_used``, ``peak_space_bits``, ``random_bits`` and
+    ``extras["epochs"]``, so the end-of-epoch commit, the space charged on
+    the way and the final pass are all pinned.  The digests were recorded
+    before the two theorems shared their epoch steps.
+    """
+
+    GOLDEN = {
+        ("deterministic", 1, "greedy_slack"): "da0df973637985496bbe4e283ded9dd42d3818db55cb927479ff93870ce8e596",
+        ("deterministic", 1, "hash_family"): "66691ebe8cb1341a5494a5d21c06372330f7a29142ec932ed97b7bba2b501603",
+        ("list_coloring", 3, "greedy_slack"): "a0e14bcf2a7db6e56eb80c3afa68aab3144ef805166be4cd07037b25a47938f7",
+        ("list_coloring", 3, "hash_family"): "b0a77fb5ecf1529d0344154ac60454158f6e8e39b183a1e6443318f876a34a55",
+    }
+
+    @pytest.mark.parametrize("algorithm,seed,selection", sorted(GOLDEN))
+    def test_fingerprint(self, algorithm, seed, selection):
+        from repro.engine import RunSpec, run
+
+        result = run(RunSpec(
+            algorithm=algorithm, n=256, delta=24, seed=seed,
+            config={"selection": selection}, keep_coloring=True,
+            verify="strict",
+        ))
+        assert result.extras["epochs"] >= 2
+        record = {
+            "coloring": [result.coloring[v] for v in range(result.n)],
+            "passes": result.passes,
+            "colors_used": result.colors_used,
+            "peak_space_bits": result.peak_space_bits,
+            "random_bits": result.random_bits,
+            "epochs": result.extras["epochs"],
+        }
+        digest = hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN[(algorithm, seed, selection)]
