@@ -30,8 +30,14 @@ The run executes on the resumable pass machine of
 coloring, the uncolored set, the subcube PCCs, per-stage slack counters,
 the registered selector, the committed proposals — lives in ``self._mach``
 between passes (and is therefore snapshot-complete for
-``repro.persist``); the intra-pass accumulators live in the three
-consumer classes below, rebuilt by deterministic replay on restore.
+``repro.persist``); the intra-pass accumulators live in the pass
+consumers, rebuilt by deterministic replay on restore.
+
+Theorem 2 (:mod:`repro.core.list_coloring`) is this algorithm with
+partition chains in place of subcubes and reuses the steps written here
+once: the conflict-edge pass (:class:`ConflictEdgeConsumer`), the
+hash-family search (``best_part``/``best_member``), the Turán commit
+(:func:`turan_commit`) and the final pass (:class:`FinalPassConsumer`).
 """
 
 from dataclasses import dataclass, field
@@ -47,12 +53,15 @@ from repro.common.integer_math import (
 )
 from repro.core.selector import SlackWeightedSelector
 from repro.core.subcube import Subcube
+from repro.graph.coloring import coloring_array, complete_partial_coloring
+from repro.graph.csr import dedupe_edges
 from repro.graph.graph import Graph
 from repro.graph.independent_set import turan_independent_set
 from repro.kernels import dispatch
+from repro.streaming.blocks import group_pairs
 from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
-from repro.streaming.tokens import EdgeToken
+from repro.streaming.tokens import EdgeToken, ListToken
 
 
 # Pending-key budget for the block slack pass: flushing the (vertex,
@@ -178,70 +187,73 @@ class _SlackPassConsumer(PassConsumer):
         return {x: slack_matrix[i] for i, x in enumerate(self.members)}
 
 
-class _ConflictEdgesConsumer(PassConsumer):
-    """Stage passes 2-3 and the end-of-epoch F pass: edges inside U whose
-    endpoints share a subcube (its proposal, once the cube is a singleton).
+class ConflictEdgeConsumer(PassConsumer):
+    """The conflict-edge pass of both theorems: the edges ``select`` keeps.
 
-    Returns the conflict edges as a ``(k, 2)`` array, unique and in
+    ``select(u, v)`` maps a block's endpoint columns to a keep mask; each
+    phase builds its own.  Theorem 1 keeps the edges inside U whose
+    endpoints share a subcube (``det_conflict_mask``; at the end of the
+    epoch the subcubes are the proposals); Theorem 2 keeps those whose
+    endpoints share a chain, and in its F pass those with equal proposals.
+
+    Returns the kept edges as a ``(k, 2)`` array, unique and in
     first-occurrence stream order.  The selector's sums are exact, but its
     tie-break is the first minimizer of float64 sums accumulated in edge
     order, so order still matters for the member sums' rounding and the
     part sums' near-tie re-score (:mod:`repro.core.selector`).
     """
 
-    def __init__(self, algo, uncolored, cubes):
-        self.algo = algo
-        _, unc, cube_value = algo._state_arrays({}, uncolored, cubes)
-        self.unc = unc
-        self.cube_value = cube_value
+    def __init__(self, n, select):
+        self.n = n
+        self.select = select
         self.chunks: list = []
 
     def feed(self, item) -> None:
         if not isinstance(item, np.ndarray):
             return
-        u, v = item[:, 0], item[:, 1]
-        sel = dispatch("det_conflict_mask", u, v, self.unc, self.cube_value)
+        sel = self.select(item[:, 0], item[:, 1])
         if sel.any():
             self.chunks.append(item[sel])
 
     def finish(self):
-        from repro.graph.csr import dedupe_edges
-
         if not self.chunks:
             return np.empty((0, 2), dtype=np.int64)
-        return dedupe_edges(
-            self.algo.n, np.concatenate(self.chunks), keep_order=True
-        )
+        return dedupe_edges(self.n, np.concatenate(self.chunks), keep_order=True)
 
 
-class _FinalAdjacencyConsumer(PassConsumer):
-    """The final pass (line 6): every edge incident to U.
+class FinalPassConsumer(PassConsumer):
+    """The final pass of both theorems (lines 6-7): U's edges and lists.
 
-    Gathers the unique directed pairs ``(x, y)`` with ``x`` uncolored,
-    then groups them into adjacency lists with one sort.
+    Keeps every edge incident to U and the first list token of each vertex
+    in U.  ``finish`` groups the unique directed pairs ``(x, y)``, ``x`` in
+    U, with one sort and returns ``(adjacency, stored, lists)``: each
+    vertex's distinct neighbours, the number of pairs stored, and the lists
+    (none on an edge-only stream).
     """
 
-    def __init__(self, algo, uncolored):
-        self.algo = algo
+    def __init__(self, n, uncolored):
+        self.n = n
         self.uncolored = uncolored
-        _, unc = algo._state_arrays({}, uncolored)
-        self.unc = unc
+        self.unc = np.zeros(n, dtype=bool)
+        if uncolored:
+            self.unc[list(uncolored)] = True
+        self.lists: dict[int, set[int]] = {}
         self.chunks: list = []
 
     def feed(self, item) -> None:
-        if not isinstance(item, np.ndarray):
-            return
-        keep = self.unc[item[:, 0]] | self.unc[item[:, 1]]
-        if keep.any():
-            self.chunks.append(item[keep])
+        if isinstance(item, ListToken):
+            if item.x in self.uncolored and item.x not in self.lists:
+                self.lists[item.x] = set(item.colors)
+        elif isinstance(item, np.ndarray):
+            keep = self.unc[item[:, 0]] | self.unc[item[:, 1]]
+            if keep.any():
+                self.chunks.append(item[keep])
 
     def finish(self):
         adjacency: dict[int, list] = {x: [] for x in self.uncolored}
         if not self.chunks:
-            return adjacency, 0
-        from repro.streaming.blocks import group_pairs
-
-        n, unc = self.algo.n, self.unc
+            return adjacency, 0, self.lists
+        n, unc = self.n, self.unc
         arr = np.concatenate(self.chunks)
         fwd = arr[unc[arr[:, 0]]]
         rev = arr[unc[arr[:, 1]]][:, ::-1]
@@ -249,7 +261,25 @@ class _FinalAdjacencyConsumer(PassConsumer):
         keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
         for x, ys in group_pairs(np.stack([keys // n, keys % n], axis=1)):
             adjacency[x] = ys.tolist()
-        return adjacency, len(keys)
+        return adjacency, len(keys), self.lists
+
+
+def turan_commit(chi, uncolored, proposals, conflict_edges) -> None:
+    """The end-of-epoch commit of both theorems (lines 29-33).
+
+    Builds the conflict graph ``(U, F)`` on ``U`` in ascending order, takes
+    its constructive Turán independent set (Lemma 2.1), and commits each
+    chosen vertex's proposal to ``chi``, removing it from ``uncolored``.
+    """
+    members = sorted(uncolored)
+    index = {x: i for i, x in enumerate(members)}
+    conflict_graph = Graph(len(members))
+    for u, v in conflict_edges.tolist():
+        conflict_graph.add_edge(index[u], index[v])
+    for i in turan_independent_set(conflict_graph):
+        x = members[i]
+        chi[x] = proposals[x]
+        uncolored.discard(x)
 
 
 class DeterministicColoring(MultipassStreamingAlgorithm):
@@ -318,9 +348,15 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
                 mach["kk"], mach["members"],
             )
         if phase in ("stage_parts", "stage_members", "epoch_f"):
-            return _ConflictEdgesConsumer(self, mach["uncolored"], mach["cubes"])
+            _, unc, cube_value = self._state_arrays(
+                {}, mach["uncolored"], mach["cubes"]
+            )
+            return ConflictEdgeConsumer(
+                self.n,
+                lambda u, v: dispatch("det_conflict_mask", u, v, unc, cube_value),
+            )
         if phase == "final":
-            return _FinalAdjacencyConsumer(self, mach["uncolored"])
+            return FinalPassConsumer(self.n, mach["uncolored"])
         return None
 
     def blocks_deliver(self, result, stream) -> None:
@@ -329,21 +365,16 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         if phase == "stage_slacks":
             self._deliver_slacks(result, stream)
         elif phase == "stage_parts":
-            selector = mach["selector"]
-            mach["a_star"] = (
-                int(np.argmin(selector.part_sums(result))) if len(result) else 0
-            )
+            mach["a_star"] = mach["selector"].best_part(result)
             mach["phase"] = "stage_members"
         elif phase == "stage_members":
-            selector = mach["selector"]
-            member = selector.member_sums(mach["a_star"], result)
-            b_star = int(np.argmin(member)) if len(result) else 0
+            selector, a_star = mach.pop("selector"), mach["a_star"]
+            b_star = selector.best_member(a_star, result)
             proposals = {
-                x: selector.proposal_for(x, mach["a_star"], b_star)
+                x: selector.proposal_for(x, a_star, b_star)
                 for x in mach["members"]
             }
             self.meter.clear_gauge("part accumulators")
-            del mach["selector"]
             self._tighten_stage(proposals, stream)
             self._machine_advance()
         elif phase == "epoch_f":
@@ -475,23 +506,12 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
     def _deliver_epoch_f(self, conflict_edges) -> None:
         """Lines 29-33: gauge F, commit proposals on a Turán independent set."""
         mach = self._mach
-        n = self.n
-        chi, uncolored = mach["chi"], mach["uncolored"]
-        proposals = mach.pop("proposals")
+        uncolored = mach["uncolored"]
         self.meter.set_gauge(
             "epoch conflict edges F",
-            len(conflict_edges) * 2 * ceil_log2(max(2, n)),
+            len(conflict_edges) * 2 * ceil_log2(max(2, self.n)),
         )
-        members = sorted(uncolored)
-        index = {x: i for i, x in enumerate(members)}
-        conflict_graph = Graph(len(members))
-        for u, v in conflict_edges:
-            conflict_graph.add_edge(index[u], index[v])
-        independent = turan_independent_set(conflict_graph)
-        for i in independent:
-            x = members[i]
-            chi[x] = proposals[x]
-            uncolored.discard(x)
+        turan_commit(mach["chi"], uncolored, mach.pop("proposals"), conflict_edges)
         self.meter.clear_gauge("epoch conflict edges F")
         self.meter.clear_gauge("pcc")
         if self.instrument:
@@ -507,11 +527,17 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         mach["phase"] = "epoch_check"
 
     def _deliver_final(self, result, stream) -> None:
-        """Line 6-7 epilogue: greedy-finish U from its stored adjacency."""
+        """Lines 6-7 epilogue: gauge the stored edges, first-fit U from them."""
         mach = self._mach
-        adjacency, stored = result
+        adjacency, stored, _ = result
         chi, uncolored = mach["chi"], mach["uncolored"]
-        self._finish_greedy(chi, uncolored, adjacency, stored)
+        self.meter.set_gauge("final edges", stored * 2 * ceil_log2(max(2, self.n)))
+        palette = set(range(1, self.delta + 2))
+        complete_partial_coloring(
+            chi, sorted(uncolored), adjacency.__getitem__, lambda _: palette
+        )
+        uncolored.clear()
+        self.meter.clear_gauge("final edges")
         self.stats.passes = stream.passes_used
         self.stats.epochs = mach["epoch"]
         self._mach = {"phase": "done", "coloring": chi}
@@ -519,34 +545,16 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
     # ------------------------------------------------------------------
     # per-pass state arrays (derived per pass; O(n) << O(m) scan cost)
     # ------------------------------------------------------------------
-    def _state_arrays(self, chi, uncolored, cubes=None):
-        from repro.graph.coloring import coloring_array
-
+    def _state_arrays(self, chi, uncolored, cubes):
         n = self.n
         chi_arr = coloring_array(n, chi)  # 0 encodes "uncolored"
         unc = np.zeros(n, dtype=bool)
         if uncolored:
             unc[list(uncolored)] = True
-        if cubes is None:
-            return chi_arr, unc
         cube_value = np.full(n, -1, dtype=np.int64)
         for x, cube in cubes.items():
             cube_value[x] = cube.value
         return chi_arr, unc, cube_value
-
-    def _finish_greedy(self, chi, uncolored, adjacency, stored) -> None:
-        """Final-pass epilogue: gauge the store, first-fit U."""
-        n = self.n
-        self.meter.set_gauge("final edges", stored * 2 * ceil_log2(max(2, n)))
-        palette = set(range(1, self.delta + 2))
-        for x in sorted(uncolored):
-            used_colors = {chi[y] for y in adjacency[x] if chi.get(y) is not None}
-            free = sorted(palette - used_colors)
-            if not free:
-                raise ReproError(f"final pass found no free color for vertex {x}")
-            chi[x] = free[0]
-        uncolored.clear()
-        self.meter.clear_gauge("final edges")
 
     # ------------------------------------------------------------------
     def _measure_potential(self, stream, chi, uncolored, cubes, slacks) -> float:

@@ -35,6 +35,11 @@ As with Algorithm 1, the run executes on the resumable pass machine of
 proposals), the partition-search candidates, the slack counters, and the
 registered selector all live in ``self._mach`` between passes, making
 runs snapshot/restorable at every pass boundary.
+
+The conflict-edge pass (here masked by equal chains, and by equal
+proposals in the F pass), the hash-family search, the Turán commit and the
+final pass are Algorithm 1's, shared from :mod:`repro.core.deterministic`;
+the mass, partition-score, slack, record and mark passes are this module's.
 """
 
 from dataclasses import dataclass, field
@@ -43,12 +48,14 @@ import numpy as np
 
 from repro.common.exceptions import ReproError
 from repro.common.integer_math import ceil_div, ceil_log2, floor_log2
-from repro.core.deterministic import choose_family_prime
+from repro.core.deterministic import (
+    ConflictEdgeConsumer,
+    FinalPassConsumer,
+    choose_family_prime,
+    turan_commit,
+)
 from repro.core.selector import SlackWeightedSelector
-from repro.graph.coloring import coloring_array
-from repro.graph.csr import dedupe_edges
-from repro.graph.graph import Graph
-from repro.graph.independent_set import turan_independent_set
+from repro.graph.coloring import coloring_array, complete_partial_coloring
 from repro.hashing.partitions import PartitionFamily
 from repro.kernels import dispatch
 from repro.streaming.machine import PassConsumer, require_machine
@@ -211,38 +218,6 @@ class _ListSlackConsumer(PassConsumer):
         }
 
 
-class _ChainConflictConsumer(PassConsumer):
-    """Edges inside U whose endpoints share the same chain.
-
-    Returns the edges unique, in first-occurrence stream order, because
-    the selector accumulates float potentials per edge and summation
-    order matters for exact argmin ties.
-    """
-
-    def __init__(self, algo, state):
-        self.algo = algo
-        member_mask, chain_matrix = algo._chain_arrays(state)
-        self.member_mask = member_mask
-        self.chain_matrix = chain_matrix
-        self.chunks: list = []
-
-    def feed(self, item) -> None:
-        if not isinstance(item, np.ndarray):
-            return
-        u, v = item[:, 0], item[:, 1]
-        sel = dispatch(
-            "chain_conflict_mask", u, v, self.member_mask, self.chain_matrix
-        )
-        if sel.any():
-            self.chunks.append(item[sel])
-
-    def finish(self):
-        if not self.chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        return dedupe_edges(self.algo.n, np.concatenate(self.chunks),
-                            keep_order=True)
-
-
 class _RecordConsumer(PassConsumer):
     """Final-stage recording pass: ``P_x ∩ L_x`` explicitly per vertex."""
 
@@ -300,78 +275,6 @@ class _MarkingConsumer(PassConsumer):
             ):
                 unavailable[x].add(color)
         return unavailable
-
-
-class _ProposalConflictConsumer(PassConsumer):
-    """End-of-epoch F pass: edges inside U with equal proposals."""
-
-    def __init__(self, algo, state, proposals):
-        self.algo = algo
-        member_mask, _ = algo._chain_arrays(state)
-        self.member_mask = member_mask
-        prop = np.full(algo.n, -1, dtype=np.int64)
-        for x, proposal in proposals.items():
-            prop[x] = proposal
-        self.prop = prop
-        self.chunks: list = []
-
-    def feed(self, item) -> None:
-        if not isinstance(item, np.ndarray):
-            return
-        u, v = item[:, 0], item[:, 1]
-        sel = (
-            self.member_mask[u]
-            & self.member_mask[v]
-            & (self.prop[u] == self.prop[v])
-        )
-        if sel.any():
-            self.chunks.append(item[sel])
-
-    def finish(self):
-        if not self.chunks:
-            return np.empty((0, 2), dtype=np.int64)
-        return dedupe_edges(self.algo.n, np.concatenate(self.chunks),
-                            keep_order=True)
-
-
-class _ListFinalConsumer(PassConsumer):
-    """Final pass: edges incident to U plus U's list tokens."""
-
-    def __init__(self, algo, uncolored):
-        self.algo = algo
-        self.uncolored = uncolored
-        unc = np.zeros(algo.n, dtype=bool)
-        if uncolored:
-            unc[list(uncolored)] = True
-        self.unc = unc
-        self.lists: dict[int, set[int]] = {}
-        self.pair_chunks: list = []
-
-    def feed(self, item) -> None:
-        if isinstance(item, ListToken):
-            if item.x in self.uncolored and item.x not in self.lists:
-                self.lists[item.x] = set(item.colors)
-        elif isinstance(item, np.ndarray):
-            keep = self.unc[item[:, 0]] | self.unc[item[:, 1]]
-            if keep.any():
-                self.pair_chunks.append(item[keep])
-
-    def finish(self):
-        adjacency: dict[int, set[int]] = {x: set() for x in self.uncolored}
-        if self.pair_chunks:
-            from repro.streaming.blocks import group_pairs
-
-            n, unc = self.algo.n, self.unc
-            arr = np.concatenate(self.pair_chunks)
-            fwd = arr[unc[arr[:, 0]]]
-            rev = arr[unc[arr[:, 1]]][:, ::-1]
-            pairs = np.concatenate([fwd, rev])
-            keys = np.unique(pairs[:, 0] * n + pairs[:, 1])
-            for x, ys in group_pairs(
-                np.stack([keys // n, keys % n], axis=1)
-            ):
-                adjacency[x] = set(ys.tolist())
-        return adjacency, self.lists
 
 
 class DeterministicListColoring(MultipassStreamingAlgorithm):
@@ -457,17 +360,28 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
                 mach["partition_arr"], mach["s"],
             )
         if phase in ("pconf_a", "pconf_b", "fs_conf_a", "fs_conf_b"):
-            return _ChainConflictConsumer(self, mach["state"])
+            member_mask, chain_matrix = self._chain_arrays(mach["state"])
+            return ConflictEdgeConsumer(
+                self.n,
+                lambda u, v: dispatch(
+                    "chain_conflict_mask", u, v, member_mask, chain_matrix
+                ),
+            )
         if phase == "fs_record":
             return _RecordConsumer(self, mach["uncolored"], mach["state"])
         if phase == "fs_mark":
             return _MarkingConsumer(self, mach["chi"], mach["state"])
         if phase == "commit":
-            return _ProposalConflictConsumer(
-                self, mach["state"], mach["state"].proposals
+            member_mask, _ = self._chain_arrays(mach["state"])
+            proposals = mach["state"].proposals
+            prop = np.full(self.n, -1, dtype=np.int64)
+            prop[list(proposals)] = list(proposals.values())
+            return ConflictEdgeConsumer(
+                self.n,
+                lambda u, v: member_mask[u] & member_mask[v] & (prop[u] == prop[v]),
             )
         if phase == "final":
-            return _ListFinalConsumer(self, mach["uncolored"])
+            return FinalPassConsumer(self.n, mach["uncolored"])
         return None
 
     def blocks_deliver(self, result, stream) -> None:
@@ -488,21 +402,16 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
             self._deliver_slacks(result)
             self._machine_advance()
         elif phase == "pconf_a":
-            selector = mach["selector"]
-            mach["a_star"] = (
-                int(np.argmin(selector.part_sums(result))) if len(result) else 0
-            )
+            mach["a_star"] = mach["selector"].best_part(result)
             mach["phase"] = "pconf_b"
         elif phase == "pconf_b":
-            selector = mach["selector"]
-            member = selector.member_sums(mach["a_star"], result)
-            b_star = int(np.argmin(member)) if len(result) else 0
+            selector, a_star = mach.pop("selector"), mach["a_star"]
+            b_star = selector.best_member(a_star, result)
             proposals = {
-                x: selector.proposal_for(x, mach["a_star"], b_star)
+                x: selector.proposal_for(x, a_star, b_star)
                 for x in mach["state"].members
             }
             self.meter.clear_gauge("part accumulators")
-            del mach["selector"]
             self._tighten_stage(proposals)
             self._machine_advance()
         elif phase == "fs_record":
@@ -516,25 +425,20 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         elif phase == "fs_mark":
             self._deliver_marking(result)
         elif phase == "fs_conf_a":
-            selector = mach["selector"]
-            mach["a_star"] = (
-                int(np.argmin(selector.part_sums(result))) if len(result) else 0
-            )
+            mach["a_star"] = mach["selector"].best_part(result)
             mach["phase"] = "fs_conf_b"
         elif phase == "fs_conf_b":
-            selector = mach["selector"]
-            member = selector.member_sums(mach["a_star"], result)
-            b_star = int(np.argmin(member)) if len(result) else 0
+            selector, a_star = mach.pop("selector"), mach["a_star"]
+            b_star = selector.best_member(a_star, result)
             state = mach["state"]
             state.proposals = {
-                x: selector.proposal_for(x, mach["a_star"], b_star)
+                x: selector.proposal_for(x, a_star, b_star)
                 for x in state.members
             }
-            del mach["selector"]
             self.meter.clear_gauge("final-stage candidates")
             mach["phase"] = "commit"
         elif phase == "commit":
-            self._deliver_commit(result.tolist())
+            self._deliver_commit(result)
             self._machine_advance()
         elif phase == "final":
             self._deliver_final(result, stream)
@@ -714,27 +618,33 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
     def _deliver_commit(self, conflict_edges) -> None:
         """End-of-epoch: Turán-commit an independent set of (U, F)."""
         mach = self._mach
-        state = mach["state"]
-        chi, uncolored = mach["chi"], mach["uncolored"]
-        proposals = state.proposals
-        members = state.members
-        index = {x: i for i, x in enumerate(members)}
-        conflict_graph = Graph(len(members))
-        for u, v in conflict_edges:
-            conflict_graph.add_edge(index[u], index[v])
-        for i in turan_independent_set(conflict_graph):
-            x = members[i]
-            chi[x] = proposals[x]
-            uncolored.discard(x)
+        proposals = mach.pop("state").proposals
+        turan_commit(mach["chi"], mach["uncolored"], proposals, conflict_edges)
         self.meter.clear_gauge("pcc chains")
-        del mach["state"]
         mach["phase"] = "epoch_check"
 
     def _deliver_final(self, result, stream) -> None:
+        """Final pass: gauge the stored edges and lists, first-fit U from
+        the lists."""
         mach = self._mach
-        adjacency, lists = result
+        adjacency, stored, lists = result
         chi, uncolored = mach["chi"], mach["uncolored"]
-        self._finish_greedy(chi, uncolored, adjacency, lists)
+        self.meter.set_gauge(
+            "final edges+lists",
+            stored * 2 * ceil_log2(max(2, self.n))
+            + sum(len(l) for l in lists.values()) * ceil_log2(max(2, self.universe)),
+        )
+
+        def allowed(x):
+            if x not in lists:
+                raise ReproError(f"stream never provided a list for vertex {x}")
+            return lists[x]
+
+        complete_partial_coloring(
+            chi, sorted(uncolored), adjacency.__getitem__, allowed
+        )
+        uncolored.clear()
+        self.meter.clear_gauge("final edges+lists")
         if mach["epoch"] is not None:
             self.stats.passes = stream.passes_used
             self.stats.epochs = mach["epoch"]
@@ -784,22 +694,3 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
     def _materialize(self, family, key) -> np.ndarray:
         """Color -> class array for the chosen partition (index 1..universe)."""
         return family.class_array(*key)
-
-    def _finish_greedy(self, chi, uncolored, adjacency, lists) -> None:
-        """Final-pass epilogue: gauge the store, first-fit from lists."""
-        stored = sum(len(a) for a in adjacency.values())
-        self.meter.set_gauge(
-            "final edges+lists",
-            stored * 2 * ceil_log2(max(2, self.n))
-            + sum(len(l) for l in lists.values()) * ceil_log2(max(2, self.universe)),
-        )
-        for x in sorted(uncolored):
-            if x not in lists:
-                raise ReproError(f"stream never provided a list for vertex {x}")
-            used_colors = {chi[y] for y in adjacency[x] if chi.get(y) is not None}
-            free = sorted(lists[x] - used_colors)
-            if not free:
-                raise ReproError(f"no free list color for vertex {x}")
-            chi[x] = free[0]
-        uncolored.clear()
-        self.meter.clear_gauge("final edges+lists")

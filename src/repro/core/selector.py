@@ -49,9 +49,10 @@ on a shared candidate ``c`` exactly when ``h(u)`` lies in ``u``'s block
   shared candidate form ``(A_c - a u) ∩ (B_c - a v)``, at most four
   linear intervals on ``Z_p``.
 
-**Tie-break contract.**  Callers take ``argmin`` of either array, so both
-must reproduce the historical selection bit for bit: *the first minimizer
-of float64 sums accumulated edge by edge, in the order of
+**Tie-break contract.**  :meth:`SlackWeightedSelector.best_part` and
+:meth:`~SlackWeightedSelector.best_member` take the ``argmin`` of either
+array, so both must reproduce the historical selection bit for bit: *the
+first minimizer of float64 sums accumulated edge by edge, in the order of
 ``conflict_edges``*.  Exact arithmetic alone does not give that — exact
 ties (and float ties of exactly unequal sums) are broken by rounding.
 ``member_sums`` performs the very same float additions in the very same
@@ -368,32 +369,26 @@ class SlackWeightedSelector:
             phi[lo:hi] += w
         return phi
 
-    def choose(self, conflict_edges) -> tuple[int, int]:
-        """Run the two-level search and return the selected ``(a*, b*)``."""
+    def best_part(self, conflict_edges) -> int:
+        """Pass 2's choice ``a*``: the first minimizer of :meth:`part_sums`.
+
+        Without conflict edges every member has potential 0, so it is 0.
+        """
         if len(conflict_edges) == 0:
-            return (0, 0)  # any member works; nothing to optimize
-        parts = self.part_sums(conflict_edges)
-        a_star = int(np.argmin(parts))
-        members = self.member_sums(a_star, conflict_edges)
-        b_star = int(np.argmin(members))
-        return (a_star, b_star)
+            return 0
+        return int(np.argmin(self.part_sums(conflict_edges)))
+
+    def best_member(self, a: int, conflict_edges) -> int:
+        """Pass 3's choice ``b*`` in part ``a``: the first minimizer of
+        :meth:`member_sums`, or 0 without conflict edges."""
+        if len(conflict_edges) == 0:
+            return 0
+        return int(np.argmin(self.member_sums(a, conflict_edges)))
 
     def proposal_for(self, x: int, a: int, b: int) -> int:
         """The cid vertex ``x`` adopts under ``h_{a,b}``: ``g_w(x, h(x))``."""
         t = (a * x + b) % self.p
         return self._blocks[x].cid_of_slot(t)
-
-    def greedy_proposals(self) -> dict[int, int]:
-        """Fast heuristic mode: every vertex takes its max-slack candidate.
-
-        Deterministic and preserves the positive-slack invariant, but
-        without the averaging guarantee of Lemma 3.5 (used by the A1
-        ablation and large-n smoke runs; see DESIGN.md section 3).
-        """
-        out = {}
-        for x, blk in self._blocks.items():
-            out[x] = int(blk.cids[int(np.argmax(blk.slacks))])
-        return out
 
     # ------------------------------------------------------------------
     # space accounting helpers

@@ -21,11 +21,12 @@ import numpy as np
 from repro.common.exceptions import (
     ImproperColoringError,
     ListViolationError,
+    PaletteExceededError,
     ReproError,
 )
 from repro.engine.registry import REGISTRY, AlgorithmRegistry
 from repro.engine.result import ColoringResult
-from repro.graph.coloring import num_colors_used, validate_coloring_blocks
+from repro.graph.coloring import num_colors_used
 from repro.graph.graph import Graph
 from repro.kernels import kernel_total_hits
 from repro.streaming.model import block_source
@@ -380,9 +381,9 @@ def _check_output(spec: RunSpec, stream, coloring, palette_bound, entry) -> bool
     witness, and checks list membership for ``needs_lists`` entries.
     Returns measured properness when ``spec.validate`` is false.
     """
-    from repro.graph.coloring import coloring_array, first_monochromatic
+    from repro.graph.coloring import coloring_and_unset, first_monochromatic
 
-    colors = coloring_array(stream.n, coloring)
+    colors, unset = coloring_and_unset(stream.n, coloring)
     witness = None
     edge_total = 0
     lists: dict[int, frozenset] = {}
@@ -397,16 +398,18 @@ def _check_output(spec: RunSpec, stream, coloring, palette_bound, entry) -> bool
         ):
             _reject_bad_edge(stream.n, item)
         if witness is None:
-            witness = first_monochromatic(colors, item)
+            witness = first_monochromatic(colors, unset, item)
     stream.note_edge_count(edge_total)
     if not spec.validate:
-        return witness is None and bool((colors != 0).all())
-    validate_coloring_blocks(
-        stream.n,
-        np.empty((0, 2), dtype=np.int64),
-        coloring,
-        palette_size=palette_bound if entry.enforce_palette else None,
-    )  # totality + palette; the sweep above checked the edges
+        return witness is None and not unset.any()
+    missing = np.flatnonzero(unset)
+    if len(missing):
+        raise ReproError(f"vertex {int(missing[0])} left uncolored")
+    if entry.enforce_palette and palette_bound is not None:
+        out = np.flatnonzero(~unset & ((colors < 1) | (colors > palette_bound)))
+        if len(out):
+            v = int(out[0])
+            raise PaletteExceededError(v, int(colors[v]), palette_bound)
     if witness is not None:
         raise ImproperColoringError(*witness)
     if entry.needs_lists and lists:

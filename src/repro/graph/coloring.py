@@ -85,24 +85,20 @@ def greedy_list_coloring(graph: Graph, lists: dict[int, set[int]], order=None):
     return coloring
 
 
-def complete_partial_coloring(
-    graph: Graph,
-    coloring: dict[int, int],
-    uncolored,
-    lists: dict[int, set[int]],
-) -> None:
-    """Extend a proper partial coloring greedily over ``uncolored``, in place.
+def complete_partial_coloring(coloring: dict[int, int], order, neighbors, allowed) -> None:
+    """Extend a proper partial coloring first-fit over ``order``, in place.
 
-    This is the final pass of Algorithm 1 (line 7): every uncolored vertex
-    picks a color from its list that no neighbor uses.  Succeeds whenever
-    ``|L_v| >= deg(v) + 1``.
+    The final pass of Theorems 1 and 2 (Algorithm 1, line 7): each vertex
+    ``v`` in ``order`` takes the smallest color of the set ``allowed(v)``
+    (``[Delta+1]`` for Theorem 1, ``L_v`` for Theorem 2) that none of
+    ``neighbors(v)`` holds.  Succeeds whenever ``|allowed(v)| >= deg(v) + 1``.
     """
-    for v in uncolored:
-        used = {coloring[w] for w in graph.neighbors(v) if coloring.get(w) is not None}
-        free = sorted(lists[v] - used)
+    for v in order:
+        used = {coloring[w] for w in neighbors(v) if coloring.get(w) is not None}
+        free = allowed(v) - used
         if not free:
-            raise ReproError(f"cannot complete coloring at vertex {v}")
-        coloring[v] = free[0]
+            raise ReproError(f"final pass found no free color for vertex {v}")
+        coloring[v] = min(free)
 
 
 def is_proper_coloring(graph: Graph, coloring: dict[int, int]) -> bool:
@@ -178,52 +174,40 @@ def coloring_array(n: int, coloring: dict[int, int]):
     return colors
 
 
-def first_monochromatic(colors, edges):
+def coloring_and_unset(n: int, coloring: dict[int, int]):
+    """``(colors, unset)``: :func:`coloring_array` and the mask of the
+    vertices that have no color (missing or ``None``).
+
+    The array's 0 stands both for "no color" and for color 0, which is
+    outside every palette but still a color; the dict tells the two apart,
+    looked up at the zeros only.
+    """
+    import numpy as np
+
+    colors = coloring_array(n, coloring)
+    unset = colors == 0
+    zeros = np.flatnonzero(unset)
+    if len(zeros):
+        unset[zeros] = [coloring.get(v) is None for v in zeros.tolist()]
+    return colors, unset
+
+
+def first_monochromatic(colors, unset, edges):
     """First edge of the ``(k, 2)`` array violated by ``colors``, or None.
 
-    ``colors`` is a :func:`coloring_array`; 0 (unset) never conflicts.
-    Any other equal pair is a violation — including out-of-domain
-    non-positive colors, matching :func:`validate_coloring`'s
-    ``is not None`` test.
+    ``colors`` and ``unset`` come from :func:`coloring_and_unset`.  Two
+    adjacent vertices with equal colors are a violation unless one of them
+    has no color, matching :func:`validate_coloring`'s ``is not None``
+    test, so out-of-domain colors such as 0 conflict too.
     """
     import numpy as np
 
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     cu = colors[edges[:, 0]]
-    cv = colors[edges[:, 1]]
-    bad = np.flatnonzero((cu != 0) & (cu == cv))
-    if len(bad):
-        i = int(bad[0])
+    same = np.flatnonzero(cu == colors[edges[:, 1]])
+    if len(same):
+        same = same[~(unset[edges[same, 0]] | unset[edges[same, 1]])]
+    if len(same):
+        i = int(same[0])
         return int(edges[i, 0]), int(edges[i, 1]), int(cu[i])
     return None
-
-
-def validate_coloring_blocks(
-    n: int,
-    edges,
-    coloring: dict[int, int],
-    palette_size=None,
-    require_total=True,
-) -> None:
-    """Vectorized :func:`validate_coloring` over an ``(m, 2)`` edge array.
-
-    Raises the same exceptions with the same witnesses (first violation in
-    vertex/edge order) without materializing a :class:`Graph`.  List
-    constraints are not supported here — list-coloring runs validate
-    through :func:`validate_coloring` on the reconstructed graph.
-    """
-    import numpy as np
-
-    colors = coloring_array(n, coloring)
-    if require_total:
-        unset = np.flatnonzero(colors == 0)
-        if len(unset):
-            raise ReproError(f"vertex {int(unset[0])} left uncolored")
-    witness = first_monochromatic(colors, edges)
-    if witness is not None:
-        raise ImproperColoringError(*witness)
-    if palette_size is not None:
-        out = np.flatnonzero((colors != 0) & ((colors < 1) | (colors > palette_size)))
-        if len(out):
-            v = int(out[0])
-            raise PaletteExceededError(v, int(colors[v]), palette_size)

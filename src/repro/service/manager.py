@@ -248,9 +248,6 @@ class SessionManager:
     def _count(self) -> int:
         return len(self._resident) + len(self._evicted)
 
-    def session_ids(self) -> list[str]:
-        return sorted(set(self._resident) | set(self._evicted))
-
     def _touch(self, sid: str) -> None:
         self._tick += 1
         self._recency[sid] = self._tick

@@ -94,7 +94,6 @@ class PoolConfig:
     worker_max_resident: int = 64
     #: Shared directory for migration snapshots (a temp dir when None).
     checkpoint_dir: str | None = None
-    start_method: str = "spawn"
     #: Respawn a replacement into a crashed worker's slot.
     respawn: bool = True
 
@@ -382,7 +381,8 @@ class WorkerPool:
         pool._loop = asyncio.get_running_loop()
         import multiprocessing
 
-        pool._ctx = multiprocessing.get_context(pool.config.start_method)
+        # spawn, not fork: a worker must not inherit the dispatcher's loop.
+        pool._ctx = multiprocessing.get_context("spawn")
         pool._workers = [None] * pool.config.workers
         spawns = [asyncio.ensure_future(pool._spawn_worker(i))
                   for i in range(pool.config.workers)]

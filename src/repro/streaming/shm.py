@@ -164,10 +164,6 @@ class EdgeRing:
     def used_bytes(self) -> int:
         return self._used
 
-    @property
-    def live_slots(self) -> int:
-        return sum(1 for kind, _, _ in self._live if kind == "blk")
-
     def max_rows(self) -> int:
         """Largest single block the ring can ever hold."""
         return self.capacity // EDGE_BYTES

@@ -163,19 +163,20 @@ class TestRun:
     def test_validation_catches_improper_output(self, plane):
         # A bad output fails the same way on every plane: the palette is
         # checked before properness, and the improper witness is the
-        # first monochromatic edge in stream order.  "given" hands run()
+        # first monochromatic edge in stream order.  Color 0 is a color
+        # (outside every palette), not a missing one.  "given" hands run()
         # the token stream the tokens plane would build.
         from repro.graph.generators import random_max_degree_graph
         from repro.streaming.stream import stream_from_graph
 
         graph = random_max_degree_graph(12, 3, seed=1, fill=0.9)
 
-        def failure(color):
+        def failure(color, palette=2):
             entry = AlgorithmEntry(
                 name="broken", summary="always monochromatic",
                 kind="multipass", reference="-",
                 config_cls=DeterministicConfig,
-                factory=lambda n, d, s, c: _Monochrome(n, color, palette=2),
+                factory=lambda n, d, s, c: _Monochrome(n, color, palette),
             )
             given = plane == "given"
             spec = RunSpec(algorithm="broken", n=12, delta=3, graph_seed=1,
@@ -194,6 +195,14 @@ class TestRun:
         assert failure(color=3) == (
             PaletteExceededError,
             "vertex 0 received color 3 outside palette of size 2",
+        )
+        assert failure(color=0) == (
+            PaletteExceededError,
+            "vertex 0 received color 0 outside palette of size 2",
+        )
+        assert failure(color=0, palette=None) == (
+            ImproperColoringError,
+            f"improper coloring: adjacent vertices {u} and {v} share color 0",
         )
 
     @pytest.mark.parametrize("checkpointed", [False, True])

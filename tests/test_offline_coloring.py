@@ -105,15 +105,21 @@ class TestCompletePartial:
         g = cycle_graph(5)
         coloring = {0: 1, 1: 2}
         lists = {v: set(range(1, g.degree(v) + 2)) for v in range(g.n)}
-        complete_partial_coloring(g, coloring, [2, 3, 4], lists)
+        complete_partial_coloring(coloring, [2, 3, 4], g.neighbors, lists.get)
         assert is_proper_coloring(g, coloring)
         assert all(coloring.get(v) is not None for v in range(5))
 
     def test_respects_existing_colors(self):
         g = Graph(2, edges=[(0, 1)])
         coloring = {0: 1}
-        complete_partial_coloring(g, coloring, [1], {1: {1, 2}})
+        complete_partial_coloring(coloring, [1], g.neighbors, {1: {1, 2}}.get)
         assert coloring[1] == 2
+
+    def test_no_free_color_raises(self):
+        g = Graph(2, edges=[(0, 1)])
+        coloring = {0: 1}
+        with pytest.raises(ReproError, match="no free color for vertex 1"):
+            complete_partial_coloring(coloring, [1], g.neighbors, lambda _: {1})
 
 
 class TestValidation:

@@ -236,10 +236,12 @@ class TestFamilySearch:
         )
 
     def test_choose_picks_below_average(self):
-        """The selected h* must have potential <= family average."""
+        """Lemma 3.5: the h* that best_part and best_member choose has
+        potential <= family average."""
         sel = self._two_vertex_setup()
         edges = [(3, 7)]
-        a_star, b_star = sel.choose(edges)
+        a_star = sel.best_part(edges)
+        b_star = sel.best_member(a_star, edges)
         chosen = brute_force_phi(sel, edges, a_star, b_star)
         total = sel.part_sums(edges).sum()
         average = total / (sel.p * sel.p)
@@ -247,7 +249,9 @@ class TestFamilySearch:
 
     def test_choose_without_conflicts(self):
         sel = self._two_vertex_setup()
-        assert sel.choose([]) == (0, 0)
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert sel.best_part(empty) == 0
+        assert sel.best_member(17, empty) == 0
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
@@ -260,16 +264,11 @@ class TestFamilySearch:
                 vertices[x][rng.integers(0, 4)] = 1
         sel = make_selector(p, 12, 4, vertices)
         edges = [(0, 1), (2, 3), (4, 5), (0, 5)]
-        a_star, b_star = sel.choose(edges)
+        a_star = sel.best_part(edges)
+        b_star = sel.best_member(a_star, edges)
         chosen = brute_force_phi(sel, edges, a_star, b_star)
         average = sel.part_sums(edges).sum() / (p * p)
         assert chosen <= average + 1e-9
-
-    def test_greedy_proposals(self):
-        sel = self._two_vertex_setup()
-        greedy = sel.greedy_proposals()
-        assert greedy[3] == 2  # argmax slack of [2,1,3,1]
-        assert greedy[7] == 3
 
     def test_accumulator_bits_positive(self):
         sel = self._two_vertex_setup()
