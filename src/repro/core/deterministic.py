@@ -36,8 +36,9 @@ consumers, rebuilt by deterministic replay on restore.
 Theorem 2 (:mod:`repro.core.list_coloring`) is this algorithm with
 partition chains in place of subcubes and reuses the steps written here
 once: the conflict-edge pass (:class:`ConflictEdgeConsumer`), the
-hash-family search (``best_part``/``best_member``), the Turán commit
-(:func:`turan_commit`) and the final pass (:class:`FinalPassConsumer`).
+hash-family search (:func:`family_selector`, ``best_part`` and
+:func:`family_proposals`), the Turán commit (:func:`turan_commit`) and the
+final pass (:class:`FinalPassConsumer`).
 """
 
 from dataclasses import dataclass, field
@@ -119,6 +120,28 @@ def choose_family_prime(n: int, policy: str, override=None) -> int:
     if policy == "scaled":
         return next_prime(max(2 * n + 1, 17))
     raise ReproError(f"unknown prime policy {policy!r}")
+
+
+def family_selector(algo, cid_space, members, cids, slacks) -> SlackWeightedSelector:
+    """The family search's set-up in both theorems (Algorithm 1, line 16).
+
+    Picks ``algo``'s Carter-Wegman prime, builds the selector and
+    registers every member's g_w blocks in one batch: ``slacks`` has one
+    row per member, a zero slack padding a short row, and ``cids`` is
+    either such rows or one row that every member shares.
+    """
+    p = choose_family_prime(algo.n, algo.prime_policy, algo.prime_override)
+    selector = SlackWeightedSelector(p, algo.n, cid_space)
+    selector.register_vertex(members, np.broadcast_to(cids, np.shape(slacks)), slacks)
+    return selector
+
+
+def family_proposals(selector, a_star, conflict_edges, members) -> dict:
+    """Pass 3's pick ``b*`` in part ``a*`` and each member's proposal
+    ``g_w(x, h_{a*, b*}(x))``, as a dict in member order."""
+    b_star = selector.best_member(a_star, conflict_edges)
+    cids = selector.proposal_for(members, a_star, b_star)
+    return dict(zip(members, cids.tolist()))
 
 
 class _SlackPassConsumer(PassConsumer):
@@ -368,12 +391,9 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
             mach["a_star"] = mach["selector"].best_part(result)
             mach["phase"] = "stage_members"
         elif phase == "stage_members":
-            selector, a_star = mach.pop("selector"), mach["a_star"]
-            b_star = selector.best_member(a_star, result)
-            proposals = {
-                x: selector.proposal_for(x, a_star, b_star)
-                for x in mach["members"]
-            }
+            proposals = family_proposals(
+                mach.pop("selector"), mach["a_star"], result, mach["members"]
+            )
             self.meter.clear_gauge("part accumulators")
             self._tighten_stage(proposals, stream)
             self._machine_advance()
@@ -462,10 +482,10 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
             self._tighten_stage(proposals, stream)
             self._machine_advance()
             return
-        p = choose_family_prime(self.n, self.prime_policy, self.prime_override)
-        selector = SlackWeightedSelector(p, self.n, cid_space=1 << mach["kk"])
-        for x in mach["members"]:
-            selector.register_vertex(x, np.arange(1 << mach["kk"]), slacks[x])
+        members, s = mach["members"], 1 << mach["kk"]
+        selector = family_selector(
+            self, s, members, np.arange(s), np.array([slacks[x] for x in members])
+        )
         self.meter.set_gauge("part accumulators", selector.accumulator_bits())
         mach["selector"] = selector
         mach["slacks"] = slacks

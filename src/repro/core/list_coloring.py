@@ -51,10 +51,10 @@ from repro.common.integer_math import ceil_div, ceil_log2, floor_log2
 from repro.core.deterministic import (
     ConflictEdgeConsumer,
     FinalPassConsumer,
-    choose_family_prime,
+    family_proposals,
+    family_selector,
     turan_commit,
 )
-from repro.core.selector import SlackWeightedSelector
 from repro.graph.coloring import coloring_array, complete_partial_coloring
 from repro.hashing.partitions import PartitionFamily
 from repro.kernels import dispatch
@@ -405,12 +405,10 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
             mach["a_star"] = mach["selector"].best_part(result)
             mach["phase"] = "pconf_b"
         elif phase == "pconf_b":
-            selector, a_star = mach.pop("selector"), mach["a_star"]
-            b_star = selector.best_member(a_star, result)
-            proposals = {
-                x: selector.proposal_for(x, a_star, b_star)
-                for x in mach["state"].members
-            }
+            proposals = family_proposals(
+                mach.pop("selector"), mach["a_star"], result,
+                mach["state"].members,
+            )
             self.meter.clear_gauge("part accumulators")
             self._tighten_stage(proposals)
             self._machine_advance()
@@ -428,13 +426,10 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
             mach["a_star"] = mach["selector"].best_part(result)
             mach["phase"] = "fs_conf_b"
         elif phase == "fs_conf_b":
-            selector, a_star = mach.pop("selector"), mach["a_star"]
-            b_star = selector.best_member(a_star, result)
             state = mach["state"]
-            state.proposals = {
-                x: selector.proposal_for(x, a_star, b_star)
-                for x in state.members
-            }
+            state.proposals = family_proposals(
+                mach.pop("selector"), mach["a_star"], result, state.members
+            )
             self.meter.clear_gauge("final-stage candidates")
             mach["phase"] = "commit"
         elif phase == "commit":
@@ -564,10 +559,10 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         if self.selection == "greedy_slack":
             self._tighten_stage({x: int(np.argmax(slacks[x])) for x in members})
             return
-        p = choose_family_prime(self.n, self.prime_policy, self.prime_override)
-        selector = SlackWeightedSelector(p, self.n, cid_space=mach["s"])
-        for x in members:
-            selector.register_vertex(x, np.arange(mach["s"]), slacks[x])
+        s = mach["s"]
+        selector = family_selector(
+            self, s, members, np.arange(s), np.array([slacks[x] for x in members])
+        )
         self.meter.set_gauge("part accumulators", selector.accumulator_bits())
         mach["selector"] = selector
         mach["phase"] = "pconf_a"
@@ -608,11 +603,14 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
             self.meter.clear_gauge("final-stage candidates")
             mach["phase"] = "commit"
             return
-        p = choose_family_prime(self.n, self.prime_policy, self.prime_override)
-        selector = SlackWeightedSelector(p, self.n, cid_space=self.universe + 1)
-        for x in members:
-            selector.register_vertex(x, avail[x], [1] * len(avail[x]))
-        mach["selector"] = selector
+        # One row per member, its colors at slack 1 and zero-slack padding.
+        sizes = np.array([len(avail[x]) for x in members])
+        listed = np.arange(sizes.max()) < sizes[:, None]
+        cids = np.zeros(listed.shape, dtype=np.int64)
+        cids[listed] = [c for x in members for c in avail[x]]
+        mach["selector"] = family_selector(
+            self, self.universe + 1, members, cids, listed.astype(np.int64)
+        )
         mach["phase"] = "fs_conf_a"
 
     def _deliver_commit(self, conflict_edges) -> None:

@@ -16,7 +16,9 @@ This module implements the heart of Algorithm 1's stage (lines 13-27):
    candidate is guaranteed at least one slot and leftover slots go to the
    last positive candidate, so the map is total even when the caller uses a
    smaller-than-paper prime; this preserves the crucial invariant that only
-   positive-slack candidates can be selected (Lemma 3.6).
+   positive-slack candidates can be selected (Lemma 3.6).  A stage builds
+   every member's blocks in one batch of array operations that make, row
+   by row, the float operations of the per-vertex construction.
 
 3. The Carter-Wegman family ``H = {x -> ax+b mod p}`` is searched for a
    member ``h*`` whose induced proposal assignment has (near-)minimal
@@ -37,17 +39,19 @@ on a shared candidate ``c`` exactly when ``h(u)`` lies in ``u``'s block
   fixed, so the sum over ``b`` is the cyclic overlap profile
   ``S_δ[d] = sum_c W_c |A_c ∩ (B_c - d)|`` read at ``d = a δ``.  Each
   overlap is a trapezoid in ``d`` with four second-difference impulses, so
-  a group's profile follows from its sorted impulses and its closed-form
-  values at ``d = p - 1`` and ``d = p - 2`` with one width-``p``
-  cumulative sum; a discrete-log table turns the read at ``a δ mod p``
-  into a shifted read of one shared index.  The weights ``1/s_u + 1/s_v``
-  are scaled by the lcm ``L`` of the slacks involved, so this runs in
-  exact int64 (in Python integers when ``2 L p |E_U|`` would reach
-  ``2^62``).
-- **Member sums**, ``Θ(|E_U| 2^k)`` interval arithmetic plus one slice
-  add per colliding interval: for fixed ``a`` the colliding ``b`` of one
-  shared candidate form ``(A_c - a u) ∩ (B_c - a v)``, at most four
-  linear intervals on ``Z_p``.
+  a group's profile is linear between its sorted impulses: the impulses
+  and the closed-form values at ``d = p - 1`` and ``p - 2`` give each
+  segment's slope, one short cumulative sum over segments gives each
+  segment's start value, and the profile is written directly as
+  ``S[at] + slope (d - at)``, with no width-``p`` running sum.  A
+  discrete-log table turns the read at ``a δ mod p`` into a shifted read
+  of one shared index.  The weights ``1/s_u + 1/s_v`` are scaled by the
+  lcm ``L`` of the slacks involved, so this runs in exact int64 (in
+  Python integers when ``2 L p |E_U|`` would reach ``2^62``).
+- **Member sums**, ``Θ(|E_U| 2^k + p)``: for fixed ``a`` the colliding
+  ``b`` of one shared candidate form ``(A_c - a u) ∩ (B_c - a v)``, at
+  most four linear intervals on ``Z_p``; the exact scaled sums over all
+  ``b`` take one difference array and one cumulative sum.
 
 **Tie-break contract.**  :meth:`SlackWeightedSelector.best_part` and
 :meth:`~SlackWeightedSelector.best_member` take the ``argmin`` of either
@@ -55,15 +59,13 @@ array, so both must reproduce the historical selection bit for bit: *the
 first minimizer of float64 sums accumulated edge by edge, in the order of
 ``conflict_edges``*.  Exact arithmetic alone does not give that — exact
 ties (and float ties of exactly unequal sums) are broken by rounding.
-``member_sums`` performs the very same float additions in the very same
-order, so its array is bit-identical.  ``part_sums`` returns the exact sums
-as floats, except that every part whose exact sum lies within the proven
-float-error band of the exact minimum — every term is nonnegative, so the
-historical accumulation has relative error at most ``γ_m``,
-``m = |E_U| + 2^k + O(1)`` — is re-scored with the historical per-edge
-formula in edge order; parts outside the band cannot be the float
-minimizer.  Edge order therefore matters only for that re-score and for
-the member sums' rounding.
+Both sums therefore return the exact sums as floats, except that every
+entry whose exact sum lies within the proven float-error band of the
+exact minimum — every term is nonnegative, so the historical
+accumulation has relative error at most ``γ_m``, with ``m = |E_U| +
+O(2^k)`` roundings on any term's path — is re-scored with the historical
+per-edge formula in edge order; entries outside the band cannot be the
+float minimizer.  Edge order therefore matters only for that re-score.
 
 Candidates are identified by *canonical ids* (cids) shared across vertices,
 so that ``cid_u == cid_v`` means "the two proposals land in the same color
@@ -87,21 +89,21 @@ _INT64_LIMIT = 2**62
 
 
 class VertexBlocks:
-    """The g_w map for one vertex: cids, slacks, and slot-block boundaries."""
+    """The g_w map for one vertex: cids, slacks, and slot-block boundaries.
+
+    Candidate ``cids[i]`` (slack ``slacks[i]``) owns the slots
+    ``[cum[i], cum[i + 1])``, ``sizes[i]`` of them; ``cum`` runs from 0 to
+    ``p``.
+    """
 
     __slots__ = ("cids", "slacks", "sizes", "cum")
 
-    def __init__(self, cids: np.ndarray, slacks: np.ndarray, sizes: np.ndarray):
+    def __init__(self, cids: np.ndarray, slacks: np.ndarray, sizes: np.ndarray,
+                 cum: np.ndarray):
         self.cids = cids
         self.slacks = slacks
         self.sizes = sizes
-        self.cum = np.concatenate(([0], np.cumsum(sizes)))
-
-    def cid_of_slot(self, t: int) -> int:
-        """The candidate owning slot ``t`` (g_w(x, t))."""
-        idx = int(np.searchsorted(self.cum, t, side="right")) - 1
-        idx = min(idx, len(self.cids) - 1)
-        return int(self.cids[idx])
+        self.cum = cum
 
 
 class _Packed(NamedTuple):
@@ -117,6 +119,7 @@ class _Packed(NamedTuple):
     keys: np.ndarray  # sorted (pack row * width + cid)
     key_order: np.ndarray  # keys[i] belongs to flat candidate key_order[i]
     width: int
+    slot_keys: np.ndarray  # flat candidate -> pack row * p + lo, ascending
 
 
 class _SharedBlocks(NamedTuple):
@@ -147,31 +150,55 @@ def _cyclic_overlap(a0, a1, b0, b1, d, p: int):
 
 
 def int64_exact(scale: int, p: int, num_edges: int) -> bool:
-    """Whether the scaled part sums fit the int64 tier.
+    """Whether the scaled part and member sums fit the int64 tier.
 
-    Every scaled weight is at most ``2 L`` and one edge's overlaps sum to
-    at most ``p`` at any shift, so no profile or part sum exceeds
-    ``2 L p |E_U|``.  A profile's first differences are at most the sum of
-    its weights, ``2 L 2^k |E_U|`` with ``2^k <= p``, and running impulse
-    sums are differences of two of them; ``2 L p |E_U| < 2^62`` therefore
-    keeps every intermediate below ``2^63``.
+    Every scaled weight is at most ``2 L``, one edge's overlaps sum to at
+    most ``p`` at any shift, and one edge collides at most once per
+    member, so no profile value, part sum or member sum exceeds
+    ``B = 2 L p |E_U|``.  Every intermediate is such a value or the
+    difference of two (slopes, rises, running sums of impulses; see
+    :func:`_profile_segments` and :meth:`SlackWeightedSelector.
+    member_sums`), so ``B < 2^62`` keeps each one below ``2^63``.
     """
     return 2 * scale * p * num_edges < _INT64_LIMIT
 
 
-def _float_band_slack(minimum: int, num_edges: int, max_shared: int) -> int:
+def _float_band_slack(minimum: int, roundings: int) -> int:
     """Exact-sum margin above ``minimum`` that can still be the float argmin.
 
-    The historical float sum of part ``a`` rounds ``m = |E_U| + 2^k + 4``
-    times on any term's path (two reciprocals, their sum and the overlap
-    product, at most ``2^k`` profile adds and ``|E_U|`` part adds), and all
-    terms are nonnegative, so it lies within ``(1 ± γ_m) X_a``.  A part can
-    only beat the exact minimizer's float when
-    ``X_a <= X_min (1 + γ_m) / (1 - γ_m) = X_min / (1 - 2 m u)``.
+    ``roundings`` bounds the roundings ``m`` on any term's path into a
+    historical float sum.  All terms are nonnegative, so that sum lies
+    within ``(1 ± γ_m) X`` of the exact sum ``X``, and an entry can only
+    beat the exact minimizer's float when
+    ``X <= X_min (1 + γ_m) / (1 - γ_m) = X_min / (1 - 2 m u)``,
+    ``u = 2^-53``.
     """
-    m = num_edges + max_shared + 4
-    den = 2**53 - 2 * m
-    return -(-minimum * 2 * m // den)
+    den = 2**53 - 2 * roundings
+    return -(-minimum * 2 * roundings // den)
+
+
+def _scaled_weights(shared: _SharedBlocks, p: int, num_edges: int):
+    """``(L, dtype, W)``: the lcm ``L`` of the slacks in ``shared``, the
+    exact tier's dtype, and the scaled weights ``W = L/s_u + L/s_v``."""
+    scale = math.lcm(*np.unique(np.concatenate((shared.su, shared.sv))).tolist())
+    dtype = np.int64 if int64_exact(scale, p, num_edges) else object
+    weight = scale // shared.su.astype(dtype) + scale // shared.sv.astype(dtype)
+    return scale, dtype, weight
+
+
+def _near_minimum_rescored(exact, scale: int, roundings: int, rescore) -> np.ndarray:
+    """``exact / scale`` as float64, with the float band of the exact
+    minimum replaced by ``rescore(band)``, the historical float sums there.
+
+    With an exact minimum of 0 the band holds only zero sums, which the
+    historical accumulation leaves at ``0.0`` too, so nothing is re-scored.
+    """
+    out = (exact / scale).astype(np.float64, copy=False)
+    minimum = int(exact.min())
+    if minimum > 0:
+        band = np.flatnonzero(exact <= minimum + _float_band_slack(minimum, roundings))
+        out[band] = rescore(band)
+    return out
 
 
 class SlackWeightedSelector:
@@ -197,44 +224,63 @@ class SlackWeightedSelector:
     # ------------------------------------------------------------------
     # g_w construction (Lemma 3.2)
     # ------------------------------------------------------------------
-    def register_vertex(self, x: int, cids, slacks) -> None:
-        """Install vertex ``x``'s candidates and slacks; build its blocks.
+    def register_vertex(self, xs, cids, slacks) -> None:
+        """Install a batch of vertices' candidates and slacks; build their
+        blocks.
 
-        Only candidates with slack > 0 receive slots, so the selected
-        proposal always has positive slack (the Lemma 3.6 invariant).
+        ``xs`` holds ``m`` vertex ids and ``cids`` and ``slacks`` are
+        ``(m, w)`` rows, one per vertex; a single vertex may be given as
+        its id and two 1-D rows.  A zero slack pads a short row: only
+        candidates with slack > 0 receive slots, so the selected proposal
+        always has positive slack (the Lemma 3.6 invariant).
+
+        Row by row, the positive candidates keep their order and candidate
+        ``j`` gets ``max(1, floor(p w_j (1 + eps)))`` slots, ``w_j`` its
+        slack over the row's total, with the float operations of the
+        per-vertex construction.  The first block that reaches slot ``p``
+        is cut there and the candidates after it get none; if no block
+        reaches it (possible for sub-paper primes), the last one takes the
+        leftover slots.
         """
-        cids = np.asarray(cids, dtype=np.int64)
-        slacks = np.asarray(slacks, dtype=np.int64)
-        if len(cids) != len(slacks):
+        p = self.p
+        xs = np.atleast_1d(np.asarray(xs, dtype=np.int64))
+        cids = np.atleast_2d(np.asarray(cids, dtype=np.int64))
+        slacks = np.atleast_2d(np.asarray(slacks, dtype=np.int64))
+        if cids.shape != slacks.shape or len(cids) != len(xs):
             raise ReproError("cids and slacks must align")
         positive = slacks > 0
-        if not positive.any():
+        count = positive.sum(axis=1)
+        if not count.all():
+            x = int(xs[np.flatnonzero(count == 0)[0]])
             raise ReproError(
                 f"vertex {x} has no positive-slack candidate; "
                 "the s_x >= 1 invariant (Lemma 3.6) was violated upstream"
             )
-        cids = cids[positive]
-        slacks = slacks[positive]
-        total = float(slacks.sum())
-        w = slacks / total
-        sizes = np.floor(self.p * w * (1.0 + self.eps)).astype(np.int64)
-        # Every positive-weight candidate keeps >= 1 slot (see module doc).
-        sizes = np.maximum(sizes, 1)
-        # Truncate to exactly p slots, then hand leftovers (if the floor
-        # lost mass, possible for sub-paper primes) to the last candidate.
-        cum = np.cumsum(sizes)
-        over = int(np.searchsorted(cum, self.p, side="left"))
-        if over < len(sizes):
-            sizes = sizes[: over + 1].copy()
-            cids = cids[: over + 1]
-            slacks = slacks[: over + 1]
-            sizes[over] = self.p - (cum[over - 1] if over > 0 else 0)
-        else:
-            sizes = sizes.copy()
-            sizes[-1] += self.p - int(cum[-1])
-        if int(sizes.sum()) != self.p or (sizes <= 0).any():
-            raise ReproError(f"g_w block construction failed for vertex {x}")
-        self._blocks[x] = VertexBlocks(cids, slacks, sizes)
+        total = np.where(positive, slacks, 0).sum(axis=1).astype(np.float64)
+        row = np.repeat(np.arange(len(xs)), count)
+        cids, slacks = cids[positive], slacks[positive]
+        sizes = np.floor(p * (slacks / total[row]) * (1.0 + self.eps))
+        sizes = np.maximum(sizes.astype(np.int64), 1)
+        # Block starts within each row; a block that starts at or past p
+        # is dropped, and the last kept block ends at p.
+        first = np.cumsum(count) - count
+        ends = np.cumsum(sizes)
+        starts = ends - sizes - np.repeat(ends[first] - sizes[first], count)
+        kept = starts < p
+        count = np.add.reduceat(kept.astype(np.int64), first)
+        row, cids, slacks = row[kept], cids[kept], slacks[kept]
+        starts, sizes = starts[kept], sizes[kept]
+        bounds = np.cumsum(count)
+        sizes[bounds - 1] = p - starts[bounds - 1]
+        # Row r's cum is its kept starts and then p, at [bounds - count + r,
+        # bounds + r] of one flat array.
+        cum = np.empty(len(starts) + len(xs), dtype=np.int64)
+        cum[np.arange(len(starts)) + row] = starts
+        cum[bounds + np.arange(len(xs))] = p
+        spans = zip(xs.tolist(), (bounds - count).tolist(), bounds.tolist())
+        for r, (x, lo, hi) in enumerate(spans):
+            self._blocks[x] = VertexBlocks(cids[lo:hi], slacks[lo:hi],
+                                           sizes[lo:hi], cum[lo + r:hi + r + 1])
         self._pack = None
 
     def blocks(self, x: int) -> VertexBlocks:
@@ -254,10 +300,12 @@ class SlackWeightedSelector:
             count = np.array([len(b.cids) for b in blks], dtype=np.int64)
             cid = np.concatenate([b.cids for b in blks])
             slack = np.concatenate([b.slacks for b in blks])
+            lo = np.concatenate([b.cum[:-1] for b in blks])
             row = np.full(int(verts.max()) + 1, -1, dtype=np.int64)
             row[verts] = np.arange(len(verts))
             width = int(cid.max()) + 1
-            keys = np.repeat(np.arange(len(verts)), count) * width + cid
+            flat_row = np.repeat(np.arange(len(verts)), count)
+            keys = flat_row * width + cid
             key_order = np.argsort(keys, kind="stable")
             self._pack = _Packed(
                 row=row,
@@ -265,11 +313,12 @@ class SlackWeightedSelector:
                 count=count,
                 cid=cid,
                 slack=slack,
-                lo=np.concatenate([b.cum[:-1] for b in blks]),
+                lo=lo,
                 hi=np.concatenate([b.cum[1:] for b in blks]),
                 keys=keys[key_order],
                 key_order=key_order,
                 width=width,
+                slot_keys=flat_row * self.p + lo,
             )
         return self._pack
 
@@ -311,6 +360,9 @@ class SlackWeightedSelector:
         array.  The values are the exact sums rounded to float64, except
         near the minimum, where they are bit for bit the historical
         edge-order float sums that decide the ``argmin`` (module docstring).
+        A part's historical sum rounds at most ``|E_U| + 2^k + 4`` times on
+        any term's path: two reciprocals, their sum and the overlap
+        product, at most ``2^k`` profile adds and ``|E_U|`` part adds.
         """
         p = self.p
         edges = _as_edges(conflict_edges)
@@ -319,55 +371,49 @@ class SlackWeightedSelector:
         shared = self._shared_blocks(edges)
         if len(shared.edge) == 0:
             return np.zeros(p)
-        scale = math.lcm(*np.unique(np.concatenate((shared.su, shared.sv))).tolist())
-        dtype = np.int64 if int64_exact(scale, p, len(edges)) else object
-        weight = scale // shared.su.astype(dtype) + scale // shared.sv.astype(dtype)
+        scale, dtype, weight = _scaled_weights(shared, p, len(edges))
         delta = (edges[:, 1] - edges[:, 0]) % p
         exact = _exact_part_sums(p, delta[shared.edge], shared, weight, dtype)
-        parts = (exact / scale).astype(np.float64)
-        minimum = int(exact.min())
         max_shared = int(np.bincount(shared.edge).max())
-        limit = minimum + _float_band_slack(minimum, len(edges), max_shared)
-        band = np.flatnonzero(exact <= limit)
-        parts[band] = _float_part_sums(p, delta, shared, band)
-        return parts
+        return _near_minimum_rescored(
+            exact, scale, len(edges) + max_shared + 4,
+            lambda band: _float_part_sums(p, delta, shared, band),
+        )
 
     def member_sums(self, a: int, conflict_edges) -> np.ndarray:
-        """Pass 3: exact potential of every member ``h_{a, b}`` of part ``a``.
+        """Pass 3: the potential of every member ``h_{a, b}`` of part ``a``.
 
-        Bit-identical to accumulating each edge's collision weights in edge
-        order: an edge's colliding ``b`` for one shared candidate is at most
-        four intervals, and one edge's intervals are disjoint.
+        An edge's colliding ``b`` for one shared candidate form at most
+        four intervals, and one edge's intervals are disjoint, so each
+        member adds at most one weight per edge.  The values are the exact
+        sums rounded to float64 — one difference array of the scaled
+        weights and one cumulative sum, whose prefixes are member sums —
+        except near the minimum, where they are bit for bit the historical
+        edge-order float sums.  A member's historical sum rounds at most
+        ``|E_U| + 3`` times on any term's path: two reciprocals, their sum
+        and at most ``|E_U|`` member adds.  At one member at most one
+        interval of each edge starts and one ends, so the difference
+        array's entries stay within ``2 L |E_U|`` while they accumulate.
         """
         p = self.p
-        phi = np.zeros(p)
         edges = _as_edges(conflict_edges)
         if len(edges) == 0:
-            return phi
+            return np.zeros(p)
         shared = self._shared_blocks(edges)
-        shift_u = a * edges[shared.edge, 0]
-        shift_v = a * edges[shared.edge, 1]
-        # Each arc (A_c - a u), (B_c - a v) as two linear pieces on [0, p).
-        pieces = []
-        for lo, hi, shift in ((shared.a0, shared.a1, shift_u),
-                              (shared.b0, shared.b1, shift_v)):
-            start = (lo - shift) % p
-            end = start + (hi - lo)
-            pieces.append(((start, np.minimum(end, p)),
-                           (np.zeros_like(start), np.maximum(end - p, 0))))
-        starts, stops = [], []
-        for a_lo, a_hi in pieces[0]:
-            for b_lo, b_hi in pieces[1]:
-                starts.append(np.maximum(a_lo, b_lo))
-                stops.append(np.minimum(a_hi, b_hi))
-        starts = np.stack(starts, axis=1)
-        stops = np.stack(stops, axis=1)
-        keep = stops > starts
-        weights = np.broadcast_to(shared.weight[:, None], keep.shape)[keep]
-        for lo, hi, w in zip(starts[keep].tolist(), stops[keep].tolist(),
-                             weights.tolist()):
-            phi[lo:hi] += w
-        return phi
+        if len(shared.edge) == 0:
+            return np.zeros(p)
+        rows, lo, hi = _member_intervals(p, a, edges, shared)
+        scale, dtype, weight = _scaled_weights(shared, p, len(edges))
+        weight = weight[rows]
+        diff = np.zeros(p + 1, dtype=dtype)
+        np.add.at(diff, lo, weight)
+        np.subtract.at(diff, hi, weight)
+        exact = np.cumsum(diff, out=diff)[:p]
+        return _near_minimum_rescored(
+            exact, scale, len(edges) + 3,
+            lambda band: _float_member_sums(
+                shared.edge[rows], lo, hi, shared.weight[rows], band),
+        )
 
     def best_part(self, conflict_edges) -> int:
         """Pass 2's choice ``a*``: the first minimizer of :meth:`part_sums`.
@@ -385,10 +431,16 @@ class SlackWeightedSelector:
             return 0
         return int(np.argmin(self.member_sums(a, conflict_edges)))
 
-    def proposal_for(self, x: int, a: int, b: int) -> int:
-        """The cid vertex ``x`` adopts under ``h_{a,b}``: ``g_w(x, h(x))``."""
-        t = (a * x + b) % self.p
-        return self._blocks[x].cid_of_slot(t)
+    def proposal_for(self, xs, a: int, b: int):
+        """The cids vertices ``xs`` adopt under ``h_{a,b}``: ``g_w(x, h(x))``
+        for each, in the shape of ``xs`` (a scalar for one vertex id)."""
+        pack = self._packed()
+        xs = np.asarray(xs, dtype=np.int64)
+        flat = xs.reshape(-1)
+        slots = (a * flat + b) % self.p
+        keys = self._pack_rows(pack, flat) * self.p + slots
+        owner = np.searchsorted(pack.slot_keys, keys, side="right") - 1
+        return pack.cid[owner].reshape(xs.shape)[()]
 
     # ------------------------------------------------------------------
     # space accounting helpers
@@ -419,20 +471,26 @@ def _powers_of_generator(p: int) -> np.ndarray:
     return table.reshape(-1)[:count]
 
 
-def _exact_part_sums(p, delta, shared: _SharedBlocks, weight, dtype) -> np.ndarray:
-    """Scaled part sums ``sum_e S_{δ_e}[a δ_e mod p]`` for every ``a``, exactly.
+def _profile_segments(p, delta, shared: _SharedBlocks, weight, dtype):
+    """Every ``δ``-group's overlap profile as linear segments.
 
     ``delta`` and ``weight`` are per row of ``shared``.  Rows are grouped
     by ``δ``.  An overlap trapezoid has second-difference impulses
     ``+W, -W, -W, +W`` at ``d = b0 - a1`` plus ``0``, ``min(la, lb)``,
     ``max(la, lb)`` and ``la + lb`` (mod ``p``).  A group's sorted impulses
     and its closed-form profile at ``d = p - 1`` and ``p - 2`` give the
-    profile's slope on each segment between impulses (the first cumulative
-    sum); one width-``p`` cumulative sum of those slopes gives the profile.
-    Writing ``a = g^i`` and ``δ = g^j`` for a primitive root ``g`` turns
-    the gather at ``a δ`` into a read of the profile at ``g^(i + j)``: one
-    shared index table, shifted by ``j`` per group.  Groups are expanded one
-    at a time, so the temporaries are a few width-``p`` arrays.
+    profile's slope on each segment between impulses, and each segment's
+    rise (slope times length) and one cumulative sum over segments give
+    its start value ``S[at]``.
+
+    Returns ``(groups, bounds, at, length, slope, value, origin)``: the
+    distinct ``δ``, group ``k``'s segments ``bounds[k]:bounds[k + 1]`` of
+    the per-segment tables (start, length, slope, start value), and each
+    group's ``S[0]``.  No intermediate leaves the :func:`int64_exact`
+    bound: a slope is a difference of two profile values and a running sum
+    of rises is ``S[at] - S[0]``.  The running sums of impulses and of
+    rises may run across groups because each group's impulses, and its
+    rises, sum to zero — the latter to ``S[p] - S[0] = 0`` on the cycle.
     """
     groups, group_of = np.unique(delta, return_inverse=True)
     num_groups = len(groups)
@@ -456,8 +514,7 @@ def _exact_part_sums(p, delta, shared: _SharedBlocks, weight, dtype) -> np.ndarr
     np.add.at(last, group_of, weight * _cyclic_overlap(a0, a1, b0, b1, p - 1, p))
     np.add.at(prev, group_of, weight * _cyclic_overlap(a0, a1, b0, b1, p - 2, p))
     # Slope g[d] = S[d + 1] - S[d]: g[p - 1] from the seeds, then
-    # g[d] = g[p - 1] + sum_{t <= d} impulse[t] (each group's impulses sum
-    # to zero, so one running sum serves every group); S[0] = S[p-1] + g[p-1].
+    # g[d] = g[p - 1] + sum_{t <= d} impulse[t]; S[0] = S[p-1] + g[p-1].
     wrap = np.zeros(num_groups, dtype=dtype)
     wrap[owner[at == p - 1]] = impulse[at == p - 1]
     slope_end = last - prev + wrap
@@ -465,21 +522,45 @@ def _exact_part_sums(p, delta, shared: _SharedBlocks, weight, dtype) -> np.ndarr
     slope = slope_end[owner] + np.cumsum(impulse)
     ends = np.concatenate((at[1:], [p]))
     ends[np.flatnonzero(owner[1:] != owner[:-1])] = p
-    # Per group: [S[0]] then each segment's slope, one cumulative sum.
-    group_start = np.searchsorted(owner, np.arange(num_groups + 1))
-    seg_values = np.insert(slope, group_start[:-1], origin)
-    seg_lengths = np.insert(ends - at, group_start[:-1], 1)
+    length = ends - at
+    rise = slope * length
+    value = origin[owner] + (np.cumsum(rise) - rise)
+    bounds = np.searchsorted(owner, np.arange(num_groups + 1))
+    return groups, bounds, at, length, slope, value, origin
+
+
+def _exact_part_sums(p, delta, shared: _SharedBlocks, weight, dtype) -> np.ndarray:
+    """Scaled part sums ``sum_e S_{δ_e}[a δ_e mod p]`` for every ``a``, exactly.
+
+    Each group's profile is written directly from its segment tables
+    (:func:`_profile_segments`) as ``S[at] + slope (d - at)``, with no
+    width-``p`` running sum; ``slope (d - at)`` is ``S[d] - S[at]``, so it
+    stays within the :func:`int64_exact` bound.  Writing ``a = g^i`` and
+    ``δ = g^j`` for a primitive root ``g`` turns the gather at ``a δ`` into
+    a read of the profile at ``g^(i + j)``: one shared index table,
+    shifted by ``j`` per group.  Groups are expanded one at a time, so the
+    temporaries are a few width-``p`` arrays.
+    """
+    groups, bounds, at, length, slope, value, origin = _profile_segments(
+        p, delta, shared, weight, dtype)
     powers = _powers_of_generator(p)
     log = np.empty(p, dtype=np.int64)
     log[powers] = np.arange(p - 1)
     powers = np.concatenate((powers, powers))
+    ramp = np.arange(p)
     total = np.zeros(p - 1, dtype=dtype)
     gathered = np.empty(p - 1, dtype=dtype)
     everywhere = origin[groups == 0].sum()  # δ = 0 reads S[0] for every a
+    bounds = bounds.tolist()
     for k in np.flatnonzero(groups).tolist():
-        lo, hi = group_start[k] + k, group_start[k + 1] + k + 1
-        profile = np.repeat(seg_values[lo:hi], seg_lengths[lo:hi])
-        np.cumsum(profile, out=profile)
+        lo, hi = bounds[k], bounds[k + 1]
+        run = length[lo:hi]
+        offset = np.repeat(at[lo:hi], run)
+        np.subtract(ramp, offset, out=offset)
+        profile = np.repeat(slope[lo:hi], run)
+        profile *= offset
+        del offset
+        profile += np.repeat(value[lo:hi], run)
         j = int(log[groups[k]])
         np.take(profile, powers[j:j + p - 1], out=gathered, mode="clip")
         total += gathered
@@ -512,5 +593,69 @@ def _float_part_sums(p, delta, shared: _SharedBlocks, parts) -> np.ndarray:
                                 shared.b0[rows, None], shared.b1[rows, None],
                                 shifts[e], p)
             profile[e] += shared.weight[rows, None] * ov
-        out[c0:c0 + width] = np.cumsum(profile, axis=0)[-1]
+        np.cumsum(profile, axis=0, out=profile)
+        out[c0:c0 + width] = profile[-1]
+    return out
+
+
+def _member_intervals(p, a, edges, shared: _SharedBlocks):
+    """The members ``b`` at which each row of ``shared`` collides in part
+    ``a``: ``(rows, lo, hi)``, intervals ``[lo, hi)`` in row order.
+
+    Row ``(u, v, c)`` collides for ``b`` in ``(A_c - a u) ∩ (B_c - a v)``;
+    each arc is two linear pieces on ``[0, p)``, so a row has at most four
+    intervals, and one edge's intervals are disjoint.
+    """
+    shift_u = a * edges[shared.edge, 0]
+    shift_v = a * edges[shared.edge, 1]
+    pieces = []
+    for lo, hi, shift in ((shared.a0, shared.a1, shift_u),
+                          (shared.b0, shared.b1, shift_v)):
+        start = (lo - shift) % p
+        end = start + (hi - lo)
+        pieces.append(((start, np.minimum(end, p)),
+                       (np.zeros_like(start), np.maximum(end - p, 0))))
+    starts, stops = [], []
+    for a_lo, a_hi in pieces[0]:
+        for b_lo, b_hi in pieces[1]:
+            starts.append(np.maximum(a_lo, b_lo))
+            stops.append(np.minimum(a_hi, b_hi))
+    starts = np.stack(starts, axis=1)
+    stops = np.stack(stops, axis=1)
+    keep = stops > starts
+    return np.nonzero(keep)[0], starts[keep], stops[keep]
+
+
+def _float_member_sums(edge, lo, hi, weight, members) -> np.ndarray:
+    """The historical float member sums at ``members`` (ascending), bit
+    for bit.
+
+    ``edge``, ``lo``, ``hi`` and ``weight`` give each colliding interval
+    ``[lo, hi)``, in edge order.  Member ``b`` adds, edge by edge, the
+    weight of the edge's interval that holds ``b``, if any: one edge's
+    intervals are disjoint, so a running sum of interval ids along the
+    members finds it exactly.  Only the edges with an interval over some
+    member become rows of the terms matrix; the others would add ``0.0``,
+    which leaves a float unchanged.
+    """
+    i0 = np.searchsorted(members, lo)
+    i1 = np.searchsorted(members, hi)
+    hit = i1 > i0
+    i0, i1 = i0[hit], i1[hit]
+    ids = np.arange(1, len(i0) + 1)
+    table = np.concatenate(([0.0], weight[hit]))  # interval id -> weight
+    row = np.unique(edge[hit], return_inverse=True)[1]
+    num_rows = int(row.max()) + 1
+    out = np.empty(len(members))
+    width = max(1, _CHUNK_ELEMS // num_rows)
+    for c0 in range(0, len(members), width):
+        c1 = min(c0 + width, len(members))
+        owner = np.zeros((num_rows, c1 - c0 + 1), dtype=np.int64)
+        np.add.at(owner, (row, np.clip(i0, c0, c1) - c0), ids)
+        np.subtract.at(owner, (row, np.clip(i1, c0, c1) - c0), ids)
+        np.cumsum(owner, axis=1, out=owner)
+        terms = table[owner[:, :-1]]
+        del owner
+        np.cumsum(terms, axis=0, out=terms)
+        out[c0:c1] = terms[-1]
     return out

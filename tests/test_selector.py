@@ -2,8 +2,10 @@
 
 The key correctness properties are that the part sums (pass 2) and member
 sums (pass 3) agree with brute-force evaluation of the potential over the
-whole Carter-Wegman family, and that both reproduce the per-edge float
-reference below: the same ``argmin`` for both, and bit-equal member sums.
+whole Carter-Wegman family, that both reproduce the per-edge float
+reference below (the same ``argmin``, bit-equal there), and that the
+batched g_w registration builds, row by row, the blocks of the per-vertex
+reference construction below.
 """
 
 import math
@@ -16,6 +18,51 @@ from hypothesis import strategies as st
 
 from repro.common.exceptions import ReproError
 from repro.core.selector import SlackWeightedSelector, int64_exact
+
+
+# ----------------------------------------------------------------------
+# The per-vertex g_w reference: the block construction and slot lookup as
+# first written, one vertex at a time.  The batched register_vertex and
+# proposal_for must reproduce them bit for bit.
+# ----------------------------------------------------------------------
+def reference_blocks(p, eps, x, cids, slacks):
+    """Vertex ``x``'s ``(cids, slacks, sizes, cum)`` under ``g_w``."""
+    cids = np.asarray(cids, dtype=np.int64)
+    slacks = np.asarray(slacks, dtype=np.int64)
+    if len(cids) != len(slacks):
+        raise ReproError("cids and slacks must align")
+    positive = slacks > 0
+    if not positive.any():
+        raise ReproError(
+            f"vertex {x} has no positive-slack candidate; "
+            "the s_x >= 1 invariant (Lemma 3.6) was violated upstream"
+        )
+    cids = cids[positive]
+    slacks = slacks[positive]
+    total = float(slacks.sum())
+    w = slacks / total
+    sizes = np.floor(p * w * (1.0 + eps)).astype(np.int64)
+    sizes = np.maximum(sizes, 1)
+    cum = np.cumsum(sizes)
+    over = int(np.searchsorted(cum, p, side="left"))
+    if over < len(sizes):
+        sizes = sizes[: over + 1].copy()
+        cids = cids[: over + 1]
+        slacks = slacks[: over + 1]
+        sizes[over] = p - (cum[over - 1] if over > 0 else 0)
+    else:
+        sizes = sizes.copy()
+        sizes[-1] += p - int(cum[-1])
+    if int(sizes.sum()) != p or (sizes <= 0).any():
+        raise ReproError(f"g_w block construction failed for vertex {x}")
+    return cids, slacks, sizes, np.concatenate(([0], np.cumsum(sizes)))
+
+
+def reference_cid_of_slot(blocks, t):
+    """The candidate owning slot ``t`` of one vertex's blocks (g_w(x, t))."""
+    idx = int(np.searchsorted(blocks.cum, t, side="right")) - 1
+    idx = min(idx, len(blocks.cids) - 1)
+    return int(blocks.cids[idx])
 
 
 def brute_force_phi(selector, conflict_edges, a, b):
@@ -127,18 +174,37 @@ def rational_part_sums(selector, conflict_edges):
     return parts
 
 
+def rational_member_sums(selector, a, conflict_edges):
+    """The member sums of part ``a`` in exact rational arithmetic."""
+    p = selector.p
+    phi = [Fraction(0)] * p
+    for u, v in conflict_edges:
+        bu, bv = selector.blocks(u), selector.blocks(v)
+        cu, su = (np.repeat(arr, bu.sizes).tolist() for arr in (bu.cids, bu.slacks))
+        cv, sv = (np.repeat(arr, bv.sizes).tolist() for arr in (bv.cids, bv.slacks))
+        for b in range(p):
+            tu, tv = (a * u + b) % p, (a * v + b) % p
+            if cu[tu] == cv[tv]:
+                phi[b] += Fraction(1, su[tu]) + Fraction(1, sv[tv])
+    return phi
+
+
+def assert_same_pick(sums, ref):
+    """The tie-break contract: the reference's first minimizer, bit-equal
+    there, and close to the reference everywhere."""
+    pick = int(np.argmin(ref))
+    assert int(np.argmin(sums)) == pick
+    assert sums[pick] == ref[pick]
+    np.testing.assert_allclose(sums, ref, rtol=1e-9, atol=0)
+    return pick
+
+
 def assert_matches_reference(selector, edges):
-    """Same argmin for both sums, bit-equal member sums, close parts."""
-    parts = selector.part_sums(edges)
-    ref_parts = reference_part_sums(selector, edges)
-    a_star = int(np.argmin(ref_parts))
-    assert int(np.argmin(parts)) == a_star
-    assert parts[a_star] == ref_parts[a_star]
-    np.testing.assert_allclose(parts, ref_parts, rtol=1e-9, atol=0)
-    members = selector.member_sums(a_star, edges)
-    ref_members = reference_member_sums(selector, a_star, edges)
-    assert members.tobytes() == ref_members.tobytes()
-    assert int(np.argmin(members)) == int(np.argmin(ref_members))
+    """Both sums keep the tie-break contract against the reference."""
+    a_star = assert_same_pick(selector.part_sums(edges),
+                              reference_part_sums(selector, edges))
+    assert_same_pick(selector.member_sums(a_star, edges),
+                     reference_member_sums(selector, a_star, edges))
 
 
 def make_selector(p, n, cid_space, vertex_slacks):
@@ -182,11 +248,14 @@ class TestGwMap:
             assert size / p <= w * (1 + sel.eps) + 2 / p  # +slots for min-1/leftover
 
     def test_cid_of_slot_matches_materialized(self):
+        """The reference slot lookup and the batched ``proposal_for`` both
+        read the materialized ``g_w`` map."""
         sel = make_selector(101, 20, 5, {0: [1, 4, 0, 2, 3]})
         blk = sel.blocks(0)
         arr = np.repeat(blk.cids, blk.sizes)
         for t in range(101):
-            assert blk.cid_of_slot(t) == arr[t]
+            assert reference_cid_of_slot(blk, t) == arr[t]
+            assert sel.proposal_for(0, 0, t) == arr[t]
 
     def test_proposal_has_positive_slack(self):
         sel = make_selector(31, 10, 4, {0: [0, 2, 0, 1]})
@@ -194,6 +263,91 @@ class TestGwMap:
             for b in range(31):
                 cid = sel.proposal_for(0, a, b)
                 assert cid in (1, 3)
+
+
+def random_batch(rng):
+    """``(xs, cids, slacks)``: a random batch of up to 8 vertices whose rows
+    of up to 8 candidates are zero-padded to one width; a third of the
+    rows give every candidate the same slack."""
+    m = int(rng.integers(1, 9))
+    width = int(rng.integers(1, 9))
+    xs = rng.choice(64, size=m, replace=False)
+    cids = np.zeros((m, width), dtype=np.int64)
+    slacks = np.zeros((m, width), dtype=np.int64)
+    for r in range(m):
+        size = int(rng.integers(1, width + 1))
+        cids[r, :size] = rng.choice(40, size=size, replace=False)
+        if rng.random() < 1 / 3:
+            slacks[r, :size] = int(rng.integers(1, 7))
+        else:
+            slacks[r, :size] = rng.integers(0, 7, size=size)
+            slacks[r, int(rng.integers(0, size))] = int(rng.integers(1, 7))
+    return xs, cids, slacks
+
+
+class TestBatchRegistration:
+    """``register_vertex`` on a batch against :func:`reference_blocks`."""
+
+    @pytest.mark.parametrize("p,n,cases", [
+        (47, 2, {"padding", "cut", "dropped"}),
+        (47, 12, {"padding", "cut", "leftover"}),
+        (101, 12, {"padding", "cut", "leftover"}),
+        (16411, 256, {"padding", "cut"}),
+    ])
+    def test_batch_matches_per_vertex_reference(self, p, n, cases):
+        """Bit-identical blocks on batches that cover ``cases``: zero-slack
+        padding, floored sizes past ``p`` (the row is cut at ``p``, and
+        with ``dropped`` candidates after the cut get no slot), and
+        leftover slots that go to the last candidate."""
+        rng = np.random.default_rng(p)
+        seen = set()
+        for _ in range(80):
+            xs, cids, slacks = random_batch(rng)
+            sel = SlackWeightedSelector(p, n, 40)
+            sel.register_vertex(xs, cids, slacks)
+            assert list(sel._blocks) == xs.tolist()
+            for x, row_cids, row_slacks in zip(xs.tolist(), cids, slacks):
+                expected = reference_blocks(p, sel.eps, x, row_cids, row_slacks)
+                blk = sel.blocks(x)
+                for got, want in zip((blk.cids, blk.slacks, blk.sizes, blk.cum),
+                                     expected):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
+                share = row_slacks[row_slacks > 0] / row_slacks.sum()
+                floored = np.maximum(
+                    np.floor(p * share * (1.0 + sel.eps)).astype(np.int64), 1)
+                seen.update(name for name, hit in (
+                    ("padding", row_slacks[-1] == 0),
+                    ("cut", floored.sum() > p),
+                    ("dropped", floored[:-1].sum() >= p),
+                    ("leftover", floored.sum() < p),
+                ) if hit)
+        assert cases <= seen
+
+    def test_proposals_match_per_vertex_lookup(self):
+        rng = np.random.default_rng(5)
+        xs, cids, slacks = random_batch(rng)
+        sel = SlackWeightedSelector(47, 12, 40)
+        sel.register_vertex(xs, cids, slacks)
+        for a, b in ((0, 0), (3, 11), (46, 46)):
+            got = sel.proposal_for(xs, a, b)
+            assert got.tolist() == [
+                reference_cid_of_slot(sel.blocks(x), (a * x + b) % 47)
+                for x in xs.tolist()
+            ]
+            assert sel.proposal_for(int(xs[0]), a, b) == got[0]
+
+    def test_row_without_positive_slack_names_first_in_batch_order(self):
+        sel = SlackWeightedSelector(47, 12, 4)
+        cids = np.tile(np.arange(3), (4, 1))
+        slacks = np.array([[1, 2, 0], [0, 0, 0], [3, 0, 1], [0, 0, 0]])
+        with pytest.raises(ReproError, match="vertex 9 has no positive"):
+            sel.register_vertex([5, 9, 2, 1], cids, slacks)
+
+    def test_rows_must_align(self):
+        sel = SlackWeightedSelector(47, 12, 4)
+        with pytest.raises(ReproError, match="must align"):
+            sel.register_vertex([1, 2], [[0, 1], [0, 1]], [[1, 1]])
 
 
 class TestFamilySearch:
@@ -319,8 +473,8 @@ class TestReferenceDifferential:
         sel, edges = instance
         assert_matches_reference(sel, edges)
         a = extra_a % sel.p
-        assert (sel.member_sums(a, edges).tobytes()
-                == reference_member_sums(sel, a, edges).tobytes())
+        assert_same_pick(sel.member_sums(a, edges),
+                         reference_member_sums(sel, a, edges))
 
     def test_exact_ties_break_like_the_float_sums(self):
         """Identical slack vectors make many parts tie exactly; the
@@ -353,6 +507,40 @@ class TestReferenceDifferential:
         assert a_float != int(np.argmin(rounded_once))
         assert int64_exact(10**15, sel.p, len(edges))
         assert_matches_reference(sel, edges)
+
+    def test_member_exact_ties_break_like_the_float_sums(self):
+        """The member-sum version: with identical slack vectors, part 53's
+        member sums tie exactly at 7 values of ``b``, and the reference's
+        float pick is not the first of them; the band re-score must still
+        pick it."""
+        slacks = [3, 1, 2, 5]
+        sel = make_selector(101, 40, 4, {x: slacks for x in range(40)})
+        edges = [(x, (7 * x + 3) % 40) for x in range(40) if x != (7 * x + 3) % 40]
+        exact = rational_member_sums(sel, 53, edges)
+        ties = [b for b, value in enumerate(exact) if value == min(exact)]
+        ref = reference_member_sums(sel, 53, edges)
+        assert len(ties) == 7 and int(np.argmin(ref)) != ties[0]
+        assert_same_pick(sel.member_sums(53, edges), ref)
+
+    def test_member_float_tie_of_unequal_exact_sums(self):
+        """Sixteen weight-2 edges that collide at every member, then two
+        light edges whose weights stay below half an ulp of 32: every light
+        addition rounds away, so the float member sums all tie at 32.0
+        while the exact sums differ (and differ after one rounding).  The
+        reference's first float minimizer is then not an exact minimizer;
+        only the band re-score, in edge order, recovers it."""
+        sel = SlackWeightedSelector(101, 8, 3)
+        sel.register_vertex(np.arange(17), np.zeros((17, 1)), np.ones((17, 1)))
+        sel.register_vertex([20, 21, 22, 23], np.tile([1, 2], (4, 1)),
+                            np.full((4, 2), 10**15))
+        edges = [(0, x) for x in range(1, 17)] + [(20, 21), (22, 23)]
+        exact = rational_member_sums(sel, 1, edges)
+        ref = reference_member_sums(sel, 1, edges)
+        assert (ref == 32.0).all()
+        assert exact[0] > min(exact)
+        assert int(np.argmin([float(x) for x in exact])) != 0
+        assert int64_exact(10**15, sel.p, len(edges))
+        assert_same_pick(sel.member_sums(1, edges), ref)
 
     def test_empty_and_disjoint_edges(self):
         sel = SlackWeightedSelector(47, 4, 10)

@@ -50,25 +50,25 @@ def record(directory) -> None:
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     for name, (_, _, _, _, phase, occurrence) in CASES.items():
-        driver = ResumableRun(case_spec(name))
+        resumable = ResumableRun(case_spec(name))
         seen = 0
-        while driver.step():
-            if driver.algo._mach.get("phase") == phase:
+        while resumable.step():
+            if resumable.algo._mach.get("phase") == phase:
                 seen += 1
                 if seen == occurrence:
-                    driver.save(directory / f"{name}.ck")
+                    resumable.save(directory / f"{name}.ck")
                     break
-        driver.close()
+        resumable.close()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_checkpoint_restores_and_finishes_as_uninterrupted(name):
     spec = case_spec(name)
-    driver = ResumableRun.load(DATA / f"{name}.ck")
+    resumable = ResumableRun.load(DATA / f"{name}.ck")
     try:
-        result = driver.run_to_completion()
+        result = resumable.run_to_completion()
     finally:
-        driver.close()
+        resumable.close()
     assert strip_volatile(result) == strip_volatile(run(spec))
     assert result.proper
 
@@ -78,9 +78,9 @@ def test_checkpoint_holds_a_live_selector(name):
     """The restored machine waits for the member pass, with ``a*`` chosen
     and every member's blocks registered, each covering ``[0, p)``."""
     _, _, _, _, phase, _ = CASES[name]
-    driver = ResumableRun.load(DATA / f"{name}.ck")
-    driver.close()
-    mach = driver.algo._mach
+    resumable = ResumableRun.load(DATA / f"{name}.ck")
+    resumable.close()
+    mach = resumable.algo._mach
     assert mach["phase"] == phase
     assert 0 <= mach["a_star"]
     selector = mach["selector"]
