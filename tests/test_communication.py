@@ -83,3 +83,63 @@ class TestProtocol:
         result = two_party_coloring_protocol(algo, alice, bob, n)
         assert len(result.message_bits) == result.rounds
         assert sum(result.message_bits) == result.total_bits
+
+
+#: Messages of a deterministic run at n = 32, Delta = 4: Alice's at Bob's
+#: first token of each pass, Bob's at the first token of the next pass
+#: (after the machine folded the previous pass in), one final from Bob.
+DET_MESSAGES = [
+    512, 13342, 13342, 13342, 13342, 512, 512, 13342, 13342, 13342, 13342,
+    512, 512, 13342, 13342, 13342, 13342, 320, 320, 128, 128, 128,
+]
+
+#: The list-coloring split of ``test_list_coloring_over_protocol``.
+LIST_MESSAGES = [
+    260, 300, 300, 290, 290, 300, 300, 500, 500, 8590, 8590, 8590, 8590,
+    260, 260, 300, 300, 290, 290, 300, 300, 500, 500, 8590, 8590, 8590,
+    8590, 260, 260, 260, 260, 376, 376, 376, 376, 376, 376, 260, 260, 100,
+    100, 100,
+]
+
+
+class TestPinnedMessages:
+    """The exact handoffs of three splits, recorded from the per-token
+    observer the protocol once installed on its stream."""
+
+    def deterministic(self, fraction):
+        n, delta = 32, 4
+        g = random_max_degree_graph(n, delta, seed=92)
+        alice, bob = split_tokens(g, fraction)
+        result = two_party_coloring_protocol(
+            DeterministicColoring(n, delta), alice, bob, n
+        )
+        validate_coloring(g, result.coloring, palette_size=delta + 1)
+        return result
+
+    def test_even_split(self):
+        result = self.deterministic(0.5)
+        assert (result.passes, result.rounds) == (11, 22)
+        assert result.message_bits == DET_MESSAGES
+        assert result.total_bits == sum(DET_MESSAGES) == 163688
+
+    def test_uneven_split(self):
+        result = self.deterministic(0.1)
+        assert (result.passes, result.rounds) == (11, 22)
+        assert result.message_bits == DET_MESSAGES
+
+    def test_list_coloring_split(self):
+        from repro.core.list_coloring import DeterministicListColoring
+        from repro.graph.generators import random_list_assignment
+        from repro.streaming.stream import stream_with_lists
+
+        n, delta, universe = 20, 3, 12
+        g = random_max_degree_graph(n, delta, seed=97)
+        lists = random_list_assignment(g, palette_size=universe, seed=98)
+        tokens = stream_with_lists(g, lists).tokens
+        cut = len(tokens) // 2
+        algo = DeterministicListColoring(n, delta, universe)
+        result = two_party_coloring_protocol(algo, tokens[:cut], tokens[cut:], n)
+        validate_coloring(g, result.coloring, lists=lists)
+        assert (result.passes, result.rounds) == (21, 42)
+        assert result.message_bits == LIST_MESSAGES
+        assert result.total_bits == sum(LIST_MESSAGES) == 79176
