@@ -53,16 +53,6 @@ class ParameterError(ReproError, ValueError):
     """
 
 
-class GenerationError(ReproError, ValueError):
-    """A randomized generator exhausted its retry budget.
-
-    E.g. the configuration-model regular-graph sampler failing to find a
-    simple matching for the given seed.  Distinct from
-    :class:`ParameterError`: the parameters were legal, the draw was
-    unlucky — retry with a different seed.
-    """
-
-
 class StreamProtocolError(ReproError):
     """The streaming contract was violated (bad token, pass misuse, ...)."""
 

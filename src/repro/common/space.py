@@ -34,10 +34,6 @@ class SpaceMeter:
         if total > self._peak_bits:
             self._peak_bits = total
 
-    def add_gauge(self, name: str, delta_bits: int) -> None:
-        """Adjust the named gauge by ``delta_bits`` (may be negative)."""
-        self.set_gauge(name, self._gauges.get(name, 0) + delta_bits)
-
     def clear_gauge(self, name: str) -> None:
         """Drop the named component (its bits no longer count)."""
         self._gauges.pop(name, None)

@@ -9,10 +9,11 @@ last axis fastest), constants shared by every job, and the run mode
 everything else is an algorithm config option.
 
 :class:`GridRunner` expands a grid into jobs, executes them — inline, or
-across a process pool — and hands back one :class:`ColoringResult` per
-job, in job order.  :func:`results_table` turns results plus a derived
-column list into the ``(headers, rows)`` pair the rest of the repository
-formats and archives.
+across a process pool, where only the specs cross the process boundary
+and each job builds its own stream — and hands back one
+:class:`ColoringResult` per job, in job order.  :func:`results_table`
+turns results plus a derived column list into the ``(headers, rows)``
+pair the rest of the repository formats and archives.
 """
 
 import functools
@@ -127,52 +128,19 @@ def _job_to_spec(job: dict, mode: str):
         raise ReproError(f"bad grid job {sorted(job)}: {exc}") from None
 
 
-def _execute_spec(spec, stream_defaults=None,
-                  edges_handle=None) -> ColoringResult:
+def _execute_spec(spec, stream_defaults=None) -> ColoringResult:
     """Module-level job executor (picklable for the process pool).
 
     ``stream_defaults`` carries the parent's ``(backend, chunk_size)``
     data-plane defaults into pool workers, which under spawn/forkserver
     start methods re-import the runner module and would otherwise fall
     back to the module defaults silently.
-
-    ``edges_handle`` names a :class:`~repro.streaming.shm.SharedEdgeArray`
-    published by the parent: the worker maps the same pages read-only and
-    streams the job over them — the zero-copy alternative to pickling the
-    edge array into every pool worker.
     """
     if stream_defaults is not None:
         set_default_stream(*stream_defaults)
     if isinstance(spec, GameSpec):
-        if edges_handle is not None:
-            raise ReproError("shared_edges applies to stream specs, not games")
         return run_game(spec)
-    if edges_handle is None:
-        return run(spec)
-    from repro.streaming.shm import SharedEdgeArray
-    from repro.streaming.source import DEFAULT_CHUNK_SIZE, GeneratorSource
-
-    shared = SharedEdgeArray.attach(edges_handle)
-    try:
-        arr = shared.array
-        source = GeneratorSource(
-            lambda: arr, spec.n,
-            chunk_size=spec.chunk_size or DEFAULT_CHUNK_SIZE,
-        )
-        return run(spec, stream=source)
-    finally:
-        shared.close()
-
-
-def _run_over_array(spec, edges) -> ColoringResult:
-    """Inline (workers=1) twin of the shared-edges pool path."""
-    from repro.streaming.source import DEFAULT_CHUNK_SIZE, GeneratorSource
-
-    source = GeneratorSource(
-        lambda: edges, spec.n,
-        chunk_size=spec.chunk_size or DEFAULT_CHUNK_SIZE,
-    )
-    return run(spec, stream=source)
+    return run(spec)
 
 
 class GridRunner:
@@ -196,55 +164,16 @@ class GridRunner:
         """Execute every job of the grid; one result per job, in order."""
         return self.run_specs(grid.specs())
 
-    def run_specs(self, specs: list, *, shared_edges=None) -> list[ColoringResult]:
-        """Execute pre-built specs (mixing stream and game specs is fine).
-
-        ``shared_edges`` streams every job over one fixed edge array.
-        With a process pool the array is published once as a
-        :class:`~repro.streaming.shm.SharedEdgeArray` and workers map it
-        read-only — the handle (a name + row count) is all that crosses
-        the process boundary, instead of a pickled copy of the array per
-        job.
-        """
+    def run_specs(self, specs: list) -> list[ColoringResult]:
+        """Execute pre-built specs (mixing stream and game specs is fine)."""
         workers = self._effective_workers(len(specs))
-        edges = None
-        if shared_edges is not None:
-            import numpy as np
-
-            edges = np.ascontiguousarray(shared_edges, dtype=np.int64)
-            if edges.ndim != 2 or edges.shape[1] != 2:
-                raise ReproError(
-                    f"shared_edges must have shape (m, 2), got {edges.shape}"
-                )
-            for spec in specs:
-                if isinstance(spec, GameSpec):
-                    raise ReproError(
-                        "shared_edges applies to stream specs, not games"
-                    )
         if workers <= 1:
-            if edges is None:
-                return [_execute_spec(spec) for spec in specs]
-            return [_run_over_array(spec, edges) for spec in specs]
-        if edges is None:
-            job = functools.partial(
-                _execute_spec, stream_defaults=get_default_stream(),
-            )
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(job, specs))
-        from repro.streaming.shm import SharedEdgeArray
-
-        shared = SharedEdgeArray.publish(edges)
-        try:
-            job = functools.partial(
-                _execute_spec,
-                stream_defaults=get_default_stream(),
-                edges_handle=shared.handle,
-            )
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(job, specs))
-        finally:
-            shared.close()
-            shared.unlink()
+            return [_execute_spec(spec) for spec in specs]
+        job = functools.partial(
+            _execute_spec, stream_defaults=get_default_stream(),
+        )
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(job, specs))
 
     def table(self, grid: GridSpec, columns) -> tuple[list[str], list[list]]:
         """Run the grid and derive one table row per result."""

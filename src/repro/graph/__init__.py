@@ -9,7 +9,6 @@ experiment suite.
 
 from repro.graph.coloring import (
     greedy_coloring,
-    greedy_list_coloring,
     is_proper_coloring,
     num_colors_used,
     validate_coloring,
@@ -42,7 +41,6 @@ __all__ = [
     "degeneracy_coloring",
     "degeneracy_ordering",
     "greedy_coloring",
-    "greedy_list_coloring",
     "is_proper_coloring",
     "num_colors_used",
     "turan_independent_set",

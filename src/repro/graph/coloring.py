@@ -66,25 +66,6 @@ def first_fit_colors(edges, colors) -> None:
     colors[list(color)] = list(color.values())
 
 
-def greedy_list_coloring(graph: Graph, lists: dict[int, set[int]], order=None):
-    """Greedy list coloring: each vertex gets the smallest free color on its list.
-
-    Succeeds whenever ``|L_v| >= deg(v) + 1`` for all ``v`` (the
-    ``(deg+1)``-list-coloring regime of Theorem 2).  Raises
-    :class:`ReproError` if some vertex has no free color.
-    """
-    if order is None:
-        order = range(graph.n)
-    coloring: dict[int, int] = {}
-    for v in order:
-        used = {coloring[w] for w in graph.neighbors(v) if w in coloring}
-        free = sorted(lists[v] - used)
-        if not free:
-            raise ReproError(f"greedy list coloring stuck at vertex {v}")
-        coloring[v] = free[0]
-    return coloring
-
-
 def complete_partial_coloring(coloring: dict[int, int], order, neighbors, allowed) -> None:
     """Extend a proper partial coloring first-fit over ``order``, in place.
 

@@ -5,8 +5,7 @@ adversarial game needs, terrible for whole-graph scans at n >= 10^4.
 :class:`CSRGraph` is the array-backed complement: an immutable snapshot in
 the standard ``indptr``/``indices`` layout, where vertex ``v``'s neighbors
 are ``indices[indptr[v]:indptr[v+1]]`` (sorted).  Degrees, the maximum
-degree, edge enumeration, and properness checks are all vectorized, which
-is what lets the engine validate n=16384+ runs without a Python-level
+degree and edge enumeration are all vectorized, with no Python-level
 per-edge loop.
 """
 
@@ -125,32 +124,6 @@ class CSRGraph:
         src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
         mask = src < self.indices
         return np.stack([src[mask], self.indices[mask]], axis=1)
-
-    # ------------------------------------------------------------------
-    # vectorized coloring checks
-    # ------------------------------------------------------------------
-    def color_array(self, coloring: dict) -> np.ndarray:
-        """A length-n int64 array of colors (0 where unset/None)."""
-        from repro.graph.coloring import coloring_array
-
-        return coloring_array(self.n, coloring)
-
-    def monochromatic_edge_count(self, colors: np.ndarray) -> int:
-        """Number of edges whose (assigned) endpoints share a color.
-
-        0 encodes "unset" and never conflicts; any other equal pair counts.
-        """
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        mask = src < self.indices
-        cu = colors[src[mask]]
-        cv = colors[self.indices[mask]]
-        return int(((cu != 0) & (cu == cv)).sum())
-
-    def to_graph(self):
-        """Expand back into a mutable :class:`repro.graph.graph.Graph`."""
-        from repro.graph.graph import Graph
-
-        return Graph(self.n, self.edge_array().tolist())
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.n}, m={self.m})"

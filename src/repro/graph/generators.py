@@ -19,7 +19,7 @@ algorithms:
 
 import numpy as np
 
-from repro.common.exceptions import GenerationError, ParameterError
+from repro.common.exceptions import ParameterError
 from repro.common.rng import SeededRng
 from repro.graph.graph import Graph
 
@@ -124,35 +124,6 @@ def clique_blowup_graph(n: int, clique_size: int) -> Graph:
     return g
 
 
-def random_regular_graph(n: int, degree: int, seed: int, max_attempts: int = 60) -> Graph:
-    """Near-uniform ``degree``-regular graph via the configuration model.
-
-    Stubs are paired uniformly at random; pairings creating loops or
-    multi-edges are rejected and retried.  ``n * degree`` must be even.
-    The result is exactly regular, the hardest case for Algorithm 1's
-    initial slack (``s_x = Delta + 1 - deg(x) = 1`` for every vertex).
-    """
-    if n * degree % 2 != 0:
-        raise ParameterError("n * degree must be even")
-    if degree >= n:
-        raise ParameterError(f"degree={degree} must be < n={n}")
-    rng = SeededRng(seed)
-    for _ in range(max_attempts):
-        stubs = [v for v in range(n) for _ in range(degree)]
-        rng.shuffle(stubs)
-        g = Graph(n)
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v or g.has_edge(u, v):
-                ok = False
-                break
-            g.add_edge(u, v)
-        if ok:
-            return g
-    raise GenerationError("configuration model failed; try a different seed")
-
-
 def shared_neighborhood_graph(groups: int, group_size: int, hubs: int) -> Graph:
     """Groups of twins sharing all their (hub) neighbors.
 
@@ -201,15 +172,15 @@ def random_list_assignment(
 
 
 # ----------------------------------------------------------------------
-# Vectorized edge-array generators (the block data plane's workloads).
+# Vectorized edge-array generator (the block data plane's workload).
 #
 # The set-based generators above propose one edge at a time through Python
 # loops, which dominates runtime long before any streaming pass does once
-# n reaches 10^4-10^5.  The functions below build (m, 2) int64 edge arrays
-# with numpy only; they feed StreamSource backends and CSRGraph directly
-# and never materialize a Python object per edge.  They are separate
-# families (different seeds give different graphs than the loop-based
-# generators), not vectorized re-implementations of them.
+# n reaches 10^4-10^5.  The function below builds an (m, 2) int64 edge
+# array with numpy only; it feeds StreamSource backends and CSRGraph
+# directly and never materializes a Python object per edge.  It is a
+# separate family (its seeds give different graphs than the loop-based
+# generators), not a vectorized re-implementation of one.
 # ----------------------------------------------------------------------
 
 
@@ -242,34 +213,3 @@ def near_regular_edge_array(n: int, degree: int, seed: int) -> np.ndarray:
     if not chunks:
         return np.empty((0, 2), dtype=np.int64)
     return dedupe_edges(n, np.concatenate(chunks))
-
-
-def gnm_edge_array(n: int, m: int, seed: int) -> np.ndarray:
-    """Uniform simple graph with exactly ``m`` edges, as an edge array.
-
-    Samples vertex pairs in vectorized batches and deduplicates until ``m``
-    distinct edges are collected (rejection is cheap while ``m`` is well
-    below ``n*(n-1)/2``).
-    """
-    max_m = n * (n - 1) // 2
-    if m > max_m:
-        raise ParameterError(f"m={m} exceeds the {max_m} possible edges")
-    rng = np.random.default_rng(seed)
-    keys = np.empty(0, dtype=np.int64)
-    while len(keys) < m:
-        need = m - len(keys)
-        u = rng.integers(0, n, size=2 * need + 16, dtype=np.int64)
-        v = rng.integers(0, n, size=2 * need + 16, dtype=np.int64)
-        ok = u != v
-        lo = np.minimum(u[ok], v[ok])
-        hi = np.maximum(u[ok], v[ok])
-        keys = np.unique(np.concatenate([keys, lo * n + hi]))
-    keys = keys[rng.permutation(len(keys))[:m]]
-    keys.sort()
-    return np.stack([keys // n, keys % n], axis=1)
-
-
-def interval_lists(graph: Graph, palette_size: int) -> dict[int, set[int]]:
-    """The canonical lists ``L_v = [palette_size]`` for every vertex."""
-    universe = set(range(1, palette_size + 1))
-    return {v: set(universe) for v in range(graph.n)}

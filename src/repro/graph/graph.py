@@ -46,14 +46,6 @@ class Graph:
         self._m += 1
         return True
 
-    def remove_edge(self, u: int, v: int) -> None:
-        """Remove edge ``{u, v}``; raise if absent."""
-        if v not in self._adj[u]:
-            raise ReproError(f"edge ({u}, {v}) not present")
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._m -= 1
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -125,36 +117,6 @@ class Graph:
         for u, v in self.edges():
             g.add_edge(u, v)
         return g
-
-    def induced_subgraph(self, vertices) -> tuple["Graph", dict[int, int]]:
-        """Subgraph induced by ``vertices``.
-
-        Returns the subgraph (relabelled to ``0..k-1``) and the mapping from
-        original vertex id to the new id.
-        """
-        vs = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(vs)}
-        sub = Graph(len(vs))
-        for v in vs:
-            for w in self._adj[v]:
-                if w > v and w in index:
-                    sub.add_edge(index[v], index[w])
-        return sub, index
-
-    def subgraph_on_edges(self, vertices, edge_set) -> tuple["Graph", dict[int, int]]:
-        """Subgraph induced by ``vertices`` restricted to ``edge_set``.
-
-        ``edge_set`` is an iterable of ``(u, v)`` pairs (any orientation).
-        This is the operation Algorithm 2 performs at query time: "the
-        subgraph induced by the vertex set ... on the edge set ``C_l | B``".
-        """
-        vs = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(vs)}
-        sub = Graph(len(vs))
-        for u, v in edge_set:
-            if u in index and v in index and not sub.has_edge(index[u], index[v]):
-                sub.add_edge(index[u], index[v])
-        return sub, index
 
     # ------------------------------------------------------------------
     def _check_vertex(self, v: int) -> None:

@@ -1,7 +1,9 @@
 """Hash families and random oracles used by the paper's algorithms.
 
-- :class:`CarterWegmanFamily` — the 2-independent affine family over ``F_p``
-  that Algorithm 1 searches (line 16).
+Algorithm 1's search over the affine family ``x -> (a x + b) mod p``
+(line 16) needs no family object: :mod:`repro.core.selector` scores its
+parts and members in closed form from ``a x + b mod p`` directly.
+
 - :class:`PolynomialHashFamily` — k-independent polynomial hashing;
   Algorithm 3 needs the 4-independent case (Lemma 4.8's variance bound).
 - :class:`TwoUniversalFamily` — ``((ax+b) mod p) mod s``; used by the
@@ -12,15 +14,12 @@
   Lemma 3.10 (built on a 2-universal family).
 """
 
-from repro.hashing.carter_wegman import AffineFunction, CarterWegmanFamily
 from repro.hashing.kindependent import PolynomialHashFamily
 from repro.hashing.partitions import PartitionFamily
 from repro.hashing.random_oracle import RandomOracle
 from repro.hashing.universal import TwoUniversalFamily
 
 __all__ = [
-    "AffineFunction",
-    "CarterWegmanFamily",
     "PartitionFamily",
     "PolynomialHashFamily",
     "RandomOracle",

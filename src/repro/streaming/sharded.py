@@ -368,10 +368,6 @@ class ShardedFileSource(StreamSource):
         self._row_starts.append(self.m)
         self._closed = False
 
-    @property
-    def shard_count(self) -> int:
-        return len(self._names)
-
     def _pass_items(self):
         yield from self._pass_items_from(0)
 

@@ -1,18 +1,12 @@
 """Zero-copy edge transport over POSIX shared memory.
 
-Two primitives move ``(k, 2)`` int64 edge blocks between processes
-without pickling the arrays:
-
-- :class:`SharedEdgeArray` — one immutable edge array published by a
-  parent process and attached read-only by pool workers (the
-  :class:`~repro.engine.grid.GridRunner` handoff: the workload array is
-  written once and every worker maps the same pages).
-- :class:`EdgeRing` — a byte ring buffer owned by the service
-  dispatcher; each ``feed`` copies its block into a contiguous slot and
-  ships only the ``{off, rows}`` descriptor over the control pipe.  The
-  worker replies to requests in order, so slots free strictly FIFO and
-  the entire allocator lives on the producer side — no cross-process
-  locks, no shared counters.
+:class:`EdgeRing` moves ``(k, 2)`` int64 edge blocks from the service
+dispatcher to a pool worker without pickling the arrays: a byte ring
+buffer owned by the dispatcher, into which each ``feed`` copies its block
+as one contiguous slot, shipping only the ``{off, rows}`` descriptor over
+the control pipe.  The worker replies to requests in order, so slots
+free strictly FIFO and the entire allocator lives on the producer side —
+no cross-process locks, no shared counters.
 
 Ring layout: allocations advance a head pointer; when a block does not
 fit in the remaining top space, the remainder is retired as a ``skip``
@@ -36,7 +30,7 @@ import numpy as np
 
 from repro.common.exceptions import StreamProtocolError
 
-__all__ = ["EdgeRing", "SharedEdgeArray"]
+__all__ = ["EdgeRing"]
 
 #: Bytes per edge record: two little-endian int64 endpoints.
 EDGE_BYTES = 16
@@ -49,69 +43,6 @@ def _attach_segment(name) -> shared_memory.SharedMemory:
         raise StreamProtocolError(
             f"cannot attach shared-memory segment {name!r}: {error}"
         ) from None
-
-
-class SharedEdgeArray:
-    """An ``(m, 2)`` int64 edge array published once, mapped by many readers.
-
-    The owner calls :meth:`publish`; its picklable :attr:`handle` names
-    the segment for workers, which call :meth:`attach` and read
-    :attr:`array` — a read-only zero-copy view of the owner's pages.
-    """
-
-    def __init__(self, shm, rows: int, owner: bool):
-        self._shm = shm
-        self.rows = int(rows)
-        self._owner = owner
-        view = np.ndarray((self.rows, 2), dtype=np.int64, buffer=shm.buf)
-        view.flags.writeable = False
-        self.array = view
-
-    @classmethod
-    def publish(cls, edges) -> "SharedEdgeArray":
-        """Copy ``edges`` into a fresh shared segment; returns the owner."""
-        arr = np.ascontiguousarray(edges, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise StreamProtocolError(
-                f"shared edge array must have shape (m, 2), got {arr.shape}"
-            )
-        shm = shared_memory.SharedMemory(create=True, size=max(1, arr.nbytes))
-        if len(arr):
-            staging = np.ndarray(arr.shape, dtype=np.int64, buffer=shm.buf)
-            staging[:] = arr
-        return cls(shm, len(arr), owner=True)
-
-    @property
-    def handle(self) -> dict:
-        """Picklable descriptor: pass this to workers, never the array."""
-        return {"name": self._shm.name, "rows": self.rows}
-
-    @classmethod
-    def attach(cls, handle: dict) -> "SharedEdgeArray":
-        """Map a published segment read-only (zero-copy)."""
-        try:
-            name, rows = handle["name"], int(handle["rows"])
-        except (TypeError, KeyError, ValueError) as error:
-            raise StreamProtocolError(
-                f"bad shared-edge handle {handle!r}: {error}"
-            ) from None
-        return cls(_attach_segment(name), rows, owner=False)
-
-    def close(self) -> None:
-        """Unmap this process's view (lingering array refs defer the unmap)."""
-        self.array = None
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover - views die with the process
-            pass
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner only; attached views stay valid)."""
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except OSError:  # pragma: no cover - already unlinked
-                pass
 
 
 class EdgeRing:

@@ -7,12 +7,10 @@ from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     gnp_random_graph,
-    interval_lists,
     path_graph,
     random_bipartite_graph,
     random_list_assignment,
     random_max_degree_graph,
-    random_regular_graph,
     shared_neighborhood_graph,
     star_graph,
 )
@@ -80,23 +78,6 @@ class TestRandomFamilies:
 
 
 class TestStressFamilies:
-    def test_regular_graph_is_regular(self):
-        g = random_regular_graph(20, 4, seed=11)
-        assert all(g.degree(v) == 4 for v in range(20))
-
-    def test_regular_graph_odd_product_rejected(self):
-        with pytest.raises(ValueError):
-            random_regular_graph(5, 3, seed=1)
-
-    def test_regular_graph_degree_bound(self):
-        with pytest.raises(ValueError):
-            random_regular_graph(4, 4, seed=1)
-
-    def test_regular_deterministic(self):
-        a = random_regular_graph(16, 3, seed=2)
-        b = random_regular_graph(16, 3, seed=2)
-        assert a.edge_list() == b.edge_list()
-
     def test_shared_neighborhood_twins(self):
         g = shared_neighborhood_graph(groups=3, group_size=4, hubs=5)
         assert g.n == 17
@@ -130,12 +111,6 @@ class TestLists:
         g = complete_graph(5)
         with pytest.raises(ValueError):
             random_list_assignment(g, palette_size=4, seed=1)
-
-    def test_interval_lists(self):
-        g = path_graph(3)
-        lists = interval_lists(g, 4)
-        assert lists[0] == {1, 2, 3, 4}
-        assert len(lists) == 3
 
     def test_determinism(self):
         g = gnp_random_graph(15, 0.3, seed=1)

@@ -46,16 +46,6 @@ class TestMutation:
         with pytest.raises(ReproError):
             g.add_edge(0, 3)
 
-    def test_remove_edge(self):
-        g = Graph(3, edges=[(0, 1)])
-        g.remove_edge(1, 0)
-        assert g.m == 0
-        assert not g.has_edge(0, 1)
-
-    def test_remove_missing_edge(self):
-        with pytest.raises(ReproError):
-            Graph(3).remove_edge(0, 1)
-
 
 class TestQueries:
     def test_degrees(self):
@@ -80,23 +70,3 @@ class TestDerivedGraphs:
         h.add_edge(1, 2)
         assert g.m == 1
         assert h.m == 2
-
-    def test_induced_subgraph(self):
-        g = Graph(5, edges=[(0, 1), (1, 2), (2, 3), (3, 4)])
-        sub, index = g.induced_subgraph([1, 2, 3])
-        assert sub.n == 3
-        assert sub.m == 2
-        assert sub.has_edge(index[1], index[2])
-        assert sub.has_edge(index[2], index[3])
-
-    def test_subgraph_on_edges_restricts(self):
-        g = Graph(4, edges=[(0, 1), (1, 2), (2, 3)])
-        sub, index = g.subgraph_on_edges([1, 2, 3], [(1, 2)])
-        assert sub.m == 1
-        assert sub.has_edge(index[1], index[2])
-        assert not sub.has_edge(index[2], index[3])
-
-    def test_subgraph_on_edges_ignores_outsiders(self):
-        g = Graph(4, edges=[(0, 1)])
-        sub, _ = g.subgraph_on_edges([2, 3], [(0, 1), (2, 3)])
-        assert sub.m == 1  # only (2,3); (0,1) endpoints not in vertex set

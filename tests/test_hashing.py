@@ -7,50 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import SeededRng
-from repro.hashing.carter_wegman import CarterWegmanFamily
 from repro.hashing.kindependent import PolynomialHashFamily
 from repro.hashing.partitions import PartitionFamily
 from repro.hashing.random_oracle import RandomOracle
 from repro.hashing.universal import TwoUniversalFamily
-
-
-class TestCarterWegman:
-    def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            CarterWegmanFamily(10)
-
-    def test_size(self):
-        assert CarterWegmanFamily(7).size == 49
-
-    def test_two_independence_exhaustive(self):
-        """Over all members, (h(x), h(y)) is uniform on [p]^2 for x != y."""
-        p = 7
-        fam = CarterWegmanFamily(p)
-        x, y = 2, 5
-        counts = {}
-        for a in range(p):
-            for b in range(p):
-                h = fam.function(a, b)
-                counts[(h(x), h(y))] = counts.get((h(x), h(y)), 0) + 1
-        assert len(counts) == p * p
-        assert set(counts.values()) == {1}
-
-    def test_part_structure(self):
-        """Within part a, h(v) - h(u) is constant = a(v-u) mod p."""
-        p = 11
-        fam = CarterWegmanFamily(p)
-        u, v = 3, 8
-        for a in fam.parts():
-            diffs = {
-                (fam.function(a, b)(v) - fam.function(a, b)(u)) % p
-                for b in range(p)
-            }
-            assert diffs == {(a * (v - u)) % p}
-
-    def test_coefficient_validation(self):
-        fam = CarterWegmanFamily(5)
-        with pytest.raises(ValueError):
-            fam.function(5, 0)
 
 
 class TestTwoUniversal:

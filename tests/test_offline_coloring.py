@@ -14,7 +14,6 @@ from repro.graph.coloring import (
     complete_partial_coloring,
     first_missing_positive,
     greedy_coloring,
-    greedy_list_coloring,
     is_proper_coloring,
     monochromatic_edges,
     num_colors_used,
@@ -82,22 +81,6 @@ class TestGreedy:
         coloring = greedy_coloring(g)
         assert is_proper_coloring(g, coloring)
         assert num_colors_used(coloring) <= g.max_degree() + 1
-
-
-class TestListColoring:
-    def test_deg_plus_one_lists_always_work(self):
-        for g in small_graphs():
-            lists = {v: set(range(1, g.degree(v) + 2)) for v in range(g.n)}
-            coloring = greedy_list_coloring(g, lists)
-            assert is_proper_coloring(g, coloring)
-            for v in range(g.n):
-                assert coloring[v] in lists[v]
-
-    def test_stuck_raises(self):
-        g = Graph(2, edges=[(0, 1)])
-        lists = {0: {1}, 1: {1}}
-        with pytest.raises(ReproError):
-            greedy_list_coloring(g, lists)
 
 
 class TestCompletePartial:

@@ -42,7 +42,7 @@ from repro.graph.zoo import arrange_edges, workload_delta, workload_edges
 from repro.persist.driver import VOLATILE_EXTRAS
 from repro.service import ColoringService, PoolConfig, ServiceClient, WorkerPool
 from repro.service.manager import SessionManager
-from repro.streaming.shm import EDGE_BYTES, EdgeRing, SharedEdgeArray
+from repro.streaming.shm import EDGE_BYTES, EdgeRing
 from repro.streaming.source import GeneratorSource
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -191,21 +191,6 @@ class TestEdgeRing:
         finally:
             ring.close()
             ring.unlink()
-
-    def test_shared_edge_array_publish_attach(self):
-        edges = np.arange(20, dtype=np.int64).reshape(10, 2)
-        shared = SharedEdgeArray.publish(edges)
-        try:
-            twin = SharedEdgeArray.attach(shared.handle)
-            try:
-                np.testing.assert_array_equal(twin.array, edges)
-                with pytest.raises(ValueError):
-                    twin.array[0, 0] = 99  # read-only mapping
-            finally:
-                twin.close()
-        finally:
-            shared.close()
-            shared.unlink()
 
 
 # ----------------------------------------------------------------------
@@ -818,40 +803,6 @@ class TestGracefulShutdown:
         assert "shut down cleanly (1 session(s) checkpointed)" in out
         snaps = list(ckdir.glob("**/*.ck"))
         assert snaps, f"no checkpoint written for {sid} under {ckdir}"
-
-
-# ----------------------------------------------------------------------
-# GridRunner zero-copy shared edges
-# ----------------------------------------------------------------------
-class TestGridSharedEdges:
-    def test_pool_path_matches_inline_per_spec(self):
-        from repro.engine.grid import GridRunner
-
-        arranged, n, delta = zoo_cell(n=48, seed=7)
-        specs = [
-            RunSpec(algorithm="cgs22", n=n, delta=delta, seed=s,
-                    verify="strict", chunk_size=64)
-            for s in range(3)
-        ]
-        inline = GridRunner(workers=1).run_specs(specs, shared_edges=arranged)
-        pooled = GridRunner(workers=2).run_specs(specs, shared_edges=arranged)
-        for a, b in zip(inline, pooled):
-            assert a.proper and b.proper
-            assert a.colors_used == b.colors_used
-            assert a.random_bits == b.random_bits
-
-    def test_shared_edges_rejects_games_and_bad_shapes(self):
-        from repro.engine.grid import GridRunner
-        from repro.engine.runner import GameSpec
-
-        runner = GridRunner(workers=1)
-        with pytest.raises(ReproError, match="shape"):
-            runner.run_specs([], shared_edges=np.zeros((3, 3), dtype=np.int64))
-        game = GameSpec(algorithm="robust", n=8, delta=2, rounds=4)
-        with pytest.raises(ReproError, match="stream specs"):
-            runner.run_specs(
-                [game], shared_edges=np.zeros((1, 2), dtype=np.int64)
-            )
 
 
 # ----------------------------------------------------------------------

@@ -273,7 +273,6 @@ class TestShardedFileSource:
         container, _ = pair
         source = ShardedFileSource(container)
         assert source.edge_count() == 53
-        assert source.shard_count == 6
         assert source.max_degree() == source.manifest["max_degree"]
         assert source.passes_used == 0  # no stats sweep happened
 

@@ -27,14 +27,6 @@ class TestGauges:
         assert m.peak_bits == 110
         assert m.current_bits == 50
 
-    def test_add_gauge(self):
-        m = SpaceMeter()
-        m.add_gauge("x", 10)
-        m.add_gauge("x", 5)
-        assert m.gauge("x") == 15
-        m.add_gauge("x", -15)
-        assert m.gauge("x") == 0
-
     def test_negative_gauge_rejected(self):
         m = SpaceMeter()
         with pytest.raises(ValueError):
