@@ -37,8 +37,9 @@ Theorem 2 (:mod:`repro.core.list_coloring`) is this algorithm with
 partition chains in place of subcubes and reuses the steps written here
 once: the conflict-edge pass (:class:`ConflictEdgeConsumer`), the
 hash-family search (:func:`family_selector`, ``best_part`` and
-:func:`family_proposals`), the Turán commit (:func:`turan_commit`) and the
-final pass (:class:`FinalPassConsumer`).
+:func:`family_proposals`), the Turán commit (:func:`turan_commit`), the
+epoch loop (:func:`epoch_check`) and the final pass
+(:class:`FinalPassConsumer`).
 """
 
 from dataclasses import dataclass, field
@@ -287,6 +288,24 @@ class FinalPassConsumer(PassConsumer):
         return adjacency, len(keys), self.lists
 
 
+def epoch_check(algo) -> bool:
+    """The epoch loop of both theorems: enter the next epoch, or stop.
+
+    Another epoch runs while ``|U| * Delta > n``, counted in
+    ``_mach["epoch"]`` and entered by ``algo._enter_epoch()``; past
+    ``algo.max_epochs`` (heuristic mode may stall) or once ``U`` is small
+    enough, the phase becomes ``final`` and ``False`` is returned.
+    """
+    mach = algo._mach
+    if len(mach["uncolored"]) * algo.delta > algo.n:
+        mach["epoch"] += 1
+        if mach["epoch"] <= algo.max_epochs:
+            algo._enter_epoch()
+            return True
+    mach["phase"] = "final"
+    return False
+
+
 def turan_commit(chi, uncolored, proposals, conflict_edges) -> None:
     """The end-of-epoch commit of both theorems (lines 29-33).
 
@@ -410,15 +429,8 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         while True:
             phase = mach["phase"]
             if phase == "epoch_check":
-                if len(mach["uncolored"]) * self.delta > self.n:
-                    mach["epoch"] += 1
-                    if mach["epoch"] > self.max_epochs:
-                        # heuristic mode may stall; the final pass finishes
-                        mach["phase"] = "final"
-                        return
-                    self._enter_epoch()
+                if epoch_check(self):
                     continue
-                mach["phase"] = "final"
                 return
             if phase == "stage_check":
                 if mach["fixed"] < mach["b"]:

@@ -51,6 +51,7 @@ from repro.common.integer_math import ceil_div, ceil_log2, floor_log2
 from repro.core.deterministic import (
     ConflictEdgeConsumer,
     FinalPassConsumer,
+    epoch_check,
     family_proposals,
     family_selector,
     turan_commit,
@@ -444,14 +445,8 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         while True:
             phase = mach["phase"]
             if phase == "epoch_check":
-                if len(mach["uncolored"]) * self.delta > self.n:
-                    mach["epoch"] += 1
-                    if mach["epoch"] > self.max_epochs:
-                        mach["phase"] = "final"
-                        return
-                    self._enter_epoch()
+                if epoch_check(self):
                     continue
-                mach["phase"] = "final"
                 return
             if phase == "mass_check":
                 # The stage loop runs the mass pass before each of its
