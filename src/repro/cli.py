@@ -744,11 +744,6 @@ def _run_trace_record(args) -> int:
         spec = RunSpec(
             algorithm=args.algorithm, n=args.n, delta=delta,
             seed=args.seed, graph_family=args.graph_family,
-            # Checkpointing needs a block source; materialized is the
-            # cheapest one and results are bit-identical across backends.
-            stream_backend=(
-                "materialized" if args.checkpoint_every is not None else None
-            ),
         )
         if args.checkpoint_every is not None:
             with tempfile.NamedTemporaryFile(suffix=".ck") as ck:

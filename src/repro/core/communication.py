@@ -10,10 +10,15 @@ the total communication is ``O(n log^4 n)`` bits — matching the corollary
 
 The simulation measures message sizes with the algorithm's own
 :class:`SpaceMeter` (current working-state bits at each handoff moment).
+It streams the players' tokens one per item through a
+:class:`MaterializedSource` whose passes record each handoff as they
+reach it: Alice's message at Bob's first token, Bob's at the first token
+of every later pass.
 """
 
 from dataclasses import dataclass, field
 
+from repro.streaming.source import MaterializedSource
 from repro.streaming.stream import TokenStream
 
 
@@ -26,6 +31,27 @@ class ProtocolResult:
     rounds: int
     total_bits: int
     message_bits: list[int] = field(default_factory=list)
+
+
+class _HandoffSource(MaterializedSource):
+    """The players' stream, one token per item, recording every handoff."""
+
+    def __init__(self, stream: TokenStream, boundary: int, record):
+        super().__init__(stream, chunk_size=1)
+        self.boundary = boundary
+        self.record = record
+
+    def new_pass(self):
+        later = self.passes_used > 0
+        for index, item in enumerate(super().new_pass()):
+            # Alice -> Bob: the instant the pass crosses into B's half.
+            if index == self.boundary:
+                self.record()
+            # Bob -> Alice: at the start of each pass after the first, Bob
+            # ships the state back so Alice can restart the stream.
+            if index == 0 and later:
+                self.record()
+            yield item
 
 
 def two_party_coloring_protocol(algorithm, alice_tokens, bob_tokens, n: int) -> ProtocolResult:
@@ -45,19 +71,11 @@ def two_party_coloring_protocol(algorithm, alice_tokens, bob_tokens, n: int) -> 
     bob_tokens = list(bob_tokens)
     boundary = len(alice_tokens)
     tokens = alice_tokens + bob_tokens
-    source = TokenStream(tokens, n).as_source(1)
     messages: list[int] = []
-
-    def observer(pass_index: int, token_index: int) -> None:
-        # Alice -> Bob: the instant the read position crosses into B's half.
-        if token_index == boundary:
-            messages.append(algorithm.meter.current_bits)
-        # Bob -> Alice: at the start of each pass after the first, Bob ships
-        # the state back so Alice can restart the stream.
-        if token_index == 0 and pass_index > 1:
-            messages.append(algorithm.meter.current_bits)
-
-    source.set_observer(observer)
+    source = _HandoffSource(
+        TokenStream(tokens, n), boundary,
+        lambda: messages.append(algorithm.meter.current_bits),
+    )
     coloring = algorithm.run(source)
     # Bob's final message delivering the answer/state after the last pass.
     messages.append(algorithm.meter.current_bits)

@@ -2,23 +2,28 @@
 
 Every algorithm in this repository (the four paper algorithms and the four
 baselines) satisfies this structural protocol: it owns a
-:class:`~repro.common.space.SpaceMeter`, it can consume a
-:class:`~repro.streaming.source.StreamSource` and return a total coloring,
-and it declares its palette bound (or ``None`` when the guarantee is only
-asymptotic).  The concrete method implementations live on the abstract
-bases in :mod:`repro.streaming.model`; one-pass (adversarially robust)
-algorithms additionally expose ``process_block``/``query`` for the
-adaptive game, which :func:`repro.engine.run_game` drives.
+:class:`~repro.common.space.SpaceMeter`, it runs as a pass machine
+(``blocks_start`` / ``blocks_consumer`` / ``blocks_deliver`` /
+``blocks_result``, see :mod:`repro.streaming.machine`), and it declares
+its palette bound (or ``None`` when the guarantee is only asymptotic).
+The concrete method implementations live on the abstract bases in
+:mod:`repro.streaming.model`, which also give every algorithm
+``color_stream``, a plain drive of the same machine over one
+:class:`~repro.streaming.source.StreamSource`; one-pass (adversarially
+robust) algorithms additionally expose ``process_block``/``query`` for
+the adaptive game, which :func:`repro.engine.run_game` drives.
 
 The engine — :func:`repro.engine.run`, the :class:`AlgorithmRegistry`, and
-the :class:`GridRunner` — talks to algorithms *only* through this protocol,
-so future scaling work (sharding, async execution, result caching) plugs in
-at exactly one seam.
+the :class:`GridRunner` — talks to algorithms *only* through this
+protocol: every run is a :class:`~repro.persist.driver.ResumableRun`,
+which steps the machine pass by pass, so future scaling work (sharding,
+async execution, result caching) plugs in at exactly one seam.
 """
 
 from typing import Protocol, runtime_checkable
 
 from repro.common.space import SpaceMeter
+from repro.streaming.machine import PassConsumer
 from repro.streaming.source import StreamSource
 
 __all__ = ["StreamingColorer"]
@@ -31,8 +36,20 @@ class StreamingColorer(Protocol):
     n: int
     meter: SpaceMeter
 
-    def color_stream(self, stream: StreamSource) -> dict[int, int]:
-        """Consume the stream and return a total coloring ``vertex -> color``."""
+    def blocks_start(self) -> None:
+        """Initialize the pass machine."""
+        ...
+
+    def blocks_consumer(self) -> PassConsumer | None:
+        """The consumer for the pass the machine needs next, or ``None``."""
+        ...
+
+    def blocks_deliver(self, result, stream: StreamSource) -> None:
+        """Fold a finished pass's result into the machine state."""
+        ...
+
+    def blocks_result(self) -> dict[int, int]:
+        """The completed machine's total coloring ``vertex -> color``."""
         ...
 
     @property

@@ -3,10 +3,12 @@
 A :class:`RunSpec` names an algorithm from the registry, the instance size,
 the seeds, and the algorithm's config options — nothing else.  The runner
 builds (or accepts) the stream and reads it as a block source, drives
-the algorithm through the :class:`~repro.engine.protocol.StreamingColorer`
-protocol, validates the output coloring in one sweep of the stream's own
-items, and packs everything into the uniform :class:`ColoringResult`
-schema.
+the algorithm's pass machine through the
+:class:`~repro.engine.protocol.StreamingColorer` protocol with the one
+run driver, :class:`~repro.persist.driver.ResumableRun` (checkpoints
+optional), validates the output coloring in one sweep of the stream's
+own items, and packs everything into the uniform
+:class:`ColoringResult` schema.
 
 :class:`GameSpec` / :func:`run_game` is the adaptive-adversary twin: the
 same schema, but the algorithm plays the Section 2 insert/query game
@@ -29,7 +31,6 @@ from repro.engine.result import ColoringResult
 from repro.graph.coloring import num_colors_used
 from repro.graph.graph import Graph
 from repro.kernels import kernel_total_hits
-from repro.streaming.model import block_source
 from repro.streaming.source import (
     DEFAULT_CHUNK_SIZE,
     FileSource,
@@ -435,61 +436,37 @@ def run(
     which case the result's ``proper`` field reports measured properness
     instead of raising.
 
-    A :class:`TokenStream` (built for ``stream_backend="tokens"`` or
-    handed in) is turned into a block source once, here
-    (``as_source(1)``, one edge per block); everything after reads that
-    source.
+    Every run is a :class:`repro.persist.driver.ResumableRun` driven to
+    completion.  A :class:`TokenStream` (built for
+    ``stream_backend="tokens"`` or handed in) is turned into a block
+    source once, at its entry (``as_source(1)``, one edge per block);
+    everything after reads that source.
 
-    With ``checkpoint_every=k`` the run executes on the resumable driver
-    (:class:`repro.persist.driver.ResumableRun`), writing a ``REPROCK1``
-    snapshot to ``checkpoint_path`` every ``k`` blocks (and at every pass
-    boundary); :func:`resume` continues such a run to an identical
+    ``checkpoint_every=k`` only adds snapshots: a ``REPROCK1`` snapshot
+    is written to ``checkpoint_path`` every ``k`` blocks (and at every
+    pass boundary); :func:`resume` continues such a run to an identical
     result, on every data plane.
     """
-    registry = registry if registry is not None else REGISTRY
-    entry = registry.get(spec.algorithm)
-    if spec.verify not in (False, True, "strict"):
-        raise ReproError(
-            f"RunSpec.verify must be False, True, or 'strict', "
-            f"got {spec.verify!r}"
-        )
+    from repro.persist.driver import ResumableRun
+
     with obs.span("engine.run", algorithm=spec.algorithm, n=spec.n,
                   delta=spec.delta, seed=spec.seed) as run_span:
         if checkpoint_every is not None:
-            from repro.persist.driver import ResumableRun
-
             if checkpoint_every < 1:
                 raise ReproError(
                     f"checkpoint_every must be >= 1, got {checkpoint_every}"
                 )
             if checkpoint_path is None:
                 raise ReproError("checkpoint_every requires a checkpoint_path")
-            driver = ResumableRun(spec, stream=stream, registry=registry)
-            try:
-                result = driver.run_to_completion(
-                    checkpoint_every=checkpoint_every,
-                    checkpoint_path=checkpoint_path,
-                )
-            finally:
-                driver.close()
-            return _note_run_result(run_span, result)
-        config = entry.make_config(spec.config)
-        owns_stream = stream is None
-        if stream is None:
-            stream = _build_stream(spec, entry, config)
-        elif stream.n != spec.n:
-            raise ReproError(
-                f"stream is over {stream.n} vertices but the spec "
-                f"says n={spec.n}"
-            )
-        stream = block_source(stream)
+        driver = ResumableRun(spec, stream=stream, registry=registry)
         try:
-            return _note_run_result(
-                run_span, _run_on_stream(spec, entry, config, stream)
+            result = driver.run_to_completion(
+                checkpoint_every=checkpoint_every,
+                checkpoint_path=checkpoint_path,
             )
         finally:
-            if owns_stream:
-                _dispose_stream(stream)
+            driver.close()
+        return _note_run_result(run_span, result)
 
 
 def _note_run_result(run_span, result):
@@ -562,32 +539,17 @@ def _kernel_hits_since(before: dict) -> dict:
     }
 
 
-def _run_on_stream(spec, entry, config, stream) -> ColoringResult:
-    passes_before = stream.passes_used
-    timings_before = len(stream.pass_seconds)
-
-    hits_before = kernel_total_hits()
-    algo = entry.create(spec.n, spec.delta, spec.seed, config)
-    start = perf_now()
-    coloring = algo.color_stream(stream)
-    wall_time = perf_now() - start
-    return _package_result(
-        spec, entry, config, stream, algo, coloring, wall_time,
-        passes_before, timings_before, _kernel_hits_since(hits_before),
-    )
-
-
 def _package_result(
     spec, entry, config, stream, algo, coloring, wall_time,
     passes_before, timings_before, kernel_hits=None,
 ) -> ColoringResult:
     """Validate the output and pack the uniform result record.
 
-    Shared by the inline path above and the checkpointing
-    :class:`repro.persist.driver.ResumableRun` (and the session service),
-    so a resumed run's validation, extras, and guarantee evaluation are
-    the same code as an uninterrupted one's.  ``kernel_hits`` is the
-    run's per-kernel dispatch counts, recorded when non-empty.
+    Shared by :class:`repro.persist.driver.ResumableRun`, behind every
+    run, and the session service's one-pass sessions, so a resumed run's
+    validation, extras, and guarantee evaluation are the same code as an
+    uninterrupted one's.  ``kernel_hits`` is the run's per-kernel
+    dispatch counts, recorded when non-empty.
     """
     palette_bound = algo.palette_bound
     proper = _check_output(spec, stream, coloring, palette_bound, entry)

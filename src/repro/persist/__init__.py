@@ -13,11 +13,12 @@ Three layers:
   malformed files fail clean with
   :class:`~repro.common.exceptions.CheckpointError`.
 - :mod:`repro.persist.driver` — :class:`ResumableRun`, the pass-at-a-time
-  execution harness behind ``repro.engine.run(..., checkpoint_every=...)``
-  and ``repro.engine.resume(path)``: a run suspended at any block
-  boundary and restored from its snapshot finishes with a bit-identical
-  :class:`~repro.engine.result.ColoringResult` (see DESIGN.md,
-  "Persistence & service", for the mid-pass fidelity argument).
+  driver behind every ``repro.engine.run`` (``checkpoint_every=...`` only
+  adds snapshots) and ``repro.engine.resume(path)``: a run suspended at
+  any block boundary and restored from its snapshot finishes with a
+  bit-identical :class:`~repro.engine.result.ColoringResult` (see
+  DESIGN.md, "Persistence & service", for the mid-pass fidelity
+  argument).
 """
 
 from repro.persist.checkpoint import (

@@ -1,11 +1,15 @@
-"""`ResumableRun`: pass-at-a-time execution with block-boundary checkpoints.
+"""`ResumableRun`: the driver of every engine run, with optional checkpoints.
 
-The driver owns what ``color_stream`` does inline — iterate the stream's
-passes and feed the algorithm's pass machine — but one pass at a time,
-with a snapshot opportunity at every block boundary.  Like
-:func:`~repro.engine.runner.run` it reads a block source on every data
-plane (a token stream as one-edge blocks, so the ``tokens`` plane
-checkpoints at every edge boundary):
+:func:`~repro.engine.runner.run` is a ``ResumableRun`` driven to
+completion, and so are :func:`~repro.engine.runner.resume` and every
+multipass service session.  The driver steps the algorithm's pass
+machine one pass at a time through the shared pass loop
+(:func:`~repro.streaming.machine.drive_pass`), and it alone measures a
+run's wall time and kernel hits.  ``checkpoint_every`` only adds
+snapshots: at every pass boundary, and at every ``k``-th block boundary
+from a generator around the pass's items.  Like ``run`` it reads a block
+source on every data plane (a token stream as one-edge blocks, so the
+``tokens`` plane checkpoints at every edge boundary):
 
 - **One-pass algorithms** (resumable consumers): the snapshot is the
   live algorithm state plus the block offset; restore seeks the stream
@@ -16,7 +20,7 @@ checkpoints at every edge boundary):
   (sources regenerate identical streams, ``blocks_consumer`` is pure),
   so the finished run is bit-identical either way — the differential
   suite in ``tests/test_persist.py`` locks this for every registry x
-  zoo x chunk-size cell.
+  zoo x chunk-size cell, comparing a run with itself interrupted.
 
 Checkpoints embed the originating :class:`~repro.engine.runner.RunSpec`,
 so a runner-built stream is rebuilt on resume; caller-supplied streams
@@ -28,6 +32,7 @@ from dataclasses import asdict
 from repro.common.exceptions import CheckpointError, ReproError
 from repro.kernels import kernel_total_hits
 from repro.persist.checkpoint import read_checkpoint, write_checkpoint
+from repro.streaming.machine import drive_pass
 from repro.streaming.model import block_source
 import repro.obs as obs
 from repro.obs.clock import perf_now
@@ -67,7 +72,7 @@ class ResumableRun:
 
     def __init__(self, spec, stream=None, registry=None):
         from repro.engine.registry import REGISTRY
-        from repro.engine.runner import _build_stream
+        from repro.engine.runner import _build_stream, _kernel_hits_since
 
         self.registry = registry if registry is not None else REGISTRY
         self.spec = spec
@@ -87,19 +92,28 @@ class ResumableRun:
                 f"n={spec.n}"
             )
         self.stream = block_source(stream)
-        self.algo = self.entry.create(spec.n, spec.delta, spec.seed, self.config)
-        self.algo.blocks_start()
+        hits_before = kernel_total_hits()
+        try:
+            self.algo = self.entry.create(
+                spec.n, spec.delta, spec.seed, self.config
+            )
+            start = perf_now()
+            self.algo.blocks_start()
+            self._wall = perf_now() - start
+        except BaseException:
+            self.close()
+            raise
+        # The run's kernel-dispatch hit counts: those of create and
+        # blocks_start here, then each step's, so service sessions (which
+        # call step() directly) report them too.
+        self._kernel_hits = _kernel_hits_since(hits_before)
         self._passes_before = self.stream.passes_used
         self._timings_before = len(self.stream.pass_seconds)
-        self._wall = 0.0
         self._pending_offset = None
         self._resumed = False
         self._checkpoints_written = 0
         self.done = False
         self._coloring = None
-        # Per-run kernel-dispatch hit counts, accumulated pass by pass so
-        # service sessions (which call step() directly) report them too.
-        self._kernel_hits: dict = {}
 
     # ------------------------------------------------------------------
     def step(self, checkpoint_every=None, checkpoint_path=None) -> bool:
@@ -113,56 +127,56 @@ class ResumableRun:
         if self.done:
             return False
         hits_before = kernel_total_hits()
-        with obs.span("persist.pass") as sp:
-            more = self._step_pass(checkpoint_every, checkpoint_path)
-            step_hits = _kernel_hits_since(hits_before)
-            for name, count in step_hits.items():
-                self._kernel_hits[name] = self._kernel_hits.get(name, 0) + count
-            if sp is not None:
-                sp.set("algorithm", self.spec.algorithm)
-                sp.set("pass_index", self.stream.passes_used)
-                if step_hits:
-                    sp.set("kernel_hits", step_hits)
-        return more
-
-    def _step_pass(self, checkpoint_every, checkpoint_path) -> bool:
+        start = perf_now()
         consumer = self.algo.blocks_consumer()
         if consumer is None:
             self._coloring = self.algo.blocks_result()
             self.done = True
-            return False
-        start = perf_now()
-        resume_offset = self._pending_offset
-        self._pending_offset = None
-        if resume_offset is not None and consumer.resumable:
-            items = self.stream.resume_pass(resume_offset)
-            offset = resume_offset
+            step_hits = _kernel_hits_since(hits_before)
         else:
-            items = self.stream.new_pass()
-            offset = 0
-        pre_state = None
-        if checkpoint_every and not consumer.resumable:
-            # Multipass consumers mutate only their own accumulators, so
-            # the pass-boundary state stays valid for the whole pass.
-            pre_state = self.algo.state_dict()
+            with obs.span("persist.pass") as sp:
+                drive_pass(self.algo, self.stream, consumer, self._items(
+                    consumer, start, checkpoint_every, checkpoint_path
+                ))
+                step_hits = _kernel_hits_since(hits_before)
+                if sp is not None:
+                    sp.set("algorithm", self.spec.algorithm)
+                    sp.set("pass_index", self.stream.passes_used)
+                    if step_hits:
+                        sp.set("kernel_hits", step_hits)
+        self._wall += perf_now() - start
+        for name, count in step_hits.items():
+            self._kernel_hits[name] = self._kernel_hits.get(name, 0) + count
+        return not self.done
+
+    def _items(self, consumer, start, checkpoint_every, checkpoint_path):
+        """The pass's items: a fresh pass, or the tail of a restored one."""
+        offset, self._pending_offset = self._pending_offset, None
+        if offset is not None and consumer.resumable:
+            items = self.stream.resume_pass(offset)
+        else:
+            items, offset = self.stream.new_pass(), 0
+        if checkpoint_every and checkpoint_path is not None:
+            items = self._checkpointed(
+                items, offset, consumer.resumable, start,
+                checkpoint_every, checkpoint_path,
+            )
+        return items
+
+    def _checkpointed(self, items, offset, resumable, start, every, path):
+        """Yield ``items``, snapshotting after every ``every``-th is fed."""
+        # Multipass consumers mutate only their own accumulators, so the
+        # pass-boundary state stays valid for the whole pass.
+        pre_state = None if resumable else self.algo.state_dict()
         for item in items:
-            consumer.feed(item)
+            yield item
             offset += 1
-            if (
-                checkpoint_every
-                and checkpoint_path is not None
-                and offset % checkpoint_every == 0
-            ):
+            if offset % every == 0:
                 self._write(
-                    checkpoint_path, in_pass=True, offset=offset,
-                    resumable=consumer.resumable, pre_state=pre_state,
+                    path, in_pass=True, offset=offset, resumable=resumable,
+                    pre_state=pre_state,
                     wall=self._wall + (perf_now() - start),
                 )
-        result = consumer.finish()
-        self.stream.note_pass_time(perf_now() - start)
-        self.algo.blocks_deliver(result, self.stream)
-        self._wall += perf_now() - start
-        return True
 
     def run_to_completion(self, checkpoint_every=None, checkpoint_path=None):
         """Drive every remaining pass, then package the result."""

@@ -19,10 +19,14 @@ accumulators live in a throwaway :class:`PassConsumer`:
   happen here (or in ``blocks_start``), never in ``blocks_consumer``;
 - ``blocks_result()`` — the final coloring.
 
-:func:`drive_blocks` is the plain, non-checkpointing driver used by
-``color_stream`` on block sources; :class:`repro.persist.driver.
-ResumableRun` is the checkpointing twin, snapshotting between
-``blocks_deliver`` and the next pass.  Suspend/restore fidelity:
+:func:`drive_pass` is the one pass loop: it feeds a pass's items to the
+consumer, finishes it, records the pass's time on the source and hands
+the result to ``blocks_deliver``.  :class:`repro.persist.driver.
+ResumableRun`, the driver of every engine run, calls it once per pass
+and may snapshot between ``blocks_deliver`` and the next pass or, from
+a generator around the items, after every k-th item; :func:`drive_blocks`
+(behind ``color_stream``) calls it with no snapshots.  Suspend/restore
+fidelity:
 
 - a consumer with ``resumable = True`` (the one-pass algorithms: feeding
   mutates only snapshotted algorithm state) can be suspended at any block
@@ -38,7 +42,9 @@ import numpy as np
 from repro.common.exceptions import CheckpointError
 from repro.obs.clock import perf_now
 
-__all__ = ["OnePassStreamConsumer", "PassConsumer", "drive_blocks"]
+__all__ = [
+    "OnePassStreamConsumer", "PassConsumer", "drive_blocks", "drive_pass",
+]
 
 
 class PassConsumer:
@@ -81,21 +87,26 @@ def require_machine(algo) -> dict:
     return mach
 
 
-def drive_blocks(algo, stream) -> dict:
-    """Run an algorithm's pass machine over a block source to completion.
+def drive_pass(algo, stream, consumer, items) -> None:
+    """Feed one pass's ``items`` to ``consumer`` and fold its result in.
 
-    Each pass is timed from its first feed through the consumer's
-    ``finish()`` and recorded with ``stream.note_pass_time``.
+    The pass is timed from its first feed through the consumer's
+    ``finish()`` and recorded with ``stream.note_pass_time``, before
+    ``algo.blocks_deliver`` advances the machine.
     """
+    start = perf_now()
+    for item in items:
+        consumer.feed(item)
+    result = consumer.finish()
+    stream.note_pass_time(perf_now() - start)
+    algo.blocks_deliver(result, stream)
+
+
+def drive_blocks(algo, stream) -> dict:
+    """Run an algorithm's pass machine over a block source to completion."""
     algo.blocks_start()
     while True:
         consumer = algo.blocks_consumer()
         if consumer is None:
-            break
-        start = perf_now()
-        for item in stream.new_pass():
-            consumer.feed(item)
-        result = consumer.finish()
-        stream.note_pass_time(perf_now() - start)
-        algo.blocks_deliver(result, stream)
-    return algo.blocks_result()
+            return algo.blocks_result()
+        drive_pass(algo, stream, consumer, stream.new_pass())

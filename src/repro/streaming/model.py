@@ -5,13 +5,15 @@ interfaces exist so the experiment harness, the adversarial game loop, and
 the communication-protocol reduction can treat algorithms uniformly.
 
 Both base classes implement the :class:`repro.engine.StreamingColorer`
-protocol: :meth:`color_stream` consumes a
+protocol: the pass machine of :mod:`repro.streaming.machine`, which the
+engine's one run driver (:class:`repro.persist.driver.ResumableRun`)
+steps pass by pass, and :attr:`palette_bound`, the declared palette size
+(``None`` when the algorithm only guarantees an asymptotic shape).
+Every algorithm has one execution path, its pass machine;
+:meth:`color_stream` drives the same machine over one
 :class:`~repro.streaming.source.StreamSource` (a :class:`TokenStream` is
-read as one-edge blocks) and returns a total coloring, and
-:attr:`palette_bound` exposes the declared palette size (``None`` when
-the algorithm only guarantees an asymptotic shape).  The engine's
-:func:`repro.engine.run` entry point drives algorithms only through that
-protocol.  Every algorithm has one execution path, its pass machine.
+read as one-edge blocks) without the engine, for tests and for
+Corollary 3.11.
 """
 
 import abc
@@ -32,7 +34,7 @@ def block_source(stream) -> StreamSource:
 
 class SnapshotableAlgorithm:
     """The base both algorithm kinds share: the ``Snapshotable`` protocol,
-    the space meter and the one stream driver, :meth:`color_stream`.
+    the space meter and :meth:`color_stream`.
 
     ``state_dict()`` captures *every* run-relevant attribute — RNG draw
     positions, sketch tables, slack counters, buffers, pass-machine
@@ -69,13 +71,14 @@ class SnapshotableAlgorithm:
         return require_machine(self)["coloring"]
 
     def color_stream(self, stream) -> dict[int, int]:
-        """Protocol entry point: run the pass machine over the stream.
+        """Run the pass machine over the stream, outside the engine.
 
         A :class:`~repro.streaming.source.StreamSource` (numpy ``(k, 2)``
         edge blocks, list tokens interleaved in place) goes straight to
-        :func:`~repro.streaming.machine.drive_blocks`, and a
-        :class:`TokenStream` is read as one-edge blocks through a fresh
-        ``stream.as_source(1)`` (:func:`block_source`).
+        :func:`~repro.streaming.machine.drive_blocks`, the shared pass
+        loop with no snapshots, and a :class:`TokenStream` is read as
+        one-edge blocks through a fresh ``stream.as_source(1)``
+        (:func:`block_source`).
         """
         return drive_blocks(self, block_source(stream))
 
@@ -129,8 +132,8 @@ class OnePassAlgorithm(SnapshotableAlgorithm, abc.ABC):
     time, and may call :meth:`query` at any time; ``query`` must return a
     proper coloring of all edges processed so far.  The state after a
     sequence of insertions does not depend on how they were cut into
-    blocks, which both the static driver (:meth:`color_stream`, one pass
-    of blocks, then one query) and the adversarial game rely on.
+    blocks, which both the static drivers (one pass of blocks, then one
+    query) and the adversarial game rely on.
     """
 
     @abc.abstractmethod

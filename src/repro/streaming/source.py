@@ -16,9 +16,7 @@ faithfulness argument.
 Three concrete sources:
 
 - :class:`MaterializedSource` — chunked view over an in-memory
-  :class:`TokenStream`'s tokens; supports the per-token observer hook
-  (communication protocol) by degrading to single-token items when an
-  observer is installed.
+  :class:`TokenStream`'s tokens.
 - :class:`GeneratorSource` — lazy: re-generates the edge sequence from a
   deterministic factory on every pass; O(chunk_size) memory, nothing is
   ever materialized across passes.
@@ -267,30 +265,19 @@ class StreamSource(abc.ABC):
         self._edge_count = count
         self._max_degree = int(deg.max()) if self.n else 0
 
-    # -------------------------------------------------------------------
-    def set_observer(self, callback) -> None:
-        """Per-token observers require a materialized stream."""
-        raise StreamProtocolError(
-            f"{type(self).__name__} does not support per-token observers; "
-            "use a MaterializedSource (TokenStream.as_source)"
-        )
-
 
 class MaterializedSource(StreamSource):
     """Chunked block view over an in-memory :class:`TokenStream`'s tokens.
 
     ``ListToken`` interleaving is preserved: edge runs are chunked into
-    blocks, list tokens are yielded in place.  With a per-token observer
-    installed (the communication-protocol hook), passes degrade to
-    single-token items so the observer fires at exactly the original
-    token granularity.
+    blocks, list tokens are yielded in place, so with ``chunk_size=1``
+    item ``i`` of a pass is token ``i``.
     """
 
     def __init__(self, stream: TokenStream, chunk_size: int = DEFAULT_CHUNK_SIZE):
         super().__init__(stream.n, chunk_size)
         self.stream = stream
         self._segments = None
-        self._observer = None
 
     def _build_segments(self) -> list:
         segments: list = []
@@ -327,21 +314,7 @@ class MaterializedSource(StreamSource):
         # the layer profiler wraps both by name, and a delegating call
         # would trace every pass twice.
         self.passes_used += 1
-        if self._observer is None:
-            yield from self._pass_items()
-            return
-        # Token-fidelity fallback: the observer contract is per-token.
-        pass_index = self.passes_used
-        for i, token in enumerate(self.stream.tokens):
-            self._observer(pass_index, i)
-            if isinstance(token, EdgeToken):
-                yield np.array([[token.u, token.v]], dtype=np.int64)
-            else:
-                yield token
-
-    def set_observer(self, callback) -> None:
-        """Install ``callback(pass_index, token_index)`` fired before each token."""
-        self._observer = callback
+        yield from self._pass_items()
 
 
 class GeneratorSource(StreamSource):

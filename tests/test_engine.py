@@ -28,7 +28,7 @@ from repro.engine import (
     validate_result_dict,
 )
 from repro.streaming.machine import PassConsumer
-from repro.streaming.model import MultipassStreamingAlgorithm
+from repro.streaming.model import MultipassStreamingAlgorithm, OnePassAlgorithm
 
 ALL_ALGORITHMS = (
     "acs22", "cgs22", "deterministic", "list_coloring", "naive",
@@ -246,24 +246,20 @@ class TestRun:
             set_default_stream(*before)
         assert get_default_stream() == before
 
-class _Monochrome:
+class _Monochrome(OnePassAlgorithm):
     """Deliberately improper colorer for the validation test."""
 
     def __init__(self, n, color=1, palette=None):
-        from repro.common.space import SpaceMeter
-
+        super().__init__()
         self.n = n
         self.color = color
-        self.palette_bound = palette
-        self.meter = SpaceMeter()
+        self.palette_size = palette
 
-    def color_stream(self, stream):
-        for _ in stream.new_pass():
-            pass
+    def process_block(self, edges):
+        pass
+
+    def query(self):
         return {v: self.color for v in range(self.n)}
-
-    peak_space_bits = 0
-    random_bits_used = 0
 
 
 class _SleepyFinish(PassConsumer):

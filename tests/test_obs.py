@@ -252,6 +252,26 @@ class TestTrace:
             round(r["dur_s"], 6) for r in spans
         ]
 
+    def test_plain_run_is_one_persist_pass_per_pass(self, tmp_path):
+        # A run without checkpoints has the driver's span tree too:
+        # engine.run -> persist.pass -> stream.pass, one of each per pass.
+        from repro.engine import RunSpec, run
+
+        path = tmp_path / "trace.jsonl"
+        obs.configure(trace_log=path)
+        result = run(RunSpec(algorithm="deterministic", n=64, delta=6, seed=1))
+        obs.reset()
+        spans: dict = {}
+        for record in obs.read_trace_log(path):
+            spans.setdefault(record["name"], []).append(record)
+        (engine,) = spans["engine.run"]
+        passes, streams = spans["persist.pass"], spans["stream.pass"]
+        assert len(passes) == len(streams) == result.passes > 1
+        assert {p["parent"] for p in passes} == {engine["span"]}
+        assert sorted(s["parent"] for s in streams) == sorted(
+            p["span"] for p in passes
+        )
+
 
 # ----------------------------------------------------------------------
 # structlog + configure round trip

@@ -74,15 +74,6 @@ class TestMaterializedSource:
         assert items[1] == tokens[1]
         assert items[2].tolist() == [[1, 2], [0, 2]]
 
-    def test_observer_fires_per_token(self):
-        stream = TokenStream(edge_tokens([(0, 1), (1, 2)]), n=3)
-        source = MaterializedSource(stream)
-        seen = []
-        source.set_observer(lambda pi, ti: seen.append((pi, ti)))
-        blocks = list(source.new_pass())
-        assert seen == [(1, 0), (1, 1)]
-        assert [b.tolist() for b in blocks] == [[[0, 1]], [[1, 2]]]
-
     def test_stats(self):
         g = cycle_graph(6)
         source = MaterializedSource(stream_from_graph(g))

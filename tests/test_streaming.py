@@ -52,14 +52,6 @@ class TestTokenStream:
         assert s.edge_count() == 3
         assert s.max_degree() == 3
 
-    def test_observer_sees_every_token(self):
-        s = TokenStream(edge_tokens([(0, 1), (1, 2)]), n=3).as_source(1)
-        seen = []
-        s.set_observer(lambda pi, ti: seen.append((pi, ti)))
-        list(s.new_pass())
-        list(s.new_pass())
-        assert seen == [(1, 0), (1, 1), (2, 0), (2, 1)]
-
     def test_len(self):
         assert len(TokenStream(edge_tokens([(0, 1)]), n=2)) == 1
 
