@@ -143,3 +143,36 @@ class TestPinnedMessages:
         assert (result.passes, result.rounds) == (21, 42)
         assert result.message_bits == LIST_MESSAGES
         assert result.total_bits == sum(LIST_MESSAGES) == 79176
+
+
+class TestHandoffSource:
+    def test_handoffs_fall_on_bobs_first_token_and_each_restart(self):
+        from repro.core.communication import _HandoffSource
+        from repro.streaming.stream import TokenStream
+        from repro.streaming.tokens import edge_tokens
+
+        events = []
+        source = _HandoffSource(
+            TokenStream(edge_tokens([(0, 1), (1, 2), (2, 3), (3, 4)]), n=5),
+            boundary=2, record=lambda: events.append("message"),
+        )
+        for _ in range(2):
+            for block in source.new_pass():
+                events.append(tuple(block[0].tolist()))
+        # Alice's message before Bob's first token of every pass; Bob's
+        # before the first token of the second pass.
+        assert events == [
+            (0, 1), (1, 2), "message", (2, 3), (3, 4),
+            "message", (0, 1), (1, 2), "message", (2, 3), (3, 4),
+        ]
+        assert source.passes_used == 2
+
+    def test_bob_holds_everything_single_message(self):
+        n, delta = 20, 3
+        g = random_max_degree_graph(n, delta, seed=95)
+        tokens = stream_from_graph(g).tokens
+        algo = DeterministicColoring(n, delta)
+        result = two_party_coloring_protocol(algo, [], tokens, n)
+        validate_coloring(g, result.coloring, palette_size=delta + 1)
+        assert result.rounds == 1
+        assert result.message_bits == [algo.meter.current_bits]
