@@ -347,3 +347,35 @@ class TestPastFirstEpochGolden:
             json.dumps(record, sort_keys=True).encode()
         ).hexdigest()
         assert digest == self.GOLDEN[(algorithm, seed, selection)]
+
+
+class TestPaperPrimeGolden:
+    """Theorem 1 at n = 1024, Δ = 24, seed 1, with its defaults, pinned.
+
+    The paper prime there is p = 81929, five times the p = 16411 that
+    perfbench's ``det-paper`` pins reach, so this covers the family
+    search's part and member sums at a width where the profiles no longer
+    fit in cache.  The digest covers the coloring in vertex order,
+    ``passes``, ``peak_space_bits`` and ``random_bits``, and was recorded
+    before the part sums were read from linear runs.
+    """
+
+    GOLDEN = "eab9169b8887b250ef7fe71737de0618665eb9e0c83e8a2fea0818949e60b049"
+
+    def test_fingerprint(self):
+        from repro.engine import RunSpec, run
+
+        result = run(RunSpec(
+            algorithm="deterministic", n=1024, delta=24, seed=1,
+            keep_coloring=True, verify="strict",
+        ))
+        record = {
+            "coloring": [result.coloring[v] for v in range(result.n)],
+            "passes": result.passes,
+            "peak_space_bits": result.peak_space_bits,
+            "random_bits": result.random_bits,
+        }
+        digest = hashlib.sha256(
+            json.dumps(record, sort_keys=True).encode()
+        ).hexdigest()
+        assert digest == self.GOLDEN
