@@ -205,9 +205,19 @@ class TestRun:
             f"improper coloring: adjacent vertices {u} and {v} share color 0",
         )
 
-    @pytest.mark.parametrize("checkpointed", [False, True])
-    def test_pass_time_includes_finish(self, checkpointed):
+    @pytest.mark.parametrize("driver", ["run", "checkpoint_every=1", "color_stream"])
+    def test_pass_time_includes_finish(self, driver, tmp_path, monkeypatch):
+        # Each way through drive_pass times a pass up to and including its
+        # consumer's finish(): a plain run, a run that snapshots after
+        # every block (the driver's mid-pass generator; the test class is
+        # allowlisted for its snapshots), and color_stream, which drives
+        # the pass loop outside the engine.
+        from repro.engine.runner import _build_stream
+        from repro.persist import codec
         from repro.persist.driver import ResumableRun
+
+        monkeypatch.setattr(codec, "SNAPSHOT_CLASSES", codec.SNAPSHOT_CLASSES
+                            | {f"{__name__}:{_SlowFinish.__qualname__}"})
 
         entry = AlgorithmEntry(
             name="slow", summary="one pass, slow reduction", kind="multipass",
@@ -216,13 +226,21 @@ class TestRun:
         )
         registry = AlgorithmRegistry([entry])
         spec = RunSpec(algorithm="slow", n=8, delta=2, graph_seed=1)
-        if checkpointed:
-            result = ResumableRun(spec, registry=registry).run_to_completion()
+        if driver == "color_stream":
+            source = _build_stream(spec, entry, entry.make_config(spec.config))
+            _SlowFinish(spec.n).color_stream(source)
+            times = source.pass_seconds
         else:
-            result = run(spec, registry=registry)
-        assert result.passes == 1
-        assert result.extras["pass_wall_times"][0] >= _SlowFinish.SLEEP_S
-
+            if driver == "run":
+                result = run(spec, registry=registry)
+            else:
+                result = ResumableRun(spec, registry=registry).run_to_completion(
+                    checkpoint_every=1, checkpoint_path=str(tmp_path / "slow.ck"))
+                assert result.extras["checkpoints"] >= 2
+            assert result.passes == 1
+            times = result.extras["pass_wall_times"]
+        assert len(times) == 1
+        assert times[0] >= _SlowFinish.SLEEP_S
 
     def test_default_stream_is_validated_and_restorable(self):
         from repro.engine import set_default_stream

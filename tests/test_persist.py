@@ -447,15 +447,33 @@ class TestDriverValidation:
         assert checked.extras["checkpoints"] >= 1
 
 
-    def test_stepped_run_reports_the_plain_runs_kernel_hits(self):
+    @pytest.mark.parametrize("algorithm", ["deterministic", "robust"])
+    def test_other_drivers_dispatch_the_plain_runs_kernel_hits(self, algorithm,
+                                                               tmp_path):
         # strip_volatile drops kernel_hits (a resumed run counts only its
-        # own passes), so pin the uninterrupted stepped run separately.
-        for algorithm in ("deterministic", "robust"):
-            spec = zoo_spec(algorithm, "power_law", 9)
-            plain = run(spec).extras["kernel_hits"]
-            stepped = ResumableRun(spec).run_to_completion()
-            assert plain
-            assert stepped.extras["kernel_hits"] == plain, algorithm
+        # own passes), so pin them on the two other ways through
+        # drive_pass: an uninterrupted run that snapshots after every
+        # block (the driver's mid-pass generator), and color_stream
+        # outside the engine, read through the kernel totals.
+        from repro.engine.runner import _build_stream, _kernel_hits_since
+        from repro.kernels import kernel_total_hits
+
+        spec = zoo_spec(algorithm, "power_law", 9)
+        plain = run(spec).extras["kernel_hits"]
+        assert plain
+        checked = ResumableRun(spec).run_to_completion(
+            checkpoint_every=1, checkpoint_path=str(tmp_path / "c.ck"))
+        assert checked.extras["checkpoints"] >= 1
+        assert checked.extras["kernel_hits"] == plain
+        entry = REGISTRY.get(algorithm)
+        config = entry.make_config(spec.config)
+        source = _build_stream(spec, entry, config)
+        before = kernel_total_hits()
+        algo = entry.create(spec.n, spec.delta, spec.seed, config)
+        coloring = algo.color_stream(source)
+        assert _kernel_hits_since(before) == plain
+        assert coloring == checked.coloring
+        assert len(source.pass_seconds) == source.passes_used == checked.passes
 
 
 class TestStoredSpecs:

@@ -16,8 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.selector as selector_module
 from repro.common.exceptions import ReproError
-from repro.core.selector import SlackWeightedSelector, int64_exact
+from repro.common.integer_math import primitive_root
+from repro.core.selector import (
+    SlackWeightedSelector,
+    _as_edges,
+    _exact_part_sums,
+    _profile_segments,
+    _scaled_weights,
+    int64_exact,
+)
 
 
 # ----------------------------------------------------------------------
@@ -566,3 +575,183 @@ class TestReferenceDifferential:
         edges = [(0, 1), (2, 1), (0, 2)]
         assert not int64_exact(math.lcm(*primes), sel.p, len(edges))
         assert_matches_reference(sel, edges)
+
+
+# ----------------------------------------------------------------------
+# The written-profile reference: the exact part sums as first written,
+# one width-p profile per δ-group, gathered at a δ through a discrete-log
+# table.  The run path must reproduce it element for element.
+# ----------------------------------------------------------------------
+def reference_exact_part_sums(p, delta, shared, weight, dtype):
+    """Scaled exact part sums, every group's profile written out."""
+    seg = _profile_segments(p, delta, shared, weight, dtype)
+    g = primitive_root(p)
+    powers = np.empty(p - 1, dtype=np.int64)
+    x = 1
+    for i in range(p - 1):
+        powers[i] = x
+        x = x * g % p
+    log = np.empty(p, dtype=np.int64)
+    log[powers] = np.arange(p - 1)
+    powers = np.concatenate((powers, powers))
+    ramp = np.arange(p)
+    total = np.zeros(p - 1, dtype=dtype)
+    everywhere = seg.origin[seg.groups == 0].sum()  # δ = 0 reads S[0]
+    for k in np.flatnonzero(seg.groups).tolist():
+        lo, hi = seg.bounds[k], seg.bounds[k + 1]
+        run = seg.length[lo:hi]
+        profile = (np.repeat(seg.slope[lo:hi], run)
+                   * (ramp - np.repeat(seg.at[lo:hi], run))
+                   + np.repeat(seg.value[lo:hi], run))
+        j = int(log[seg.groups[k]])
+        total += profile[powers[j:j + p - 1]]
+    exact = np.empty(p, dtype=dtype)
+    exact[0] = seg.origin.sum()
+    exact[powers[:p - 1]] = total + everywhere
+    return exact
+
+
+def exact_inputs(sel, edges):
+    """The arguments ``part_sums`` hands to ``_exact_part_sums``."""
+    edges = _as_edges(edges)
+    shared = sel._shared_blocks(edges)
+    scale, dtype, weight = _scaled_weights(shared, sel.p, len(edges))
+    delta = (edges[:, 1] - edges[:, 0]) % sel.p
+    return sel.p, delta[shared.edge], shared, weight, dtype
+
+
+def assert_matches_written_profiles(args):
+    got = _exact_part_sums(*args)
+    want = reference_exact_part_sums(*args)
+    assert got.dtype == want.dtype == args[4]
+    assert np.array_equal(got, want)
+    return got
+
+
+def special_instance(p, seed):
+    """A random selector whose conflict edges cover the run path's cases.
+
+    Vertex ids include pairs at distance 1 and ``(p ± 1)/2``, so the
+    ``δ``-groups include ``s = 1`` in both step signs, both middle steps,
+    ``δ = 0`` (self-loops) and random steps of both signs; every other
+    vertex has candidate 0, so each of these edges has a shared candidate.
+    Vertices 3 and 10 have one candidate, which owns every slot, so the
+    edge between them has a flat profile: a one-segment group.
+    """
+    rng = np.random.default_rng(seed)
+    h = (p - 1) // 2
+    ids = np.unique(np.concatenate((
+        [0, 1, 2, 3, 10, h, h + 1, h + 2], rng.choice(p, size=24, replace=False))))
+    sel = SlackWeightedSelector(p, len(ids), 6)
+    for x in ids.tolist():
+        if x in (3, 10):
+            sel.register_vertex(x, [4], [3])
+            continue
+        width = int(rng.integers(1, 5))
+        cids = np.concatenate(([0], rng.choice(5, size=width - 1, replace=False) + 1))
+        slacks = rng.integers(0, 7, size=width)
+        slacks[0] += 1
+        sel.register_vertex(x, cids, slacks)
+    edges = [(0, 1), (1, 0), (1, 2), (0, h), (0, h + 1), (h + 2, 1), (2, 2),
+             (h, h), (3, 10)]
+    pairs = rng.choice(ids, size=(40, 2))
+    edges += [tuple(e) for e in pairs.tolist()]
+    return sel, edges
+
+
+def run_groups(args):
+    """Which ``δ``-groups of a call take the run path, and the segments."""
+    seg = _profile_segments(*args)
+    p = args[0]
+    step = np.minimum(seg.groups, p - seg.groups)
+    kinks = np.add.reduceat((seg.impulse != 0).astype(np.int64), seg.bounds[:-1])
+    return selector_module._EVENT_COST * step * kinks < p, seg
+
+
+class TestRunPathDifferential:
+    """The part sums' run path and cost model against the written-profile
+    reference above, exact element for element.  With ``_EVENT_COST`` at 0
+    every group takes the run path, whatever its step."""
+
+    @pytest.mark.parametrize("all_runs", [False, True])
+    @pytest.mark.parametrize("p", [1009, 16411])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_special_steps_match(self, monkeypatch, p, seed, all_runs):
+        if all_runs:
+            monkeypatch.setattr(selector_module, "_EVENT_COST", 0)
+        sel, edges = special_instance(p, seed)
+        args = exact_inputs(sel, edges)
+        assert_matches_written_profiles(args)
+        on_runs, seg = run_groups(args)
+        groups = set(seg.groups[on_runs].tolist())
+        h = (p - 1) // 2
+        assert {0, 1, p - 1, 7} <= groups
+        assert (np.diff(seg.bounds) == 1).any()
+        if all_runs:
+            assert {h, h + 1} <= groups
+            assert (seg.groups[1:] < h).any() and (seg.groups > h + 1).any()
+        else:
+            assert not on_runs.all()
+
+    def test_dense_group_takes_the_profile_path(self, monkeypatch):
+        """One call whose groups take both paths: 300 edges at distance 300
+        share one δ, and their ``s k`` kink events cost more than ``p``
+        profile values, while the sparse groups stay on the run path."""
+        calls = []
+        for name in ("_run_part_sums", "_gathered_part_sums"):
+            real = getattr(selector_module, name)
+
+            def spy(p, seg, chosen, dtype, real=real, name=name):
+                calls.append((name, int(chosen.sum())))
+                return real(p, seg, chosen, dtype)
+            monkeypatch.setattr(selector_module, name, spy)
+        rng = np.random.default_rng(3)
+        sel = SlackWeightedSelector(16411, 600, 4)
+        sel.register_vertex(np.arange(600), np.tile(np.arange(4), (600, 1)),
+                            rng.integers(1, 9, size=(600, 4)))
+        edges = [(i, i + 300) for i in range(300)] + [(5, 7), (9, 8), (4, 4)]
+        assert_matches_written_profiles(exact_inputs(sel, edges))
+        assert sorted(calls) == [("_gathered_part_sums", 1), ("_run_part_sums", 3)]
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    def test_batch_boundaries(self, monkeypatch, batch):
+        """Shrunk batches cut rows of events at every boundary."""
+        monkeypatch.setattr(selector_module, "_EVENT_COST", 0)
+        monkeypatch.setattr(selector_module, "_EVENT_BATCH", batch)
+        sel, edges = special_instance(1009, 4)
+        assert_matches_written_profiles(exact_inputs(sel, edges))
+
+    def test_int64_wrap_around(self):
+        """Slack 1 against a large lcm: the scaled sums fit int64, yet a kink
+        event of a run-path group has ``|I pos| >= 2^63``, so its int64
+        product wraps; the result is still exact."""
+        p, q1, q2 = 16411, 3_000_000, 3_000_001
+        sel = SlackWeightedSelector(p, 3, 2)
+        sel.register_vertex(0, [0, 1], [1, q1])
+        sel.register_vertex(500, [0, 1], [1, q2])
+        sel.register_vertex(900, [0, 1], [1, q1])
+        edges = [(0, 500), (900, 500), (0, 900)]
+        args = exact_inputs(sel, edges)
+        assert args[4] is np.int64
+        on_runs, seg = run_groups(args)
+        owner = np.repeat(np.arange(len(seg.groups)), np.diff(seg.bounds))
+        step = np.minimum(seg.groups, p - seg.groups)
+        largest = max(abs(int(seg.impulse[r])) * (int(step[owner[r]]) - 1) * p
+                      for r in np.flatnonzero(on_runs[owner]))
+        assert largest >= 2**63
+        exact = assert_matches_written_profiles(args)
+        assert exact.min() >= 0
+
+    @pytest.mark.parametrize("all_runs", [False, True])
+    def test_python_integer_tier(self, monkeypatch, all_runs):
+        if all_runs:
+            monkeypatch.setattr(selector_module, "_EVENT_COST", 0)
+        primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
+                  1000117, 1000121, 1000133]
+        sel = SlackWeightedSelector(1009, 3, 3)
+        for x, at in ((0, 0), (1, 400), (2, 700)):
+            sel.register_vertex(at, [0, 1, 2], primes[3 * x:3 * x + 3])
+        edges = [(0, 400), (700, 400), (0, 700), (400, 400)]
+        args = exact_inputs(sel, edges)
+        assert args[4] is object
+        assert_matches_written_profiles(args)
