@@ -583,15 +583,18 @@ def _exact_part_sums(p, delta, shared: _SharedBlocks, weight, dtype) -> np.ndarr
     every group on the run path.
     """
     seg = _profile_segments(p, delta, shared, weight, dtype)
+    on_runs = _takes_runs(p, seg)
+    exact = _run_part_sums(p, seg, on_runs, dtype)
+    if not on_runs.all():
+        exact += _gathered_part_sums(p, seg, ~on_runs, dtype)
+    return exact
+
+
+def _takes_runs(p, seg: _Segments) -> np.ndarray:
+    """The cost rule: which groups take the run path."""
     step = np.minimum(seg.groups, p - seg.groups)
     kinks = np.add.reduceat((seg.impulse != 0).astype(np.int64), seg.bounds[:-1])
-    on_runs = _EVENT_COST * step * kinks < p
-    if on_runs.all():
-        return _run_part_sums(p, seg, on_runs, dtype)
-    exact = _gathered_part_sums(p, seg, ~on_runs, dtype)
-    if on_runs.any():
-        exact += _run_part_sums(p, seg, on_runs, dtype)
-    return exact
+    return _EVENT_COST * step * kinks < p
 
 
 def _run_part_sums(p, seg: _Segments, chosen, dtype) -> np.ndarray:

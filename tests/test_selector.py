@@ -25,6 +25,7 @@ from repro.core.selector import (
     _exact_part_sums,
     _profile_segments,
     _scaled_weights,
+    _takes_runs,
     int64_exact,
 )
 
@@ -662,10 +663,7 @@ def special_instance(p, seed):
 def run_groups(args):
     """Which ``δ``-groups of a call take the run path, and the segments."""
     seg = _profile_segments(*args)
-    p = args[0]
-    step = np.minimum(seg.groups, p - seg.groups)
-    kinks = np.add.reduceat((seg.impulse != 0).astype(np.int64), seg.bounds[:-1])
-    return selector_module._EVENT_COST * step * kinks < p, seg
+    return _takes_runs(args[0], seg), seg
 
 
 class TestRunPathDifferential:
