@@ -34,21 +34,19 @@ Both sums use the affine structure of ``H``.  An edge ``(u, v)`` collides
 on a shared candidate ``c`` exactly when ``h(u)`` lies in ``u``'s block
 ``A_c`` and ``h(v)`` in ``v``'s block ``B_c``.
 
-- **Part sums**, ``Θ(|E_U| 2^k + p + sum_δ min(s k, p))`` over the ``#δ <
-  2n`` distinct values of ``δ = (v - u) mod p``, a group of step ``s =
-  min(δ, p - δ) < n`` and ``k`` kinks costing the smaller of its kink
-  events and its profile.  Within part ``a``, ``h(v) - h(u) = a δ`` is
-  fixed, so the sum over ``b`` is the cyclic overlap profile ``S_δ[d] =
-  sum_c W_c |A_c ∩ (B_c - d)|`` read at ``d = a δ``.  Each overlap is a
-  trapezoid in ``d`` with four second-difference impulses, so a group's
-  profile is linear between its sorted impulses, its kinks: the impulses
-  and the closed-form values at ``d = p - 1`` and ``p - 2`` give each
-  segment's slope and start value.  As ``a`` steps by one, ``a δ mod p``
-  moves by ``±s``, so along ``a`` the profile read is linear between
-  ``s k`` kink events.  A group with few events adds them to two
+- **Part sums**, ``Θ(|E_U| 2^k + p + sum_δ s k)`` over the ``#δ < 2n``
+  distinct values of ``δ = (v - u) mod p``, a group of step ``s = min(δ,
+  p - δ) < n`` and ``k`` kinks costing its ``s k`` kink events.  Within
+  part ``a``, ``h(v) - h(u) = a δ`` is fixed, so the sum over ``b`` is the
+  cyclic overlap profile ``S_δ[d] = sum_c W_c |A_c ∩ (B_c - d)|`` read at
+  ``d = a δ``.  Each overlap is a trapezoid in ``d`` with four
+  second-difference impulses, so a group's profile is linear between its
+  sorted impulses, its kinks: the impulses and the closed-form values at
+  ``d = p - 1`` and ``p - 2`` give each segment's slope.  As ``a`` steps
+  by one, ``a δ mod p`` moves by ``±s``, so along ``a`` the profile read
+  is linear between ``s k`` kink events.  The events go into two
   difference arrays over ``a``, and two cumulative sums finish every
-  such group at once; a group with many writes its profile out and reads
-  it at ``a δ mod p`` through a discrete-log table.  The weights ``1/s_u
+  group at once; no width-``p`` profile is written.  The weights ``1/s_u
   + 1/s_v`` are scaled by the lcm ``L`` of the slacks involved, so this
   runs in exact int64 (in Python integers when ``2 L p |E_U|`` would
   reach ``2^62``).
@@ -83,12 +81,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.common.exceptions import ReproError
-from repro.common.integer_math import ceil_log2, primitive_root
+from repro.common.integer_math import ceil_log2
 
 #: Elements per temporary of the float re-score (2**16 float64 = 512 KiB).
 _CHUNK_ELEMS = 1 << 16
 
-#: Kink events per batch of the part sums' run path (2**14 int64 = 128 KiB
+#: Kink events per batch of the part sums (2**14 int64 = 128 KiB
 #: per temporary; batches of 2**16 raised det-paper's peak RSS by 1.3-1.8 MB).
 _EVENT_BATCH = 1 << 14
 
@@ -163,15 +161,14 @@ def int64_exact(scale: int, p: int, num_edges: int) -> bool:
     Every scaled weight is at most ``2 L``, one edge's overlaps sum to at
     most ``p`` at any shift, and one edge collides at most once per
     member, so no profile value, part sum or member sum exceeds
-    ``B = 2 L p |E_U|``.  The segment tables, the written profiles and
-    the member sums keep every intermediate such a value or the
-    difference of two (slopes, impulses, rises, running sums of impulses;
-    see :func:`_profile_segments`, :func:`_gathered_part_sums` and
-    :meth:`SlackWeightedSelector.member_sums`), so ``B < 2^62`` keeps
-    each one below ``2^63``.  The part sums' run path
-    (:func:`_run_part_sums`) lets intermediates wrap instead: it only
-    adds, subtracts and multiplies, and its results are part sums below
-    ``B``, so int64 wrap-around gives them exactly.
+    ``B = 2 L p |E_U|``.  The segment tables and the member sums keep
+    every intermediate such a value or the difference of two (slopes,
+    impulses, running sums of impulses; see :func:`_profile_segments` and
+    :meth:`SlackWeightedSelector.member_sums`), so ``B < 2^62`` keeps each
+    one below ``2^63``.  The part sums (:func:`_exact_part_sums`) let
+    intermediates wrap instead: they only add, subtract and multiply, and
+    their results are part sums below ``B``, so int64 wrap-around gives
+    them exactly.
     """
     return 2 * scale * p * num_edges < _INT64_LIMIT
 
@@ -463,27 +460,6 @@ class SlackWeightedSelector:
         return self.p * 2 * max(1, ceil_log2(max(2, self.n)))
 
 
-def _powers_of_generator(p: int) -> np.ndarray:
-    """``g^i mod p`` for ``i in [0, p - 1)``, ``g`` a primitive root of ``p``.
-
-    Baby steps ``g^r`` times giant steps ``g^(B k)``: ``O(sqrt p)`` scalar
-    work and one width-``p`` product.
-    """
-    g = primitive_root(p)
-    count = p - 1
-    side = math.isqrt(count) + 1
-    baby = [1]
-    for _ in range(side - 1):
-        baby.append(baby[-1] * g % p)
-    giant_step = pow(g, side, p)
-    giant = [1]
-    for _ in range(-(-count // side) - 1):
-        giant.append(giant[-1] * giant_step % p)
-    table = np.multiply.outer(np.array(giant, dtype=np.int64),
-                              np.array(baby, dtype=np.int64)) % p
-    return table.reshape(-1)[:count]
-
-
 class _Segments(NamedTuple):
     """Every ``δ``-group's overlap profile as linear segments.
 
@@ -494,9 +470,7 @@ class _Segments(NamedTuple):
     groups: np.ndarray  # the distinct δ, ascending
     bounds: np.ndarray
     at: np.ndarray  # segment start d
-    length: np.ndarray
     slope: np.ndarray  # S[d + 1] - S[d] on the segment
-    value: np.ndarray  # S[at]
     impulse: np.ndarray  # slope minus the cyclically previous segment's
     origin: np.ndarray  # per group: S[0]
 
@@ -509,16 +483,13 @@ def _profile_segments(p, delta, shared: _SharedBlocks, weight, dtype) -> _Segmen
     ``+W, -W, -W, +W`` at ``d = b0 - a1`` plus ``0``, ``min(la, lb)``,
     ``max(la, lb)`` and ``la + lb`` (mod ``p``).  A group's sorted impulses
     and its closed-form profile at ``d = p - 1`` and ``p - 2`` give the
-    profile's slope on each segment between impulses, and each segment's
-    rise (slope times length) and one cumulative sum over segments give
-    its start value ``S[at]``.
+    profile's slope on each segment between impulses and its start value
+    ``S[0]``.
 
     No intermediate leaves the :func:`int64_exact` bound: a slope is a
-    difference of two profile values, an impulse a difference of two
-    slopes, and a running sum of rises is ``S[at] - S[0]``.  The running
-    sums of impulses and of rises may run across groups because each
-    group's impulses, and its rises, sum to zero — the latter to ``S[p] -
-    S[0] = 0`` on the cycle.
+    difference of two profile values and an impulse a difference of two
+    slopes.  The running sum of impulses may run across groups because
+    each group's impulses sum to zero.
     """
     groups, group_of = np.unique(delta, return_inverse=True)
     num_groups = len(groups)
@@ -548,63 +519,20 @@ def _profile_segments(p, delta, shared: _SharedBlocks, weight, dtype) -> _Segmen
     slope_end = last - prev + wrap
     origin = last + slope_end
     slope = slope_end[owner] + np.cumsum(impulse)
-    ends = np.concatenate((at[1:], [p]))
-    ends[np.flatnonzero(owner[1:] != owner[:-1])] = p
-    length = ends - at
-    rise = slope * length
-    value = origin[owner] + (np.cumsum(rise) - rise)
     bounds = np.searchsorted(owner, np.arange(num_groups + 1))
-    return _Segments(groups, bounds, at, length, slope, value, impulse, origin)
-
-
-#: What one kink event of the run path costs, in profile values written
-#: and gathered by the profile path (see :func:`_exact_part_sums`).
-_EVENT_COST = 3
+    return _Segments(groups, bounds, at, slope, impulse, origin)
 
 
 def _exact_part_sums(p, delta, shared: _SharedBlocks, weight, dtype) -> np.ndarray:
     """Scaled part sums ``sum_e S_{δ_e}[a δ_e mod p]`` for every ``a``, exactly.
 
-    Each ``δ``-group takes the cheaper of two paths over its segments
-    (:func:`_profile_segments`).  With step ``s = min(δ, p - δ)`` and
-    ``k`` kinks (segments whose impulse is nonzero), the run path
-    (:func:`_run_part_sums`) handles ``s k`` kink events, and the profile
-    path (:func:`_gathered_part_sums`) writes and gathers ``p`` profile
-    values.  A group takes the run path when ``_EVENT_COST s k < p``.
-
-    ``_EVENT_COST`` is measured.  Over the part-sum calls of
-    ``deterministic`` and ``list_coloring`` at n = 1024 and 2048, Δ = 24
-    (p = 81929 and 180233; 2-CPU x86-64 host, numpy 2.4), an event cost
-    13-15 ns (two scatters and one integer division) and a profile value
-    3.6-5.0 ns, a ratio of 2.9-4.0.  Theorem 1's groups have about three
-    kinks and ``s < n``, so they take the run path.  A group of many rows
-    that share one ``δ`` keeps the profile: 300 edges ``(i, i + 300)`` of
-    four shared candidates at p = 16411 take 1.4 ms so, and 8.7 ms with
-    every group on the run path.
-    """
-    seg = _profile_segments(p, delta, shared, weight, dtype)
-    on_runs = _takes_runs(p, seg)
-    exact = _run_part_sums(p, seg, on_runs, dtype)
-    if not on_runs.all():
-        exact += _gathered_part_sums(p, seg, ~on_runs, dtype)
-    return exact
-
-
-def _takes_runs(p, seg: _Segments) -> np.ndarray:
-    """The cost rule: which groups take the run path."""
-    step = np.minimum(seg.groups, p - seg.groups)
-    kinks = np.add.reduceat((seg.impulse != 0).astype(np.int64), seg.bounds[:-1])
-    return _EVENT_COST * step * kinks < p
-
-
-def _run_part_sums(p, seg: _Segments, chosen, dtype) -> np.ndarray:
-    """The part sums of the ``chosen`` groups, from their kinks.
-
-    Unroll a group's profile along ``a``: ``T(x) = S[x mod p]`` on ``x in
-    [0, s p)``, read at ``x = a s``.  Its slope at ``x`` is ``S``'s slope
-    at ``p - 1`` plus every impulse at or before ``x``, one copy ``(w, j)``
-    of impulse ``j`` at ``pos = w p + at_j`` per wrap ``w in [0, s)``
-    (a whole wrap's impulses sum to zero).  Summed up,
+    Each ``δ``-group's profile ``S`` is linear between its kinks
+    (:func:`_profile_segments`).  With step ``s = min(δ, p - δ)``, unroll
+    it along ``a``: ``T(x) = S[x mod p]`` on ``x in [0, s p)``, read at
+    ``x = a s``.  Its slope at ``x`` is ``S``'s slope at ``p - 1`` plus
+    every impulse at or before ``x``, one copy ``(w, j)`` of impulse ``j``
+    at ``pos = w p + at_j`` per wrap ``w in [0, s)`` (a whole wrap's
+    impulses sum to zero).  Summed up,
 
         ``S[a s mod p] = S[0] + a s g + sum_{pos <= a s} I_j (a s - pos)``,
 
@@ -629,16 +557,21 @@ def _run_part_sums(p, seg: _Segments, chosen, dtype) -> np.ndarray:
     their true values ``pos < s p < p^2 < 2^63`` are what the division
     reads.  The Python-integer tier takes the same path in
     ``dtype=object`` arrays, where nothing wraps.
+
+    On the part-sum calls of ``deterministic`` at n = 256 to 2048, Δ = 24,
+    ``Σ s k`` is 1-6% of the ``#δ p`` values that writing every group's
+    profile out would take, and on those of ``list_coloring`` 1-16%.
     """
+    seg = _profile_segments(p, delta, shared, weight, dtype)
     owner = np.repeat(np.arange(len(seg.groups)), np.diff(seg.bounds))
     first, last = seg.bounds[:-1], seg.bounds[1:] - 1
     flip = seg.groups > p // 2
     step = np.where(flip, p - seg.groups, seg.groups)
     end_slope = np.where(flip, -seg.slope[first], seg.slope[last])
     diff = np.zeros((2, p + 1), dtype=dtype)  # rows: C, D
-    diff[0, 0] = seg.origin[chosen].sum()
-    diff[1, 0] = (step * end_slope)[chosen].sum()
-    rows = np.flatnonzero((chosen & (step > 0))[owner] & (seg.impulse != 0))
+    diff[0, 0] = seg.origin.sum()
+    diff[1, 0] = (step * end_slope).sum()
+    rows = np.flatnonzero((step > 0)[owner] & (seg.impulse != 0))
     flipped = flip[owner[rows]]
     at = np.where(flipped, (p - seg.at[rows]) % p, seg.at[rows])
     count = step[owner[rows]]  # one event per wrap
@@ -660,45 +593,6 @@ def _run_part_sums(p, seg: _Segments, chosen, dtype) -> np.ndarray:
         np.add.at(diff[1], start, kink * s)
     np.cumsum(diff, axis=1, out=diff)
     return diff[0, :p] + np.arange(p) * diff[1, :p]
-
-
-def _gathered_part_sums(p, seg: _Segments, chosen, dtype) -> np.ndarray:
-    """The part sums of the ``chosen`` groups, from their written profiles.
-
-    Each group's profile is written directly from its segment tables as
-    ``S[at] + slope (d - at)``, with no width-``p`` running sum; ``slope
-    (d - at)`` is ``S[d] - S[at]``, so it stays within the
-    :func:`int64_exact` bound.  Writing ``a = g^i`` and ``δ = g^j`` for a
-    primitive root ``g`` turns the gather at ``a δ`` into a read of the
-    profile at ``g^(i + j)``: one shared index table, shifted by ``j`` per
-    group.  Groups are expanded one at a time, so the temporaries are a
-    few width-``p`` arrays.  ``δ = 0`` has step 0, so it never comes here.
-    """
-    at, length, slope, value = seg.at, seg.length, seg.slope, seg.value
-    powers = _powers_of_generator(p)
-    log = np.empty(p, dtype=np.int64)
-    log[powers] = np.arange(p - 1)
-    powers = np.concatenate((powers, powers))
-    ramp = np.arange(p)
-    total = np.zeros(p - 1, dtype=dtype)
-    gathered = np.empty(p - 1, dtype=dtype)
-    bounds = seg.bounds.tolist()
-    for k in np.flatnonzero(chosen).tolist():
-        lo, hi = bounds[k], bounds[k + 1]
-        run = length[lo:hi]
-        offset = np.repeat(at[lo:hi], run)
-        np.subtract(ramp, offset, out=offset)
-        profile = np.repeat(slope[lo:hi], run)
-        profile *= offset
-        del offset
-        profile += np.repeat(value[lo:hi], run)
-        j = int(log[seg.groups[k]])
-        np.take(profile, powers[j:j + p - 1], out=gathered, mode="clip")
-        total += gathered
-    exact = np.empty(p, dtype=dtype)
-    exact[0] = seg.origin[chosen].sum()
-    exact[powers[:p - 1]] = total
-    return exact
 
 
 def _float_part_sums(p, delta, shared: _SharedBlocks, parts) -> np.ndarray:

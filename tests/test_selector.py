@@ -18,14 +18,12 @@ from hypothesis import strategies as st
 
 import repro.core.selector as selector_module
 from repro.common.exceptions import ReproError
-from repro.common.integer_math import primitive_root
 from repro.core.selector import (
     SlackWeightedSelector,
     _as_edges,
     _exact_part_sums,
     _profile_segments,
     _scaled_weights,
-    _takes_runs,
     int64_exact,
 )
 
@@ -579,36 +577,22 @@ class TestReferenceDifferential:
 
 
 # ----------------------------------------------------------------------
-# The written-profile reference: the exact part sums as first written,
-# one width-p profile per δ-group, gathered at a δ through a discrete-log
-# table.  The run path must reproduce it element for element.
+# The exact reference: every row's overlap profile written out over all of
+# Z_p and read at each part, Θ(rows · p) numpy work in the exact tier's
+# dtype.  The part sums must reproduce it element for element.
 # ----------------------------------------------------------------------
 def reference_exact_part_sums(p, delta, shared, weight, dtype):
-    """Scaled exact part sums, every group's profile written out."""
-    seg = _profile_segments(p, delta, shared, weight, dtype)
-    g = primitive_root(p)
-    powers = np.empty(p - 1, dtype=np.int64)
-    x = 1
-    for i in range(p - 1):
-        powers[i] = x
-        x = x * g % p
-    log = np.empty(p, dtype=np.int64)
-    log[powers] = np.arange(p - 1)
-    powers = np.concatenate((powers, powers))
-    ramp = np.arange(p)
-    total = np.zeros(p - 1, dtype=dtype)
-    everywhere = seg.origin[seg.groups == 0].sum()  # δ = 0 reads S[0]
-    for k in np.flatnonzero(seg.groups).tolist():
-        lo, hi = seg.bounds[k], seg.bounds[k + 1]
-        run = seg.length[lo:hi]
-        profile = (np.repeat(seg.slope[lo:hi], run)
-                   * (ramp - np.repeat(seg.at[lo:hi], run))
-                   + np.repeat(seg.value[lo:hi], run))
-        j = int(log[seg.groups[k]])
-        total += profile[powers[j:j + p - 1]]
-    exact = np.empty(p, dtype=dtype)
-    exact[0] = seg.origin.sum()
-    exact[powers[:p - 1]] = total + everywhere
+    """Scaled exact part sums ``sum_r W_r |A_r ∩ (B_r - a δ_r)|`` for every
+    ``a``, one row of ``shared`` at a time."""
+    shifts = np.arange(p)
+    exact = np.zeros(p, dtype=dtype)
+    for r in range(len(delta)):
+        t0 = (shared.b0[r] - shifts * delta[r]) % p
+        end = t0 + (shared.b1[r] - shared.b0[r])
+        ov = np.maximum(0, np.minimum(shared.a1[r], np.minimum(end, p))
+                        - np.maximum(shared.a0[r], t0))
+        ov += np.maximum(0, np.minimum(shared.a1[r], end - p) - shared.a0[r])
+        exact += weight[r:r + 1] * ov
     return exact
 
 
@@ -621,7 +605,7 @@ def exact_inputs(sel, edges):
     return sel.p, delta[shared.edge], shared, weight, dtype
 
 
-def assert_matches_written_profiles(args):
+def assert_matches_exact_reference(args):
     got = _exact_part_sums(*args)
     want = reference_exact_part_sums(*args)
     assert got.dtype == want.dtype == args[4]
@@ -630,7 +614,7 @@ def assert_matches_written_profiles(args):
 
 
 def special_instance(p, seed):
-    """A random selector whose conflict edges cover the run path's cases.
+    """A random selector whose conflict edges cover the part sums' cases.
 
     Vertex ids include pairs at distance 1 and ``(p ± 1)/2``, so the
     ``δ``-groups include ``s = 1`` in both step signs, both middle steps,
@@ -660,69 +644,48 @@ def special_instance(p, seed):
     return sel, edges
 
 
-def run_groups(args):
-    """Which ``δ``-groups of a call take the run path, and the segments."""
-    seg = _profile_segments(*args)
-    return _takes_runs(args[0], seg), seg
+class TestKinkEventDifferential:
+    """The part sums from kink events against the exact reference above,
+    element for element."""
 
-
-class TestRunPathDifferential:
-    """The part sums' run path and cost model against the written-profile
-    reference above, exact element for element.  With ``_EVENT_COST`` at 0
-    every group takes the run path, whatever its step."""
-
-    @pytest.mark.parametrize("all_runs", [False, True])
     @pytest.mark.parametrize("p", [1009, 16411])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_special_steps_match(self, monkeypatch, p, seed, all_runs):
-        if all_runs:
-            monkeypatch.setattr(selector_module, "_EVENT_COST", 0)
+    def test_special_steps_match(self, p, seed):
         sel, edges = special_instance(p, seed)
         args = exact_inputs(sel, edges)
-        assert_matches_written_profiles(args)
-        on_runs, seg = run_groups(args)
-        groups = set(seg.groups[on_runs].tolist())
+        assert_matches_exact_reference(args)
+        seg = _profile_segments(*args)
         h = (p - 1) // 2
-        assert {0, 1, p - 1, 7} <= groups
+        assert {0, 1, p - 1, 7, h, h + 1} <= set(seg.groups.tolist())
+        assert (seg.groups[1:] < h).any() and (seg.groups > h + 1).any()
         assert (np.diff(seg.bounds) == 1).any()
-        if all_runs:
-            assert {h, h + 1} <= groups
-            assert (seg.groups[1:] < h).any() and (seg.groups > h + 1).any()
-        else:
-            assert not on_runs.all()
 
-    def test_dense_group_takes_the_profile_path(self, monkeypatch):
-        """One call whose groups take both paths: 300 edges at distance 300
-        share one δ, and their ``s k`` kink events cost more than ``p``
-        profile values, while the sparse groups stay on the run path."""
-        calls = []
-        for name in ("_run_part_sums", "_gathered_part_sums"):
-            real = getattr(selector_module, name)
-
-            def spy(p, seg, chosen, dtype, real=real, name=name):
-                calls.append((name, int(chosen.sum())))
-                return real(p, seg, chosen, dtype)
-            monkeypatch.setattr(selector_module, name, spy)
+    def test_dense_group(self):
+        """300 edges at distance 300 share one δ: one group whose ``s k``
+        kink events outnumber the ``p`` parts, beside a few sparse ones."""
         rng = np.random.default_rng(3)
         sel = SlackWeightedSelector(16411, 600, 4)
         sel.register_vertex(np.arange(600), np.tile(np.arange(4), (600, 1)),
                             rng.integers(1, 9, size=(600, 4)))
         edges = [(i, i + 300) for i in range(300)] + [(5, 7), (9, 8), (4, 4)]
-        assert_matches_written_profiles(exact_inputs(sel, edges))
-        assert sorted(calls) == [("_gathered_part_sums", 1), ("_run_part_sums", 3)]
+        args = exact_inputs(sel, edges)
+        seg = _profile_segments(*args)
+        dense = int(np.flatnonzero(seg.groups == 300)[0])
+        kinks = np.count_nonzero(seg.impulse[seg.bounds[dense]:seg.bounds[dense + 1]])
+        assert 300 * kinks > sel.p
+        assert_matches_exact_reference(args)
 
     @pytest.mark.parametrize("batch", [1, 5, 64])
     def test_batch_boundaries(self, monkeypatch, batch):
         """Shrunk batches cut rows of events at every boundary."""
-        monkeypatch.setattr(selector_module, "_EVENT_COST", 0)
         monkeypatch.setattr(selector_module, "_EVENT_BATCH", batch)
         sel, edges = special_instance(1009, 4)
-        assert_matches_written_profiles(exact_inputs(sel, edges))
+        assert_matches_exact_reference(exact_inputs(sel, edges))
 
     def test_int64_wrap_around(self):
         """Slack 1 against a large lcm: the scaled sums fit int64, yet a kink
-        event of a run-path group has ``|I pos| >= 2^63``, so its int64
-        product wraps; the result is still exact."""
+        event has ``|I pos| >= 2^63``, so its int64 product wraps; the
+        result is still exact."""
         p, q1, q2 = 16411, 3_000_000, 3_000_001
         sel = SlackWeightedSelector(p, 3, 2)
         sel.register_vertex(0, [0, 1], [1, q1])
@@ -731,19 +694,16 @@ class TestRunPathDifferential:
         edges = [(0, 500), (900, 500), (0, 900)]
         args = exact_inputs(sel, edges)
         assert args[4] is np.int64
-        on_runs, seg = run_groups(args)
+        seg = _profile_segments(*args)
         owner = np.repeat(np.arange(len(seg.groups)), np.diff(seg.bounds))
         step = np.minimum(seg.groups, p - seg.groups)
         largest = max(abs(int(seg.impulse[r])) * (int(step[owner[r]]) - 1) * p
-                      for r in np.flatnonzero(on_runs[owner]))
+                      for r in range(len(owner)))
         assert largest >= 2**63
-        exact = assert_matches_written_profiles(args)
+        exact = assert_matches_exact_reference(args)
         assert exact.min() >= 0
 
-    @pytest.mark.parametrize("all_runs", [False, True])
-    def test_python_integer_tier(self, monkeypatch, all_runs):
-        if all_runs:
-            monkeypatch.setattr(selector_module, "_EVENT_COST", 0)
+    def test_python_integer_tier(self):
         primes = [1000003, 1000033, 1000037, 1000039, 1000081, 1000099,
                   1000117, 1000121, 1000133]
         sel = SlackWeightedSelector(1009, 3, 3)
@@ -752,4 +712,4 @@ class TestRunPathDifferential:
         edges = [(0, 400), (700, 400), (0, 700), (400, 400)]
         args = exact_inputs(sel, edges)
         assert args[4] is object
-        assert_matches_written_profiles(args)
+        assert_matches_exact_reference(args)
