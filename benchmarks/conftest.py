@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark regenerates one experiment table (DESIGN.md section 4),
-prints it, and archives it under ``benchmarks/results/`` so EXPERIMENTS.md
-entries can be refreshed from a single ``pytest benchmarks/
---benchmark-only`` run.
+Each benchmark regenerates one experiment table (DESIGN.md, "Experiment
+inventory"), prints it, and archives it under ``benchmarks/results/``, so
+one ``pytest benchmarks/ --benchmark-only`` run refreshes every table
+there; ``tests/data/tables/`` pins the ``repro run`` tables at default
+arguments.
 """
 
 import json

@@ -2,7 +2,9 @@
 
 Every runner returns ``(headers, rows)`` ready for
 :func:`repro.analysis.tables.format_table`; the benchmark suite times them
-and prints the tables, and EXPERIMENTS.md records representative output.
+and archives the tables under ``benchmarks/results/``, and
+``tests/data/tables/`` pins each table as ``repro run`` prints it at
+default arguments.
 Sizes are parameterized so tests can use tiny instances and benchmarks
 larger ones.
 

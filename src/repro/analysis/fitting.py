@@ -2,8 +2,8 @@
 
 The paper's bounds are of the form ``colors = O(Delta^e)``; the experiment
 suite checks the *shape* by fitting ``y ~ c * x^e`` on a sweep and
-comparing the fitted exponent to the claimed one (EXPERIMENTS.md records
-both).
+comparing the fitted exponent to the claimed one (the T4 bench in
+``benchmarks/`` asserts it).
 """
 
 import math

@@ -1,9 +1,9 @@
 """Assemble a markdown report from archived benchmark tables.
 
 ``python -m repro report`` (or :func:`build_report`) collects the
-``benchmarks/results/*.txt`` tables into one markdown document — the
-mechanical half of EXPERIMENTS.md (the prose interpretation stays
-hand-written there).
+``benchmarks/results/*.txt`` tables into one markdown document.  The
+pinned ``repro run`` tables in ``tests/data/tables/`` are the tracked
+record; this report is an untracked view of a benchmark run.
 """
 
 import pathlib

@@ -1,6 +1,7 @@
 """Plain-text table formatting for benchmark output.
 
-The benchmark harness prints the same rows EXPERIMENTS.md records; a tiny
+``repro run`` and the benchmark harness print the same rows that
+``tests/data/tables/`` pins and ``benchmarks/results/`` archives; a tiny
 fixed-width formatter keeps that output dependency-free and diff-friendly.
 """
 

@@ -38,6 +38,12 @@ from repro.common.integer_math import ceil_div, ceil_log2, next_prime
 from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
 
+#: The quadratic range ``R = 4 Delta^2`` of the two-pass coloring.
+_RANGE_FACTOR = 4
+#: Edges a reduction pass may store, per vertex: the semi-streaming budget
+#: ``4n``.
+_BUDGET_EDGES_PER_VERTEX = 4
+
 
 class _PartCountsConsumer(PassConsumer):
     """Pass 1: for each part ``a``, ``sum_b #monochromatic edges of h_{a,b}``.
@@ -180,13 +186,13 @@ class _RepairAdjacencyConsumer(PassConsumer):
 class TwoPassQuadraticColoring(MultipassStreamingAlgorithm):
     """Deterministic ``O(Delta^2)``-coloring in four streaming passes."""
 
-    def __init__(self, n: int, delta: int, range_multiplier: int = 4):
+    def __init__(self, n: int, delta: int):
         super().__init__()
         if delta < 1:
             raise ReproError("delta must be >= 1")
         self.n = n
         self.delta = delta
-        self.range_size = range_multiplier * delta * delta
+        self.range_size = _RANGE_FACTOR * delta * delta
         self.p = next_prime(max(n, self.range_size) + 1)
         self.palette_size = self.range_size + delta + 1
 
@@ -301,15 +307,13 @@ class _ReductionPassConsumer(PassConsumer):
 class ColorReductionColoring(MultipassStreamingAlgorithm):
     """Deterministic ``O(Delta)``-coloring via iterated palette halving."""
 
-    def __init__(self, n: int, delta: int, space_budget_edges=None):
+    def __init__(self, n: int, delta: int):
         super().__init__()
         self.n = n
         self.delta = delta
         self.base = TwoPassQuadraticColoring(n, delta)
         # Store at most this many edges per reduction pass (semi-streaming).
-        self.space_budget_edges = (
-            space_budget_edges if space_budget_edges is not None else 4 * n
-        )
+        self.space_budget_edges = _BUDGET_EDGES_PER_VERTEX * n
         self.final_palette_bound = 4 * (delta + 1)
 
     @property
@@ -358,8 +362,8 @@ class ColorReductionColoring(MultipassStreamingAlgorithm):
             mach["pending"] -= batch
             if not batch:
                 raise ReproError(
-                    "a single bucket exceeds the space budget; "
-                    "raise space_budget_edges"
+                    "a single bucket exceeds the space budget of "
+                    f"{self.space_budget_edges} edges"
                 )
             if not mach["pending"]:
                 mach["coloring"] = mach["new_coloring"]

@@ -40,14 +40,13 @@ class OneShotRandomColoring(OnePassAlgorithm):
     lower bound formalizes.
     """
 
-    def __init__(self, n: int, delta: int, seed: int, range_multiplier: int = 1,
-                 capacity=None):
+    def __init__(self, n: int, delta: int, seed: int):
         super().__init__()
         if delta < 1:
             raise ReproError("delta must be >= 1")
         self.n = n
         self.delta = delta
-        self.range_size = range_multiplier * delta * delta
+        self.range_size = delta * delta
         self.palette_size = self.range_size
         self._rng = SeededRng(seed)
         self._chi = np.array(
@@ -57,7 +56,7 @@ class OneShotRandomColoring(OnePassAlgorithm):
         self.meter.charge_random_bits(n * ceil_log2(self.range_size + 1))
         # Capacity sized for the oblivious regime: expected conflicts are
         # ~ m / range <= n/(8 Delta); leave generous slack.
-        self.capacity = capacity if capacity is not None else max(4, ceil_div(n, delta))
+        self.capacity = max(4, ceil_div(n, delta))
         self._stored: list[tuple[int, int]] = []
         self._stored_adj: dict[int, set[int]] = {}
         self.dropped_edges = 0

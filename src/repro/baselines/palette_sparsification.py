@@ -25,6 +25,12 @@ from repro.common.rng import SeededRng
 from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
 
+#: Each vertex samples ``_LIST_SIZE_FACTOR * ceil(log2 n)`` colors: the
+#: [ACK19] ``Theta(log n)`` list size.
+_LIST_SIZE_FACTOR = 8
+#: Greedy completions tried before the run fails.
+_COMPLETION_ATTEMPTS = 50
+
 
 class _ConflictCollectConsumer(PassConsumer):
     """The single streaming pass: keep edges whose endpoint lists intersect.
@@ -64,14 +70,7 @@ class _ConflictCollectConsumer(PassConsumer):
 class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
     """Single-pass randomized ``(Delta+1)``-coloring for oblivious streams."""
 
-    def __init__(
-        self,
-        n: int,
-        delta: int,
-        seed: int,
-        list_size_factor: int = 8,
-        completion_attempts: int = 50,
-    ):
+    def __init__(self, n: int, delta: int, seed: int):
         super().__init__()
         if delta < 1:
             raise ReproError("delta must be >= 1")
@@ -80,12 +79,11 @@ class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
         self.palette_size = delta + 1
         self._rng = SeededRng(seed)
         palette = list(range(1, delta + 2))
-        size = min(delta + 1, max(2, list_size_factor * ceil_log2(max(2, n))))
+        size = min(delta + 1, max(2, _LIST_SIZE_FACTOR * ceil_log2(max(2, n))))
         self.lists = {
             v: frozenset(self._rng.sample(palette, size)) for v in range(n)
         }
         self.meter.charge_random_bits(n * size * ceil_log2(delta + 2))
-        self.completion_attempts = completion_attempts
         self.conflict_edge_count = 0
 
     # ------------------------------------------------------------------
@@ -113,8 +111,8 @@ class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
             "conflict edges", conflict.m * 2 * ceil_log2(max(2, self.n))
         )
         order = list(range(self.n))
-        for attempt in range(self.completion_attempts):
-            if attempt == self.completion_attempts - 1:
+        for attempt in range(_COMPLETION_ATTEMPTS):
+            if attempt == _COMPLETION_ATTEMPTS - 1:
                 order.sort(key=lambda v: len(self.lists[v]))
             else:
                 self._rng.shuffle(order)
@@ -123,7 +121,7 @@ class PaletteSparsificationColoring(MultipassStreamingAlgorithm):
                 return coloring
         raise AlgorithmFailure(
             "palette sparsification could not complete a list coloring "
-            f"after {self.completion_attempts} attempts"
+            f"after {_COMPLETION_ATTEMPTS} attempts"
         )
 
     def _try_complete(self, conflict, order):

@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
                       "installed repro package's source tree)")
     lint.add_argument("--rules", default=None, metavar="LIST",
                       help="comma-separated rule ids, e.g. R1,R7 "
-                      "(default: all eleven)")
+                      "(default: all twelve, R1-R12)")
     lint.add_argument("--baseline", default=None, metavar="FILE",
                       help="grandfathered-findings file (default: "
                       "lint-baseline.json at the source root, if present)")

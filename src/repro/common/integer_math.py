@@ -161,30 +161,3 @@ def prime_in_range(lo: int, hi: int) -> int:
         raise ParameterError(f"no prime in range [{lo}, {hi}]")
     return p
 
-
-def primitive_root(p: int) -> int:
-    """Return the least generator of the multiplicative group mod prime ``p``.
-
-    Factors ``p - 1`` by trial division, so it suits the family primes here
-    (``p < 2^40``); ``g`` generates iff ``g^((p-1)/q) != 1`` for every prime
-    factor ``q`` of ``p - 1``.
-    """
-    if not is_prime(p):
-        raise ParameterError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    factors = []
-    rest = p - 1
-    f = 2
-    while f * f <= rest:
-        if rest % f == 0:
-            factors.append(f)
-            while rest % f == 0:
-                rest //= f
-        f += 1
-    if rest > 1:
-        factors.append(rest)
-    g = 2
-    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
-        g += 1
-    return g

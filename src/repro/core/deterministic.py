@@ -105,7 +105,7 @@ class RunStats:
     epoch_stats: list[EpochStats] = field(default_factory=list)
 
 
-def choose_family_prime(n: int, policy: str, override=None) -> int:
+def choose_family_prime(n: int, policy: str) -> int:
     """The Carter-Wegman prime for the stage selector.
 
     ``policy="paper"`` takes a prime in ``[8 n log n, 16 n log n]``
@@ -113,8 +113,6 @@ def choose_family_prime(n: int, policy: str, override=None) -> int:
     ``>= max(2n+1, 17)``, trading the Lemma 3.2 approximation constant for
     speed on larger inputs (DESIGN.md, note 1).
     """
-    if override is not None:
-        return next_prime(override)
     log_n = max(1, ceil_log2(max(2, n)))
     if policy == "paper":
         return prime_in_range(8 * n * log_n, 16 * n * log_n)
@@ -131,7 +129,7 @@ def family_selector(algo, cid_space, members, cids, slacks) -> SlackWeightedSele
     row per member, a zero slack padding a short row, and ``cids`` is
     either such rows or one row that every member shares.
     """
-    p = choose_family_prime(algo.n, algo.prime_policy, algo.prime_override)
+    p = choose_family_prime(algo.n, algo.prime_policy)
     selector = SlackWeightedSelector(p, algo.n, cid_space)
     selector.register_vertex(members, np.broadcast_to(cids, np.shape(slacks)), slacks)
     return selector
@@ -339,9 +337,7 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         delta: int,
         selection: str = "hash_family",
         prime_policy: str = "paper",
-        prime=None,
         instrument: bool = False,
-        max_epochs=None,
     ):
         super().__init__()
         if selection not in ("hash_family", "greedy_slack"):
@@ -350,13 +346,10 @@ class DeterministicColoring(MultipassStreamingAlgorithm):
         self.delta = delta
         self.selection = selection
         self.prime_policy = prime_policy
-        self.prime_override = prime
         self.instrument = instrument
         # Guard against non-convergence in heuristic mode; the paper bound
         # is ceil(log_{3/2} Delta) epochs (Lemma 3.8).
-        if max_epochs is None:
-            max_epochs = 4 * max(1, ceil_log2(max(2, delta))) + 8
-        self.max_epochs = max_epochs
+        self.max_epochs = 4 * max(1, ceil_log2(max(2, delta))) + 8
         self.stats = RunStats()
         self.palette_size = delta + 1
 

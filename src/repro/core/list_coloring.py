@@ -63,6 +63,10 @@ from repro.streaming.machine import PassConsumer, require_machine
 from repro.streaming.model import MultipassStreamingAlgorithm
 from repro.streaming.tokens import ListToken
 
+#: Scoring levels of the Lemma 3.10 partition search: the paper scores
+#: ``|F|^{1/4}``-sized groups, four levels per stage.
+_PARTITION_LEVELS = 4
+
 
 @dataclass
 class ListRunStats:
@@ -296,10 +300,7 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         color_universe_size: int,
         selection: str = "hash_family",
         prime_policy: str = "paper",
-        prime=None,
-        partition_levels: int = 4,
         instrument: bool = False,
-        max_epochs=None,
     ):
         super().__init__()
         if selection not in ("hash_family", "greedy_slack"):
@@ -314,12 +315,9 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         self.palette_size = color_universe_size
         self.selection = selection
         self.prime_policy = prime_policy
-        self.prime_override = prime
-        self.partition_levels = partition_levels
         self.instrument = instrument
-        if max_epochs is None:
-            max_epochs = 4 * max(1, ceil_log2(max(2, delta + 1))) + 8
-        self.max_epochs = max_epochs
+        # Algorithm 1's epoch guard, at Delta + 1.
+        self.max_epochs = 4 * max(1, ceil_log2(max(2, delta + 1))) + 8
         self.stats = ListRunStats()
 
     # ------------------------------------------------------------------
@@ -498,11 +496,10 @@ class DeterministicListColoring(MultipassStreamingAlgorithm):
         """Set up the next scoring pass; False once a partition is chosen."""
         mach = self._mach
         candidates = mach["candidates"]
-        levels = max(1, self.partition_levels)
-        if mach["level"] < levels and len(candidates) > 1:
+        if mach["level"] < _PARTITION_LEVELS and len(candidates) > 1:
             # Group count ~ |candidates|^(1/(levels - level)) so the last
             # level reaches singletons, mirroring |F|^{1/4} groups per pass.
-            remaining = levels - mach["level"]
+            remaining = _PARTITION_LEVELS - mach["level"]
             group_count = max(2, round(len(candidates) ** (1.0 / remaining)))
             group_size = ceil_div(len(candidates), group_count)
             mach["groups"] = [

@@ -32,8 +32,6 @@ from repro.engine.config import (
     DeterministicConfig,
     ListColoringConfig,
     LowRandomConfig,
-    NaiveConfig,
-    PaletteSparsificationConfig,
     RobustConfig,
 )
 from repro.engine.grid import (
@@ -85,8 +83,6 @@ __all__ = [
     "evaluate_guarantees",
     "ListColoringConfig",
     "LowRandomConfig",
-    "NaiveConfig",
-    "PaletteSparsificationConfig",
     "REGISTRY",
     "RESULT_SCHEMA",
     "RobustConfig",

@@ -1,8 +1,10 @@
 """Per-algorithm configuration dataclasses.
 
 Each registered algorithm carries a config dataclass describing every knob
-its constructor accepts beyond the universal ``(n, delta, seed)`` triple.
-Configs are validated on construction, round-trip through plain dicts
+its constructor accepts beyond the universal ``(n, delta, seed)`` triple;
+an algorithm without knobs (``naive``, ``palette_sparsification``) takes
+the empty :class:`AlgorithmConfig`.  Configs are validated on
+construction, round-trip through plain dicts
 (:meth:`AlgorithmConfig.to_dict` / :meth:`AlgorithmConfig.from_dict`), and
 therefore serialize cleanly into run tables, grid specs, and JSON.
 """
@@ -19,8 +21,6 @@ __all__ = [
     "DeterministicConfig",
     "ListColoringConfig",
     "LowRandomConfig",
-    "NaiveConfig",
-    "PaletteSparsificationConfig",
     "RobustConfig",
 ]
 
@@ -54,10 +54,6 @@ class AlgorithmConfig:
             )
         return cls(**data)
 
-    def replace(self, **changes) -> "AlgorithmConfig":
-        """A copy with ``changes`` applied (re-validated)."""
-        return dataclasses.replace(self, **changes)
-
 
 def _check_choice(name: str, value, choices) -> None:
     if value not in choices:
@@ -70,9 +66,7 @@ class DeterministicConfig(AlgorithmConfig):
 
     selection: str = "hash_family"
     prime_policy: str = "paper"
-    prime: int | None = None
     instrument: bool = False
-    max_epochs: int | None = None
 
     def validate(self) -> None:
         _check_choice("selection", self.selection, _SELECTION_MODES)
@@ -90,18 +84,13 @@ class ListColoringConfig(AlgorithmConfig):
     universe: int | None = None
     selection: str = "hash_family"
     prime_policy: str = "paper"
-    prime: int | None = None
-    partition_levels: int = 4
     instrument: bool = False
-    max_epochs: int | None = None
 
     def validate(self) -> None:
         _check_choice("selection", self.selection, _SELECTION_MODES)
         _check_choice("prime_policy", self.prime_policy, _PRIME_POLICIES)
         if self.universe is not None and self.universe < 1:
             raise ReproError("universe must be >= 1")
-        if self.partition_levels < 1:
-            raise ReproError("partition_levels must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -127,18 +116,6 @@ class LowRandomConfig(AlgorithmConfig):
 
 
 @dataclass(frozen=True)
-class NaiveConfig(AlgorithmConfig):
-    """Knobs of :class:`repro.baselines.OneShotRandomColoring`."""
-
-    range_multiplier: int = 1
-    capacity: int | None = None
-
-    def validate(self) -> None:
-        if self.range_multiplier < 1:
-            raise ReproError("range_multiplier must be >= 1")
-
-
-@dataclass(frozen=True)
 class ACS22Config(AlgorithmConfig):
     """Knobs of the [ACS22]-style deterministic baselines.
 
@@ -148,13 +125,9 @@ class ACS22Config(AlgorithmConfig):
     """
 
     variant: str = "two_pass"
-    range_multiplier: int = 4
-    space_budget_edges: int | None = None
 
     def validate(self) -> None:
         _check_choice("variant", self.variant, ("two_pass", "color_reduction"))
-        if self.range_multiplier < 1:
-            raise ReproError("range_multiplier must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -167,16 +140,3 @@ class CGS22Config(AlgorithmConfig):
         if self.repetitions is not None and self.repetitions < 1:
             raise ReproError("repetitions must be >= 1")
 
-
-@dataclass(frozen=True)
-class PaletteSparsificationConfig(AlgorithmConfig):
-    """Knobs of :class:`repro.baselines.PaletteSparsificationColoring`."""
-
-    list_size_factor: int = 8
-    completion_attempts: int = 50
-
-    def validate(self) -> None:
-        if self.list_size_factor < 1:
-            raise ReproError("list_size_factor must be >= 1")
-        if self.completion_attempts < 1:
-            raise ReproError("completion_attempts must be >= 1")

@@ -24,8 +24,6 @@ from repro.engine.config import (
     DeterministicConfig,
     ListColoringConfig,
     LowRandomConfig,
-    NaiveConfig,
-    PaletteSparsificationConfig,
     RobustConfig,
 )
 from repro.engine.protocol import StreamingColorer
@@ -127,7 +125,7 @@ def _make_deterministic(n, delta, seed, cfg):
 
     return DeterministicColoring(
         n, delta, selection=cfg.selection, prime_policy=cfg.prime_policy,
-        prime=cfg.prime, instrument=cfg.instrument, max_epochs=cfg.max_epochs,
+        instrument=cfg.instrument,
     )
 
 
@@ -137,9 +135,7 @@ def _make_list_coloring(n, delta, seed, cfg):
     universe = cfg.universe if cfg.universe is not None else 2 * (delta + 1)
     return DeterministicListColoring(
         n, delta, universe, selection=cfg.selection,
-        prime_policy=cfg.prime_policy, prime=cfg.prime,
-        partition_levels=cfg.partition_levels, instrument=cfg.instrument,
-        max_epochs=cfg.max_epochs,
+        prime_policy=cfg.prime_policy, instrument=cfg.instrument,
     )
 
 
@@ -160,20 +156,15 @@ def _make_lowrandom(n, delta, seed, cfg):
 def _make_naive(n, delta, seed, cfg):
     from repro.baselines import OneShotRandomColoring
 
-    return OneShotRandomColoring(
-        n, delta, seed=seed, range_multiplier=cfg.range_multiplier,
-        capacity=cfg.capacity,
-    )
+    return OneShotRandomColoring(n, delta, seed=seed)
 
 
 def _make_acs22(n, delta, seed, cfg):
     from repro.baselines import ColorReductionColoring, TwoPassQuadraticColoring
 
     if cfg.variant == "color_reduction":
-        return ColorReductionColoring(
-            n, delta, space_budget_edges=cfg.space_budget_edges
-        )
-    return TwoPassQuadraticColoring(n, delta, range_multiplier=cfg.range_multiplier)
+        return ColorReductionColoring(n, delta)
+    return TwoPassQuadraticColoring(n, delta)
 
 
 def _make_cgs22(n, delta, seed, cfg):
@@ -187,10 +178,7 @@ def _make_cgs22(n, delta, seed, cfg):
 def _make_palette_sparsification(n, delta, seed, cfg):
     from repro.baselines import PaletteSparsificationColoring
 
-    return PaletteSparsificationColoring(
-        n, delta, seed=seed, list_size_factor=cfg.list_size_factor,
-        completion_attempts=cfg.completion_attempts,
-    )
+    return PaletteSparsificationColoring(n, delta, seed=seed)
 
 
 # ----------------------------------------------------------------------
@@ -447,7 +435,7 @@ REGISTRY = AlgorithmRegistry([
         summary="one-shot random Delta^2-palette coloring (non-robust)",
         kind="onepass",
         reference="Section 1.2 / experiment T6 strawman",
-        config_cls=NaiveConfig,
+        config_cls=AlgorithmConfig,
         factory=_make_naive,
         randomized=True,
         enforce_palette=False,  # adaptive adversaries force improper output
@@ -516,7 +504,7 @@ REGISTRY = AlgorithmRegistry([
         summary="[ACK19] randomized one-pass (Delta+1)-coloring (non-robust)",
         kind="multipass",
         reference="Assadi-Chen-Khanna 2019 (baseline)",
-        config_cls=PaletteSparsificationConfig,
+        config_cls=AlgorithmConfig,
         factory=_make_palette_sparsification,
         randomized=True,
         guarantee=GuaranteeSpec(

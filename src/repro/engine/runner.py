@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.exceptions import (
+    CheckpointError,
     ImproperColoringError,
     ListViolationError,
     PaletteExceededError,
@@ -134,7 +135,8 @@ class RunSpec:
 
     When :func:`run` is not handed an explicit stream it synthesizes one
     from ``graph_seed`` (falling back to ``seed``) with
-    :func:`repro.graph.generators.random_max_degree_graph`; algorithms
+    :func:`repro.graph.generators.random_max_degree_graph` at its default
+    fill; algorithms
     whose registry entry sets ``needs_lists`` additionally get a random
     list assignment (``list_seed``) interleaved via ``stream_seed``.
 
@@ -157,7 +159,6 @@ class RunSpec:
     seed: int = 0
     config: dict = field(default_factory=dict)
     graph_seed: int | None = None
-    graph_fill: float = 0.9
     graph_family: str = "random_max_degree"
     stream_order: str = "insertion"
     stream_seed: int | None = None
@@ -174,17 +175,32 @@ class RunSpec:
     tags: dict = field(default_factory=dict)
 
 
+#: The ``graph_fill`` that specs stored while ``RunSpec`` had the field
+#: carry: ``random_max_degree_graph``'s default, the only fill any caller
+#: ever set.
+_STORED_GRAPH_FILL = 0.9
+
+
 def run_spec_from_dict(fields: dict) -> RunSpec:
     """Rebuild a :class:`RunSpec` from its stored ``asdict`` form.
 
     Run and session checkpoints store their spec this way.  Specs stored
     before the kernel tier was removed carry a ``kernel_tier`` key; it is
     dropped whatever its value, because no coloring ever depended on it.
-    Any other unknown key raises ``TypeError``, as ``RunSpec(**fields)``
-    does.
+    Specs stored before the graph fill became the generator's default
+    carry ``graph_fill``; it is dropped when it is that default and raises
+    :class:`CheckpointError` otherwise, because a stream rebuilt at
+    another fill is not the stream that was checkpointed.  Any other
+    unknown key raises ``TypeError``, as ``RunSpec(**fields)`` does.
     """
     fields = dict(fields)
     fields.pop("kernel_tier", None)
+    fill = fields.pop("graph_fill", _STORED_GRAPH_FILL)
+    if fill != _STORED_GRAPH_FILL:
+        raise CheckpointError(
+            f"stored spec has graph_fill {fill!r}; streams are rebuilt at "
+            f"fill {_STORED_GRAPH_FILL} only"
+        )
     return RunSpec(**fields)
 
 
@@ -257,9 +273,7 @@ def _build_stream(spec: RunSpec, entry, config):
                 spec.n,
                 near_regular_edge_array(spec.n, spec.delta, graph_seed).tolist(),
             )
-        return random_max_degree_graph(
-            spec.n, spec.delta, seed=graph_seed, fill=spec.graph_fill
-        )
+        return random_max_degree_graph(spec.n, spec.delta, seed=graph_seed)
 
     if entry.needs_lists:
         if backend not in ("tokens", "materialized"):

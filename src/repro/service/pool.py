@@ -72,6 +72,10 @@ from repro.streaming.shm import EDGE_BYTES, EdgeRing
 
 __all__ = ["PoolConfig", "WorkerPool"]
 
+#: Seconds: the hint returned with busy replies, and the dispatcher's own
+#: pause before it retries a shed request or looks for a live worker again.
+_RETRY_AFTER_S = 0.05
+
 
 @dataclass
 class PoolConfig:
@@ -82,20 +86,15 @@ class PoolConfig:
     queue_depth: int = 32
     #: Shared-memory ring capacity per worker (bytes of edge payload).
     ring_bytes: int = 4 * 1024 * 1024
-    #: Hint returned with busy replies; also the internal retry pause.
-    retry_after: float = 0.05
     #: Acknowledged ops per session between journal-truncating snapshots.
     checkpoint_every_ops: int = 32
-    #: Pool-wide session cap (the dispatcher's table).
+    #: Pool-wide session cap (the dispatcher's table), and each worker's
+    #: SessionManager cap too, so one survivor can absorb every session.
     max_sessions: int = 1024
-    #: Per-worker SessionManager caps; worker_max_sessions defaults to
-    #: max_sessions so one survivor can absorb every session.
-    worker_max_sessions: int | None = None
+    #: Per-worker SessionManager cap on resident sessions.
     worker_max_resident: int = 64
     #: Shared directory for migration snapshots (a temp dir when None).
     checkpoint_dir: str | None = None
-    #: Respawn a replacement into a crashed worker's slot.
-    respawn: bool = True
 
     def validated(self) -> "PoolConfig":
         if self.workers < 1:
@@ -413,9 +412,7 @@ class WorkerPool:
         self._spawn_seq += 1
         await asyncio.to_thread(os.makedirs, wdir, exist_ok=True)
         kwargs = {
-            "max_sessions": (
-                self.config.worker_max_sessions or self.config.max_sessions
-            ),
+            "max_sessions": self.config.max_sessions,
             "max_resident": self.config.worker_max_resident,
             "checkpoint_dir": wdir,
         }
@@ -499,7 +496,7 @@ class WorkerPool:
             if not future.done():
                 future.set_exception(ServiceBusyError(
                     f"worker {worker.index} died mid-request; retry",
-                    retry_after=self.config.retry_after,
+                    retry_after=_RETRY_AFTER_S,
                 ))
 
     def _release(self, worker: _Worker) -> None:
@@ -525,7 +522,7 @@ class WorkerPool:
 
     async def _on_worker_death(self, worker: _Worker) -> None:
         """Respawn the slot, then rebuild every victim session."""
-        if self.config.respawn and not self._closing:
+        if not self._closing:
             try:
                 await self._spawn_worker(worker.index)
             except ServiceError:
@@ -560,13 +557,13 @@ class WorkerPool:
                 self._obs_sheds.inc()
                 raise ServiceBusyError(
                     f"worker {worker.index} is unavailable; retry",
-                    retry_after=self.config.retry_after,
+                    retry_after=_RETRY_AFTER_S,
                 )
             if len(worker.inflight) >= self.config.queue_depth:
                 self._obs_sheds.inc()
                 raise ServiceBusyError(
                     f"worker {worker.index} queue is full; retry",
-                    retry_after=self.config.retry_after,
+                    retry_after=_RETRY_AFTER_S,
                 )
             slot = None
             if block is not None:
@@ -575,7 +572,7 @@ class WorkerPool:
                     self._obs_sheds.inc()
                     raise ServiceBusyError(
                         f"worker {worker.index} ring is full; retry",
-                        retry_after=self.config.retry_after,
+                        retry_after=_RETRY_AFTER_S,
                     )
                 message = {**message, "slot": slot}
             future = self._loop.create_future()
@@ -614,7 +611,7 @@ class WorkerPool:
             except ServiceBusyError:
                 if not worker.alive or (worker.stopping and not allow_stopping):
                     raise
-                await asyncio.sleep(self.config.retry_after)
+                await asyncio.sleep(_RETRY_AFTER_S)
 
     def _pick_worker(self) -> _Worker | None:
         live = [w for w in self._workers
@@ -665,9 +662,7 @@ class WorkerPool:
         while True:
             worker = self._pick_worker()
             if worker is None:
-                if not self.config.respawn:
-                    raise ServiceError("all pool workers are dead")
-                await asyncio.sleep(self.config.retry_after)
+                await asyncio.sleep(_RETRY_AFTER_S)
                 continue
             try:
                 if journal.ckpt_path is not None:
@@ -689,7 +684,7 @@ class WorkerPool:
             except ServiceBusyError:
                 # The chosen worker died mid-rebuild; its partial state
                 # died with it. Start over on whoever is alive.
-                await asyncio.sleep(self.config.retry_after)
+                await asyncio.sleep(_RETRY_AFTER_S)
                 continue
             self._local[sid] = local
             self._routes[sid] = worker
@@ -749,11 +744,9 @@ class WorkerPool:
             )
         worker = self._pick_worker()
         if worker is None:
-            if not self.config.respawn:
-                raise ServiceError("all pool workers are dead")
             raise ServiceBusyError(
                 "no live worker to place the session; retry",
-                retry_after=self.config.retry_after,
+                retry_after=_RETRY_AFTER_S,
             )
         sid = f"s{self._next_id}"
         self._next_id += 1
@@ -810,7 +803,7 @@ class WorkerPool:
                         # Continuation sub-blocks retry internally — a
                         # busy escaping here would make the client
                         # re-send sub-blocks that were already applied.
-                        await asyncio.sleep(self.config.retry_after)
+                        await asyncio.sleep(_RETRY_AFTER_S)
                 if len(part):
                     journal.blocks.append(np.array(part))
                     journal.edges_total += len(part)
@@ -1032,7 +1025,7 @@ class WorkerPool:
                         )
                         break
                     except ServiceBusyError:
-                        await asyncio.sleep(self.config.retry_after)
+                        await asyncio.sleep(_RETRY_AFTER_S)
         return checkpoints
 
     async def inject_crash(self, index: int) -> None:

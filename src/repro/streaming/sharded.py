@@ -138,7 +138,6 @@ def write_sharded_edge_file(
     edges,
     *,
     shard_rows: int = DEFAULT_SHARD_ROWS,
-    track_degrees: bool = True,
 ) -> dict:
     """Write edges as a ``REPROED2`` container; returns the manifest dict.
 
@@ -148,11 +147,10 @@ def write_sharded_edge_file(
     bounded by the writer's own block size either way.  Every shard holds
     exactly ``shard_rows`` rows except the last.
 
-    With ``track_degrees`` (the default) the writer folds degrees as it
-    streams and records ``max_degree`` in the manifest, so readers never
-    need a stats sweep over the payload; the cost is one O(n) int64 array
-    while writing.  The target directory is created if missing and must
-    not already hold a container.
+    The writer folds degrees as it streams and records ``max_degree`` in
+    the manifest, so readers never need a stats sweep over the payload;
+    the cost is one O(n) int64 array while writing.  The target directory
+    is created if missing and must not already hold a container.
     """
     if n < 0:
         raise StreamProtocolError(f"container needs n >= 0, got {n}")
@@ -166,7 +164,7 @@ def write_sharded_edge_file(
             f"{path}: refusing to overwrite an existing container "
             f"({MANIFEST_NAME} already present)"
         )
-    deg = np.zeros(max(1, n), dtype=np.int64) if track_degrees else None
+    deg = np.zeros(max(1, n), dtype=np.int64)
     shards: list[dict] = []
     writer = None
     written = 0
@@ -174,7 +172,7 @@ def write_sharded_edge_file(
         for block in iter_edge_blocks(edges, _WRITE_BLOCK_ROWS):
             if len(block) and (block.min() < 0 or block.max() >= n):
                 raise StreamProtocolError(f"edge endpoint out of range [0, {n})")
-            if deg is not None and len(block):
+            if len(block):
                 np.add.at(deg, block.ravel(), 1)
             start = 0
             while start < len(block):
@@ -209,9 +207,8 @@ def write_sharded_edge_file(
         "m": written,
         "shard_rows": shard_rows,
         "shards": shards,
+        "max_degree": int(deg.max()) if n else 0,
     }
-    if deg is not None:
-        manifest["max_degree"] = int(deg.max()) if n else 0
     tmp = f"{manifest_path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -348,9 +345,10 @@ class ShardedFileSource(StreamSource):
     identical to a single-file :class:`~repro.streaming.source.FileSource`
     over the same edges at the same chunk size.
 
-    ``max_degree()`` comes straight from the manifest when the writer
-    recorded it; only manifests written with ``track_degrees=False`` fall
-    back to the O(n)-array stats sweep.
+    ``max_degree()`` comes straight from the manifest, where
+    :func:`write_sharded_edge_file` records it; only a manifest without
+    ``max_degree`` (one written by other tools) falls back to the
+    O(n)-array stats sweep.
     """
 
     def __init__(self, path, chunk_size: int = DEFAULT_CHUNK_SIZE):

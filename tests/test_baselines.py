@@ -18,6 +18,7 @@ from repro.baselines.acs22 import (
     _MemberCountsConsumer,
     _PartCountsConsumer,
 )
+import repro.baselines.palette_sparsification as sparsification_module
 from repro.baselines.naive import OneShotRandomColoring
 from repro.baselines.palette_sparsification import PaletteSparsificationColoring
 from repro.graph.coloring import validate_coloring
@@ -175,17 +176,17 @@ class TestPaletteSparsification:
         validate_coloring(g, coloring, palette_size=delta + 1)
         assert stream.passes_used == 1
 
-    def test_conflict_edges_sublinear_in_m(self):
+    def test_conflict_edges_sublinear_in_m(self, monkeypatch):
         # Sparsification only bites when Delta + 1 >> list size, so use a
         # large Delta and the smallest list factor; completion may then
         # fail (lists below the ACK19 constant), which is fine here — the
         # storage rule fires before completion.
         from repro.common.exceptions import AlgorithmFailure
 
+        monkeypatch.setattr(sparsification_module, "_LIST_SIZE_FACTOR", 1)
         n, delta = 64, 30
         g = random_max_degree_graph(n, delta, seed=78)
-        algo = PaletteSparsificationColoring(n, delta, seed=79,
-                                             list_size_factor=1)
+        algo = PaletteSparsificationColoring(n, delta, seed=79)
         with contextlib.suppress(AlgorithmFailure):
             algo.run(stream_from_graph(g))
         assert 0 < algo.conflict_edge_count < g.m  # sparsification bites
@@ -236,7 +237,8 @@ class TestOneShotNonRobust:
         assert coloring[pair[0]] != coloring[pair[1]]
 
     def test_capacity_overflow_counts_drops(self):
-        algo = OneShotRandomColoring(20, 2, seed=86, capacity=0)
+        algo = OneShotRandomColoring(20, 2, seed=86)
+        algo.capacity = 0
         chi = algo._chi
         pair = next(
             ((u, v) for u in range(20) for v in range(u + 1, 20)

@@ -54,9 +54,6 @@ class TestPrimeChoice:
     def test_scaled_policy(self):
         assert choose_family_prime(100, "scaled") >= 201
 
-    def test_override(self):
-        assert choose_family_prime(100, "paper", override=1000) == 1009
-
     def test_unknown_policy(self):
         with pytest.raises(ReproError):
             choose_family_prime(10, "wat")

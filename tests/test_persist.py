@@ -506,6 +506,13 @@ class TestStoredSpecs:
         with pytest.raises(TypeError, match="kernel_tier"):
             RunSpec(**stored)
 
+    def test_stored_graph_fill_is_dropped_only_at_the_default(self):
+        spec = zoo_spec("robust", "power_law", 5)
+        assert run_spec_from_dict(dict(asdict(spec), graph_fill=0.9)) == spec
+        # A stream rebuilt at another fill is not the checkpointed stream.
+        with pytest.raises(CheckpointError, match="graph_fill 0.5"):
+            run_spec_from_dict(dict(asdict(spec), graph_fill=0.5))
+
     def test_other_unknown_spec_keys_still_fail(self, tmp_path, monkeypatch):
         path, _ = self.mid_run_checkpoint("robust", tmp_path, monkeypatch)
         header, arrays = read_checkpoint(path)
